@@ -5,18 +5,18 @@
 //	benchreport -validate BENCH_engine.json
 //
 // The report (schema bench-engine/v2) records terminal-slots per second
-// and allocation rates for the slot-batched fast engine, the columnar
-// cohort engine and the reference event-driven engine across population
-// sizes, the batched engines' steady-state hot-loop costs, and the
-// resulting per-engine speedups over DES. Per-run allocations are split
-// into one-time setup (shard construction) and the residual charged to
-// the slot loop, so "zero hot-loop allocs" is a measured claim rather
-// than an asymptotic one. All engines produce bit-identical results
-// (locman's TestEngineEquivalence); this report tracks the wall-clock
-// side of that contract. The -validate mode decodes a report strictly
-// (unknown fields rejected) and checks its internal invariants, so CI
-// can verify both the writer and a checked-in baseline; legacy
-// bench-engine/v1 documents are still accepted.
+// and allocation rates for the columnar cohort engine and the reference
+// event-driven engine across population sizes, the columnar engine's
+// steady-state hot-loop cost, and its speedup over DES. Per-run
+// allocations are split into one-time setup (shard construction) and the
+// residual charged to the slot loop, so "zero hot-loop allocs" is a
+// measured claim rather than an asymptotic one. Both engines produce
+// bit-identical results (locman's TestEngineEquivalence); this report
+// tracks the wall-clock side of that contract. The -validate mode
+// decodes a report strictly (unknown fields rejected) and checks its
+// internal invariants, so CI can verify both the writer and a checked-in
+// baseline; legacy bench-engine/v1 documents, which measured the retired
+// slot-batched "fast" engine, are still accepted.
 package main
 
 import (
@@ -27,6 +27,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -38,8 +39,9 @@ import (
 )
 
 // Schema identifies the report layout; bump on breaking changes.
-// SchemaV1 documents (fast and des engines only, a single fast hot
-// loop, no setup/hot allocation split) are still accepted by -validate.
+// SchemaV1 documents (the retired fast engine and des only, a single
+// fast hot loop, no setup/hot allocation split) are still accepted by
+// -validate. A v2 document names live engines only.
 const (
 	Schema   = "bench-engine/v2"
 	SchemaV1 = "bench-engine/v1"
@@ -89,9 +91,9 @@ type HotLoop struct {
 	BytesPerOp        int64   `json:"bytes_per_op"`
 }
 
-// Speedup is the batched engines' throughput advantage over the
-// reference event-driven engine at one population. A ratio is zero when
-// that engine was not measured (the -engines flag excluded it).
+// Speedup is the batched engine's throughput advantage over the
+// reference event-driven engine at one population: ColsOverDES in v2
+// documents, FastOverDES (the retired fast engine) in v1 ones.
 type Speedup struct {
 	Terminals   int     `json:"terminals"`
 	FastOverDES float64 `json:"fast_over_des,omitempty"`
@@ -183,8 +185,8 @@ func run(args []string, stdout io.Writer) error {
 
 	rep := buildReport(params, runs, hots)
 	for _, s := range rep.Speedups {
-		fmt.Fprintf(stdout, "speedup %8d terminals: %.2fx fast, %.2fx cols over des\n",
-			s.Terminals, s.FastOverDES, s.ColsOverDES)
+		fmt.Fprintf(stdout, "speedup %8d terminals: %.2fx cols over des\n",
+			s.Terminals, s.ColsOverDES)
 	}
 	if err := writeReport(*out, rep); err != nil {
 		return err
@@ -356,10 +358,9 @@ func buildReport(p Params, runs []Run, hots []HotLoop) *Report {
 		}
 		s := Speedup{
 			Terminals:   r.Terminals,
-			FastOverDES: ratio(sim.EngineFast.String(), r.Terminals, r),
 			ColsOverDES: ratio(sim.EngineCols.String(), r.Terminals, r),
 		}
-		if s.FastOverDES > 0 || s.ColsOverDES > 0 {
+		if s.ColsOverDES > 0 {
 			speedups = append(speedups, s)
 		}
 	}
@@ -396,12 +397,16 @@ func validateReport(r *Report) error {
 		return fmt.Errorf("schema %q, want %q (or legacy %q)", r.Schema, Schema, SchemaV1)
 	}
 	v1 := r.Schema == SchemaV1
+	engines := sim.EngineNames()
+	if v1 {
+		engines = []string{"fast", sim.EngineDES.String()}
+	}
 	if len(r.Runs) == 0 {
 		return fmt.Errorf("no runs")
 	}
 	tsps := make(map[string]float64, len(r.Runs))
 	for i, run := range r.Runs {
-		if _, err := sim.EngineByName(run.Engine); err != nil {
+		if !slices.Contains(engines, run.Engine) {
 			return fmt.Errorf("run %d: unknown engine %q", i, run.Engine)
 		}
 		if run.Terminals <= 0 || run.Slots <= 0 || run.Shards <= 0 {
@@ -455,14 +460,17 @@ func validateReport(r *Report) error {
 			}
 			return nil
 		}
-		if err := check("fast", s.FastOverDES); err != nil {
-			return err
-		}
 		if v1 {
 			if s.ColsOverDES != 0 {
 				return fmt.Errorf("speedup %d: cols ratio in a v1 document", i)
 			}
+			if err := check("fast", s.FastOverDES); err != nil {
+				return err
+			}
 			continue
+		}
+		if s.FastOverDES != 0 {
+			return fmt.Errorf("speedup %d: fast ratio in a v2 document", i)
 		}
 		if err := check("cols", s.ColsOverDES); err != nil {
 			return err
@@ -484,8 +492,8 @@ func validateReport(r *Report) error {
 			if name != "" {
 				return fmt.Errorf("hot loop: engine tag %q in a v1 document", name)
 			}
-			name = sim.EngineFast.String()
-		} else if e, err := sim.EngineByName(name); err != nil || e == sim.EngineDES {
+			name = "fast"
+		} else if !slices.Contains(engines, name) || name == sim.EngineDES.String() {
 			return fmt.Errorf("hot loop %d: invalid engine %q", i, name)
 		}
 		if seen[name] {

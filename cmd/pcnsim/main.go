@@ -191,9 +191,9 @@ func main() {
 		"capture a telemetry snapshot frame every N slots (0 = off)")
 	pprofAddr := flag.String("pprof", "",
 		"serve net/http/pprof and expvar live shard progress on this address")
-	engineName := flag.String("engine", "fast",
+	engineName := flag.String("engine", locman.EngineCols.String(),
 		"simulation engine: "+strings.Join(locman.EngineNames(), " or ")+
-			" (slot-batched vs reference event-driven); results are bit-identical")
+			" (columnar vs reference event-driven); results are bit-identical")
 	schemeName := flag.String("scheme", "distance",
 		"location-update scheme: "+strings.Join(locman.UpdateSchemeNames(), ", "))
 	schemeParam := flag.Int64("scheme-param", 0,

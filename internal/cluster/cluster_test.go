@@ -44,7 +44,7 @@ func testSpec() jobs.Spec {
 		Shards:        5,
 		SnapshotEvery: 100,
 		Seed:          42,
-		Engine:        "fast",
+		Engine:        "fast", // the retired name: resolves to cols on every node
 	}
 }
 

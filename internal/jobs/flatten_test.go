@@ -26,6 +26,34 @@ func runReport(t *testing.T, spec Spec) *locman.Report {
 	return locman.NewReport(metrics)
 }
 
+// TestRetiredFastEngineSpec pins the compatibility of specs journaled
+// while the fast engine existed: "fast", like the empty default, runs on
+// the columnar engine, passes validation, and flattens to a row naming
+// the engine that actually ran.
+func TestRetiredFastEngineSpec(t *testing.T) {
+	for _, name := range []string{"", "fast", "cols"} {
+		spec := testSpec()
+		spec.Engine = name
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("engine %q: %v", name, err)
+		}
+		cfg, err := spec.NetworkConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Engine != locman.EngineCols {
+			t.Errorf("engine %q resolves to %s, want cols", name, cfg.Engine)
+		}
+		row, err := ResultRow("j000001", spec, runReport(t, spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Engine != "cols" {
+			t.Errorf("engine %q flattens to row engine %q, want cols", name, row.Engine)
+		}
+	}
+}
+
 // TestResultRowFlattening pins the knob half of the row: explicit specs
 // carry their knobs through with the documented zero-value spellings
 // (nil scheme is "distance", nil partition "sdf"), scenario specs
@@ -44,7 +72,7 @@ func TestResultRowFlattening(t *testing.T) {
 		t.Errorf("Job = %q", row.Job)
 	}
 	if row.Scenario != "" || row.Scheme != "distance" || row.SchemeParam != 0 ||
-		row.Partition != "sdf" || row.Model != "2d" || row.Engine != "fast" {
+		row.Partition != "sdf" || row.Model != "2d" || row.Engine != "cols" {
 		t.Errorf("default dims wrong: %+v", row)
 	}
 	if row.D != 2 || row.Q != 0.05 || row.C != 0.01 || row.U != 100 || row.V != 10 ||

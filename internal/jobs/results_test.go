@@ -3,7 +3,9 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/results"
@@ -118,6 +120,80 @@ func TestManagerBackfillsResultsOnRecover(t *testing.T) {
 	after := queryJSON(t, rebuilt, req)
 	if before != after {
 		t.Fatalf("backfilled store answers differently:\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
+// TestManagerRecoverRetiredEngineRows: jobs that ran while the retired
+// "fast" engine existed recover to the same analytics table whether the
+// table file survived (its rows saying "fast") or only the journal did
+// (rows rebuilt from specs saying "fast" or nothing). Both answer an
+// engine-keyed query byte-identically, naming "cols".
+func TestManagerRecoverRetiredEngineRows(t *testing.T) {
+	dir := t.TempDir()
+	table := filepath.Join(dir, "results.table.json")
+	s1, err := results.Open(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1 := New(Options{QueueDepth: 4, Workers: 1, DataDir: dir, Results: s1})
+	if err := m1.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i, engine := range []string{"", "fast", "des"} {
+		spec := testSpec()
+		spec.Seed = uint64(i + 1)
+		spec.Engine = engine
+		v, err := m1.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+	}
+	for _, id := range ids {
+		waitTerminal(t, m1, id)
+	}
+	if err := m1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Age the table file to what the service saved before the fast
+	// engine was retired: the rows of the jobs that ran on it said "fast".
+	aged := strings.ReplaceAll(string(mustRead(t, table)), `"cols"`, `"fast"`)
+	if err := os.WriteFile(table, []byte(aged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journalOnly := t.TempDir()
+	copyDir(t, dir, journalOnly)
+	if err := os.Remove(filepath.Join(journalOnly, "results.table.json")); err != nil {
+		t.Fatal(err)
+	}
+
+	const req = `{"group_by":["engine","seed"],"aggregates":[{"op":"count"},{"op":"mean","column":"total_cost"}]}`
+	answer := func(dataDir string) (string, Stats) {
+		s, err := results.Open(filepath.Join(dataDir, "results.table.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(Options{QueueDepth: 4, Workers: 1, DataDir: dataDir, Results: s})
+		if err := m.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		defer m.Shutdown(context.Background())
+		return queryJSON(t, s, req), m.Stats()
+	}
+	fromTable, st := answer(dir)
+	if st.ResultRows != 3 || st.ResultsBackfilled != 0 {
+		t.Fatalf("table-file recovery stats = %+v, want 3 loaded rows", st)
+	}
+	fromJournal, st := answer(journalOnly)
+	if st.ResultRows != 3 || st.ResultsBackfilled != 3 {
+		t.Fatalf("journal-only recovery stats = %+v, want 3 backfilled rows", st)
+	}
+	if fromTable != fromJournal {
+		t.Fatalf("recovered tables disagree:\ntable file: %s\njournal:    %s", fromTable, fromJournal)
+	}
+	if strings.Contains(fromTable, "fast") || strings.Count(fromTable, `"cols"`) != 2 {
+		t.Fatalf("want the two fast-era jobs grouped under cols: %s", fromTable)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 func genRow(rnd *rand.Rand, job string) Row {
 	scenarios := []string{"", "baseline", "rush-hour-hotspot", "highway-commute"}
 	schemes := []string{"distance", "timer", "movement"}
-	engines := []string{"fast", "des", "cols"}
+	engines := []string{"des", "cols"}
 	models := []string{"1d", "2d"}
 	partitions := []string{"sdf", "blanket"}
 	qs := []float64{0.01, 0.05, 0.2}

@@ -11,10 +11,10 @@ import (
 // two scenarios, thresholds 1/2, one NaN metric, one all-NaN group.
 func fourRows() []Row {
 	nan := math.NaN()
-	r1 := Row{Job: "j000001", Scenario: "baseline", Scheme: "distance", Engine: "fast",
+	r1 := Row{Job: "j000001", Scenario: "baseline", Scheme: "distance", Engine: "des",
 		Model: "2d", Partition: "sdf", D: 1, Q: 0.05, C: 0.01, U: 100, V: 10,
 		Terminals: 20, Slots: 1000, Shards: 2, TotalCost: 10, Calls: 5, DelayP95: 2}
-	r2 := Row{Job: "j000002", Scenario: "baseline", Scheme: "distance", Engine: "fast",
+	r2 := Row{Job: "j000002", Scenario: "baseline", Scheme: "distance", Engine: "des",
 		Model: "2d", Partition: "sdf", D: 2, Q: 0.05, C: 0.01, U: 100, V: 10,
 		Terminals: 20, Slots: 1000, Shards: 2, TotalCost: 30, Calls: 7, DelayP95: nan}
 	r3 := Row{Job: "j000003", Scenario: "rush", Scheme: "timer", SchemeParam: 6, Engine: "cols",

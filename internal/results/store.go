@@ -271,6 +271,16 @@ func (s *Store) load(data []byte) error {
 			}
 		}
 	}
+	// Tables saved while the retired "fast" engine existed name it. Its
+	// runs were byte-identical to the columnar engine's, which the name
+	// now selects, and a backfill from the journal flattens the same job
+	// to "cols"; folding here keeps the loaded and the backfilled table
+	// one table.
+	for k, e := range s.cols[colIndex["engine"]].strs {
+		if e == "fast" {
+			s.cols[colIndex["engine"]].strs[k] = "cols"
+		}
+	}
 	jobs := s.cols[colIndex["job"]].strs
 	for pos, job := range jobs {
 		if job == "" {

@@ -113,6 +113,44 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadFoldsRetiredEngine: a table saved while the retired "fast"
+// engine existed loads with those rows under "cols", the name the same
+// jobs flatten to today, so it saves back the bytes of a table that
+// never said "fast".
+func TestLoadFoldsRetiredEngine(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "results.table.json")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range fourRows() {
+		if err := s.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := mustRead(t, path)
+	old := strings.ReplaceAll(string(want), `"cols"`, `"fast"`)
+	if old == string(want) {
+		t.Fatal("fixture has no cols rows to age")
+	}
+	oldPath := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(oldPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Open(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resave := filepath.Join(dir, "resaved.json")
+	if err := loaded.Save(resave); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustRead(t, resave); string(got) != string(want) {
+		t.Fatalf("old table loads differently:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestLoadRejections holds the loader to strict validation: a damaged
 // table file must fail loudly, never silently drop or mangle rows.
 func TestLoadRejections(t *testing.T) {

@@ -29,7 +29,7 @@ func cancelConfig(engine Engine) Config {
 // cohorts, so cancellation must be observed mid-batch, without waiting
 // for the cohort walk to finish the slot batch.
 func TestRunShardedCtxCancelPrompt(t *testing.T) {
-	for _, engine := range []Engine{EngineFast, EngineDES, EngineCols} {
+	for _, engine := range []Engine{EngineDES, EngineCols} {
 		t.Run(engine.String(), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -64,7 +64,7 @@ func TestRunShardedCtxCancelPrompt(t *testing.T) {
 func TestRunShardedCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := RunShardedCtx(ctx, cancelConfig(EngineFast), 1_000, 2)
+	_, err := RunShardedCtx(ctx, cancelConfig(EngineCols), 1_000, 2)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

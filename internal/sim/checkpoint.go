@@ -41,9 +41,10 @@ type Checkpoint struct {
 	StartD int
 	Seed   uint64
 	// Engine records which engine took the checkpoint. The reference
-	// engine (EngineDES) keeps one scheduler per shard, the batch engines
-	// (EngineFast, EngineCols) one per terminal; checkpoints are
-	// interchangeable within a class but not across (see engineClass).
+	// engine (EngineDES) keeps one scheduler per shard, the columnar
+	// engine one per terminal, so a checkpoint resumes only on the engine
+	// that took it. Checkpoints of the retired fast engine carry the
+	// columnar engine's tag and layout and resume on it unchanged.
 	Engine Engine
 	// Scheme and SchemeParam record the update scheme the run uses
 	// (SchemeNames / UpdateScheme.Param); resuming under a different
@@ -73,11 +74,11 @@ type ShardCheckpoint struct {
 	// Frames is the telemetry snapshot series captured so far (including
 	// a frame at this boundary when it lies on the telemetry cadence).
 	Frames []FrameCheckpoint
-	// SubEvents is the batch engines' cumulative dispatched sub-slot
+	// SubEvents is the columnar engine's cumulative dispatched sub-slot
 	// event count (unused by the reference engine, which derives its
 	// count from the scheduler's Processed counter).
 	SubEvents uint64
-	// Scheds, PreSweep, CurD and RunLen are the batch engines'
+	// Scheds, PreSweep, CurD and RunLen are the columnar engine's
 	// per-terminal scheduler state, reference-tie-break marks and batched
 	// threshold-usage accounting; nil for the reference engine.
 	Scheds   []SchedCheckpoint
@@ -85,7 +86,7 @@ type ShardCheckpoint struct {
 	CurD     []int64
 	RunLen   []int64
 	// DES is the reference engine's single shard scheduler; nil for the
-	// batch engines.
+	// columnar engine.
 	DES *DESCheckpoint
 }
 
@@ -166,15 +167,10 @@ type DESCheckpoint struct {
 	SlotEventSeq uint64
 }
 
-// engineClass groups engines by checkpoint representation: the reference
-// engine's single-scheduler state versus the batch engines' per-terminal
-// state. Checkpoints resume on any engine of the same class.
-func engineClass(e Engine) string {
-	if e == EngineDES {
-		return "des"
-	}
-	return "batch"
-}
+// legacyColsTag is the Engine value checkpoints written before the fast
+// engine was retired carry for the columnar engine (the fast engine held
+// tag 0, EngineCols' tag today). DecodeCheckpoint folds it to EngineCols.
+const legacyColsTag Engine = 2
 
 // ackTag packs an ack-timer's identity — shard-local terminal index and
 // update sequence number — into a des event tag. Update sequence numbers
@@ -421,6 +417,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	cp := &Checkpoint{}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(cp); err != nil {
 		return nil, fmt.Errorf("sim: decoding checkpoint: %w", err)
+	}
+	if cp.Engine == legacyColsTag {
+		cp.Engine = EngineCols
 	}
 	return cp, nil
 }

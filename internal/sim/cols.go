@@ -10,17 +10,52 @@ import (
 	"repro/internal/wire"
 )
 
-// The columnar cohort engine (EngineCols).
+// The columnar cohort engine (EngineCols), the default.
 //
-// The fast path already inverted the reference engine's loop — terminals
-// advance through whole slot batches in memory order — but each terminal
-// still drags its full struct (parameters, estimator, fault bookkeeping;
-// well over a cache line) through the hot loop, and still asks the RNG
-// one question per slot. At millions of terminals the struct walk is
-// what blows the cache: BENCH_engine.json shows fast-path throughput
-// falling between 100k and 1M terminals.
+// The reference engine pays the full discrete-event machinery for every
+// slot of every terminal — a heap-driven sweep event, a map increment and
+// two Bernoulli draws per terminal-slot — even though under the paper's
+// parameters (q, c ≪ 1) the overwhelming majority of terminal-slots do
+// nothing that needs an event queue at all. The columnar engine inverts
+// the loop: terminals advance through whole slot batches in memory
+// order, each with its own small scheduler that stays cold on pure
+// slots — paging exchanges run inline through pageInline, and only
+// update/ack/retry machinery arms the scheduler, after which the
+// affected slots fall back to the event path until the queue drains.
 //
-// The columnar engine splits the state by temperature. The few words the
+// Bit-identity with the reference engine is a contract, not an accident
+// (see TestFastPathEquivalence). It rests on three facts:
+//
+//  1. Per-terminal draw order is untouched. Pure stretches consume the
+//     stream positions of network.sweepSlot's draw order — call, then
+//     movement, then the in-move direction — with exact integer
+//     Bernoulli thresholds (stats.BernoulliThreshold documents the
+//     exactness), pageInline replays the paging chain's loss draws in
+//     chain order, and slow slots run sweepSlot itself.
+//
+//  2. Cross-terminal state is commutative. Terminals meet only in
+//     integer counters, fixed-bucket histograms, per-terminal HLR
+//     records and the threshold-keyed paging-plan cache, so reordering
+//     the sweeps across terminals cannot change any result. (callSeq
+//     values are assigned in a different order, but calls are compared
+//     only for equality within one terminal's paging chain and wire
+//     encodings are fixed-length, so nothing observable shifts.)
+//
+//  3. Per-terminal event timing replays the reference tie-break. Within
+//     one terminal, the reference engine orders a queued event against a
+//     slot boundary by (time, insertion order) against that slot's sweep
+//     event, whose insertion stamp is assigned at the end of the
+//     previous slot's sweep. The engine reproduces the stamp with
+//     SeqMark after each sweep that touches the scheduler (the preSweep
+//     column) and splits each armed slot into the same two phases with
+//     RunBefore: events due before the sweep, then the sweep, then
+//     events due before the next boundary. Pure slots leave the mark
+//     alone — the per-terminal insertion counter only advances when
+//     something is scheduled, so the stale mark still classifies every
+//     queued event exactly as the reference engine's growing global
+//     counter would.
+//
+// The engine also splits the state by temperature. The few words the
 // per-slot decision actually needs — position, center, threshold, the
 // precomputed call/move thresholds, the RNG state and the scheduler
 // bookkeeping — live in flat parallel slices (one cache-dense column
@@ -37,8 +72,8 @@ import (
 // something happens?" — stats.RNG.EventGap draws the gap to the next
 // call-or-move event directly. The gap sampler is the per-slot threshold
 // scan itself (one call draw, then one move draw, per slot, in sweepSlot
-// order), so it consumes the identical stream positions as the scalar
-// engines and bit-identity is preserved by construction; what it buys is
+// order), so it consumes the identical stream positions as per-slot
+// draws and bit-identity is preserved by construction; what it buys is
 // that the generator state, position and center stay in registers for
 // the whole stretch instead of round-tripping through memory every slot.
 // Cell geometry is inlined on a concrete grid.Hex/grid.Line branch
@@ -46,12 +81,16 @@ import (
 // would force the register-resident RNG copy to escape to the heap,
 // and the hot loop must not allocate at any population size.
 //
-// Everything the fast path established about equivalence carries over
-// unchanged (see the contract notes in fast.go): slow slots run the
-// reference sweepSlot on the struct mirror, per-terminal event timing
-// replays the reference tie-break via preSweep marks and RunBefore, and
-// telemetry frames are captured at the same batch boundaries with the
-// same accounting.
+// Slots are processed in batches bounded by the telemetry cadence, so
+// each snapshot observes exactly the state the reference engine would
+// capture at that boundary. Checkpoint boundaries also bound the
+// batches; subdividing a batch is harmless (contract note 2, and each
+// terminal's per-slot work is identical wherever the batch edges fall).
+// A checkpoint captures each terminal's scheduler verbatim (clock, stamp
+// counter, pending retransmission timers by tag) plus the preSweep mark
+// and the batched threshold-usage accumulator — exactly the state the
+// engine carries across a batch edge — and resume re-enters the loop at
+// the boundary.
 
 // colsCohortTerminals is the cohort width: terminals are advanced
 // through each slot batch in blocks of this many. The hot columns of a
@@ -76,9 +115,16 @@ type colsState struct {
 	// of params.C and moveProb; both are fixed for the whole run).
 	callT []uint64
 	moveT []uint64
-	// sched and preSweep are the per-terminal scheduler machinery, and
-	// curD/runLen the batched threshold-usage accounting — exactly
-	// fastTerm's fields, as columns.
+	// sched is the terminal's own scheduler and preSweep the SeqMark
+	// where the reference engine's next slot-sweep event would sit in its
+	// insertion order (contract note 3): a queued event on a slot
+	// boundary runs before the boundary's sweep (and before any telemetry
+	// capture) exactly when its stamp is below the mark. curD and runLen
+	// batch the per-slot threshold-usage accounting: runLen consecutive
+	// slots spent at threshold curD, flushed to Metrics.ThresholdSlots
+	// only when the threshold changes or the run ends — the reference
+	// engine's per-terminal-slot map increment is the single largest cost
+	// it pays.
 	sched    []des.Scheduler
 	preSweep []uint64
 	curD     []int32
@@ -128,8 +174,9 @@ func (c *colsState) syncColumns(t *terminal, i int) {
 	c.thr[i] = int32(t.threshold)
 }
 
-// flushThreshold credits terminal i's batched threshold-usage run; see
-// fastTerm.flushThreshold.
+// flushThreshold credits terminal i's batched threshold-usage run.
+// Flushes always carry runLen ≥ 1 once a slot has run, so the map never
+// grows zero-valued keys the reference engine would not have.
 func (c *colsState) flushThreshold(i int, m *Metrics) {
 	if c.runLen[i] > 0 {
 		m.ThresholdSlots[int(c.curD[i])] += c.runLen[i]
@@ -137,12 +184,20 @@ func (c *colsState) flushThreshold(i int, m *Metrics) {
 }
 
 // runShardCols simulates terminals [lo, hi) with the columnar cohort
-// engine, bit-identical to runShard and runShardFast for every
-// configuration. The batch structure matches the fast path (slot batches
-// bounded by the telemetry cadence, frames captured at the boundaries,
-// final drain of late timers); within a batch, terminals advance in
-// cohorts, and within a terminal, event-free stretches collapse into
-// EventGap draws on register-resident state.
+// engine, bit-identical to runShard for every configuration: same
+// Metrics, same telemetry frame series, same histograms. Slot batches
+// are bounded by the telemetry and checkpoint cadences, frames are
+// captured at the boundaries, and late timers drain after the last
+// batch; within a batch, terminals advance in cohorts, and within a
+// terminal, event-free stretches collapse into EventGap draws on
+// register-resident state.
+//
+// A cancellable ctx is polled between per-terminal slot chunks, with
+// pure stretches additionally capped at ctxCheckSlots slots, so the
+// shard stops within a bounded amount of work whether the population is
+// wide (many terminals, few slots each) or deep (one terminal, many
+// slots). A background context takes the check-free path and the
+// stretch cap never engages.
 func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	cfg, slots := r.cfg, r.slots
 	n, terms, rngs, err := newShardNetwork(cfg, slots, r.lo, r.hi, r.startD, r.loc)
@@ -170,8 +225,9 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	done := ctx.Done()
 	width := int64(r.hi - r.lo)
 	var frames []telemetry.ShardFrame
-	// subEvents counts dispatched sub-slot events across all terminals,
-	// same convention as the fast path.
+	// subEvents counts dispatched sub-slot events across all terminals —
+	// the engine schedules no sweep events, so this is directly the
+	// reference engine's Processed() minus its slot sweeps.
 	var subEvents uint64
 	if r.resume != nil {
 		frames = restoreFrames(r.resume.Frames)
@@ -307,7 +363,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							if lr.BernoulliT(callT) {
 								rngs[i] = lr
 								t.pos, t.center, t.threshold = pos, ctr, thr
-								subEvents += n.fastPage(t, des.Time(s)*SlotTicks)
+								subEvents += n.pageInline(t, des.Time(s)*SlotTicks)
 								ctr = t.center
 								lr = rngs[i]
 								s++
@@ -344,7 +400,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							// column and may re-center the terminal).
 							rngs[i] = lr
 							t.pos, t.center, t.threshold = pos, ctr, thr
-							subEvents += n.fastPage(t, des.Time(s)*SlotTicks)
+							subEvents += n.pageInline(t, des.Time(s)*SlotTicks)
 							ctr = t.center
 							lr = rngs[i]
 							if dyn {
@@ -435,6 +491,10 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 		cur = next
 		prog.Set(r.shard, cur, cur*width, uint64(cur)+subEvents)
 		if every > 0 && (cur%every == 0 || last) {
+			// Telemetry-cadence boundaries and the final run boundary get
+			// frames (checkpoint-only boundaries do not — the reference
+			// engine captures no frame there); the final frame covers the
+			// whole run including the drained late timers.
 			frames = append(frames, n.snapshot(cur, subEvents))
 		}
 		if r.every > 0 && cur%r.every == 0 && !last {

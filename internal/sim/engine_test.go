@@ -3,19 +3,21 @@ package sim
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/chain"
 )
 
-// TestFastPathEquivalence is the derived engines' contract: for every
+// TestFastPathEquivalence is the columnar engine's contract: for every
 // configuration class — both grids, static and dynamic thresholds, zero
-// and nonzero fault plans, telemetry on and off — EngineFast and
-// EngineCols produce bit-identical Metrics to the reference EngineDES,
-// at every shard count. reflect.DeepEqual on the full Metrics covers the
-// counters, the per-terminal records, the Welford accumulator states,
-// both latency histograms and the telemetry snapshot series; a JSON
-// comparison guards the serialized view on top. Run under -race in CI.
+// and nonzero fault plans, telemetry on and off — EngineCols, with its
+// inline paging and gap-sampled pure stretches, produces bit-identical
+// Metrics to the reference EngineDES at every shard count.
+// reflect.DeepEqual on the full Metrics covers the counters, the
+// per-terminal records, the Welford accumulator states, both latency
+// histograms and the telemetry snapshot series; a JSON comparison
+// guards the serialized view on top. Run under -race in CI.
 // (locman's TestEngineEquivalence covers the same cross-product at the
 // public Report-bytes level.)
 func TestFastPathEquivalence(t *testing.T) {
@@ -153,25 +155,23 @@ func TestFastPathEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, engine := range []Engine{EngineFast, EngineCols} {
-				for _, shards := range []int{1, 3} {
-					cfg := tc.cfg()
-					cfg.Engine = engine
-					got, err := RunSharded(cfg, tc.slots, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s engine diverged from DES at %d shard(s):\n%s: %+v\ndes:  %+v",
-							engine, shards, engine, got, want)
-					}
-					gotJSON, err := json.Marshal(got)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if string(gotJSON) != string(wantJSON) {
-						t.Errorf("%s serialized metrics diverged at %d shard(s)", engine, shards)
-					}
+			for _, shards := range []int{1, 3} {
+				cfg := tc.cfg()
+				cfg.Engine = EngineCols
+				got, err := RunSharded(cfg, tc.slots, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("cols engine diverged from DES at %d shard(s):\ncols: %+v\ndes:  %+v",
+						shards, got, want)
+				}
+				gotJSON, err := json.Marshal(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(gotJSON) != string(wantJSON) {
+					t.Errorf("cols serialized metrics diverged at %d shard(s)", shards)
 				}
 			}
 		})
@@ -179,12 +179,18 @@ func TestFastPathEquivalence(t *testing.T) {
 }
 
 // TestEngineValidation pins the engine selector's edges: the zero value is
-// the fast path, names round-trip, and junk is rejected up front.
+// the columnar engine, names round-trip, the retired "fast" resolves to
+// the columnar engine without being advertised, and junk is rejected up
+// front.
 func TestEngineValidation(t *testing.T) {
-	if (Config{}).Engine != EngineFast {
-		t.Error("zero-value engine is not the fast path")
+	if (Config{}).Engine != EngineCols {
+		t.Error("zero-value engine is not the columnar engine")
 	}
-	for _, name := range []string{"fast", "des", "cols"} {
+	names := EngineNames()
+	if len(names) != 2 || names[0] != "cols" || names[1] != "des" {
+		t.Errorf("EngineNames() = %v, want [cols des]", names)
+	}
+	for _, name := range names {
 		e, err := EngineByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -193,8 +199,12 @@ func TestEngineValidation(t *testing.T) {
 			t.Errorf("EngineByName(%q).String() = %q", name, e)
 		}
 	}
-	if _, err := EngineByName("warp"); err == nil {
-		t.Error("unknown engine name accepted")
+	if e, err := EngineByName("fast"); err != nil || e != EngineCols {
+		t.Errorf("EngineByName(\"fast\") = %v, %v; want the columnar engine", e, err)
+	}
+	_, err := EngineByName("warp")
+	if err == nil || !strings.Contains(err.Error(), "valid engines: cols, des") {
+		t.Errorf("unknown engine name: err = %v, want the valid names enumerated", err)
 	}
 
 	cfg := baseConfig(chain.TwoDimExact, 0.2, 0.05, 2, 3)

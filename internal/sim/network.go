@@ -124,10 +124,10 @@ func (n *network) markSynced(t *terminal) {
 }
 
 // markSyncedAt is markSynced at an explicit virtual time, for callers that
-// run ahead of the scheduler clock (the fast path's inline paging
-// exchange): the recovery latency has sub-slot resolution, so the tick the
-// episode closes at must be the one the event-driven exchange would have
-// reached.
+// run ahead of the scheduler clock (pageInline, the columnar engine's
+// inline paging exchange): the recovery latency has sub-slot resolution,
+// so the tick the episode closes at must be the one the event-driven
+// exchange would have reached.
 func (n *network) markSyncedAt(t *terminal, now des.Time) {
 	if t.desynced {
 		t.desynced = false
@@ -405,24 +405,103 @@ func (n *network) page(t *terminal) {
 	n.sched.After(1, func() { cycle(0) })
 }
 
+// pageInline is page run to completion inline, without scheduling a
+// single event: the polling-cycle chain is a per-terminal linear sequence
+// of strictly later ticks, so with an empty terminal queue (the caller's
+// precondition) executing it synchronously is indistinguishable from the
+// event-driven version — the loss draws come in identical chain order,
+// pageSuccessAt is stamped with the tick the resolution event would have
+// carried, and the return value is exactly the number of events the
+// reference engine's chain would have processed, so Metrics.Events still
+// matches. Structurally this is page() with each sched.After(τ, step)
+// replaced by falling through to step's body and counting the event.
+func (n *network) pageInline(t *terminal, base des.Time) uint64 {
+	rec := *n.hlrAt(t.id)
+	n.callSeq++
+	call := n.callSeq
+	info := n.partitionFor(rec.threshold)
+	ring := n.loc.dist(t.pos, rec.center)
+	n.metrics.Calls++
+	n.term(t.id).Calls++
+
+	// See page(): the subarea whose polls reach the terminal, or −1 when
+	// the registered record cannot contain it.
+	target := -1
+	if ring < len(info.ringSubarea) {
+		target = info.ringSubarea[ring]
+	} else {
+		n.metrics.FallbackCalls++
+	}
+
+	events := uint64(1) // the kickoff event that carries the first cycle
+	for j := 0; j < len(info.part); j++ {
+		sub := info.part[j]
+		cyc := uint8(j + 1)
+		if j+1 > 255 {
+			cyc = 255
+		}
+		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
+		n.scratch = poll.Encode(n.scratch[:0])
+		n.metrics.PolledCells += int64(sub.Cells)
+		n.term(t.id).PolledCells += int64(sub.Cells)
+		n.metrics.PollBytes += int64(sub.Cells * len(n.scratch))
+		if j == target && n.pollHeard(t) {
+			events++ // the reply-resolution event one tick later
+			if n.replyDelivered(t, call) {
+				// Cycle j runs at base+1+2j; its reply resolves at +1.
+				n.pageSuccessAt(t, j+1, base+des.Time(2+2*j))
+				return events
+			}
+		}
+		events++ // the event carrying the next cycle (or the first round)
+	}
+	for r := 1; ; r++ {
+		if r > n.cfg.Faults.PageRetries {
+			n.metrics.DroppedCalls++
+			return events
+		}
+		n.metrics.RePolls++
+		radius := rec.threshold + r
+		cells := n.diskCells(radius)
+		cyc := uint8(255)
+		if c := len(info.part) + r; c <= 255 {
+			cyc = uint8(c)
+		}
+		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
+		n.scratch = poll.Encode(n.scratch[:0])
+		n.metrics.PolledCells += int64(cells)
+		n.term(t.id).PolledCells += int64(cells)
+		n.metrics.PollBytes += int64(cells * len(n.scratch))
+		if ring <= radius && n.pollHeard(t) {
+			events++ // the reply-resolution event one tick later
+			if n.replyDelivered(t, call) {
+				// Round r runs at base+1+2·len(part)+2(r−1); reply at +1.
+				n.pageSuccessAt(t, len(info.part)+r, base+des.Time(2*len(info.part)+2*r))
+				return events
+			}
+		}
+		events++ // the event carrying the next round
+	}
+}
+
 // sweepSlot runs slot's worth of terminal activity for t: the call
 // arrival draw (paging on a hit), otherwise the movement draw (the
 // update scheme deciding whether the move triggers an update), then the
 // timer scheme's deadline check, then the dynamic scheme's estimator
 // update. The draw order — call, then movement, then the in-move
-// direction — is the per-terminal RNG contract the fast path's
+// direction — is the per-terminal RNG contract the columnar engine's
 // bit-identity rests on: the reference engine runs this method every
-// slot, the batch engines replicate the same draws inline on their pure
-// slots (runShardFast, runShardCols) and fall back to this method
-// whenever queued events are in play. Note Bernoulli always consumes a
-// draw, even at probability zero, so the sequence is the same whatever
-// the outcomes; the scheme dispatch sits strictly after the draws and
-// takes none of its own. Threshold-usage accounting stays with the
-// callers: the reference engine counts every terminal-slot as it
-// sweeps, the batch engines batch runs of unchanged thresholds.
+// slot, the columnar engine replicates the same draws on its pure
+// stretches (runShardCols) and falls back to this method whenever
+// queued events are in play. Note Bernoulli always consumes a draw, even
+// at probability zero, so the sequence is the same whatever the
+// outcomes; the scheme dispatch sits strictly after the draws and takes
+// none of its own. Threshold-usage accounting stays with the callers:
+// the reference engine counts every terminal-slot as it sweeps, the
+// columnar engine batches runs of unchanged thresholds.
 //
 // slot is the current slot index: the reference engine passes its slot
-// counter, the batch engines the stretch position. It is only read by
+// counter, the columnar engine the stretch position. It is only read by
 // the timer scheme (the scheduler clock is not necessarily advanced on
 // pure slots).
 func (n *network) sweepSlot(t *terminal, slot int64) {

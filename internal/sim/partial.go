@@ -93,13 +93,7 @@ func RunPartial(ctx context.Context, cfg Config, slots int64, shards, lo, hi int
 	if cfg.Core.Model == chain.OneDim {
 		loc = lineLocator{}
 	}
-	engine := runShard
-	switch cfg.Engine {
-	case EngineFast:
-		engine = runShardFast
-	case EngineCols:
-		engine = runShardCols
-	}
+	engine := shardEngine(cfg.Engine)
 	cfg.Telemetry.Progress.Init(shards)
 	parts, err := sweep.MapCtx(ctx, hi-lo, 0, func(ctx context.Context, i int) (shardResult, error) {
 		s := lo + i
@@ -261,7 +255,9 @@ func MergePartials(cfg Config, slots int64, shards int, parts []*Partial) (*Metr
 			byShard[sp.Shard] = sp
 		}
 	}
-	merged := &Metrics{}
+	// Sized once: growing the per-terminal records shard by shard would
+	// reallocate (and leave as garbage) most of the population's records.
+	merged := &Metrics{PerTerminal: make([]TerminalStats, 0, cfg.Terminals)}
 	series := make([][]telemetry.ShardFrame, shards)
 	for s := 0; s < shards; s++ {
 		sp := byShard[s]

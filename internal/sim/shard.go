@@ -42,18 +42,19 @@ func RunSharded(cfg Config, slots int64, shards int) (*Metrics, error) {
 	return RunShardedCtx(context.Background(), cfg, slots, shards)
 }
 
-// ctxCheckSlots bounds how many slots the fast path's pure stretch may
-// run between cancellation checks when a cancellable context is in
-// force. A stretch this long costs well under a millisecond, so the
-// shard notices cancellation orders of magnitude inside any human
-// deadline while a background context pays no per-slot check at all.
+// ctxCheckSlots bounds how many slots the columnar engine's pure
+// stretch may run between cancellation checks when a cancellable
+// context is in force. A stretch this long costs well under a
+// millisecond, so the shard notices cancellation orders of magnitude
+// inside any human deadline while a background context pays no
+// per-slot check at all.
 const ctxCheckSlots = 1 << 16
 
 // RunShardedCtx is RunSharded under cooperative cancellation: when ctx is
 // cancelled, shards that have not started are never dispatched and every
 // in-flight shard stops within a bounded amount of work (the reference
-// engine checks at each slot boundary, the fast path at least every
-// ctxCheckSlots terminal-slots), so the call returns promptly with
+// engine checks at each slot boundary, the columnar engine at least
+// every ctxCheckSlots terminal-slots), so the call returns promptly with
 // ctx.Err() instead of after run completion. A run that completes
 // normally is untouched by the context machinery: results remain
 // bit-identical to RunSharded for every shard count.
@@ -124,13 +125,7 @@ func RunShardedOpts(ctx context.Context, cfg Config, slots int64, shards int, op
 		}
 	}
 
-	engine := runShard
-	switch cfg.Engine {
-	case EngineFast:
-		engine = runShardFast
-	case EngineCols:
-		engine = runShardCols
-	}
+	engine := shardEngine(cfg.Engine)
 	var agg *ckptAggregator
 	if opts.CheckpointEvery > 0 {
 		upd, _ := resolveScheme(cfg.Scheme) // validated above
@@ -163,7 +158,9 @@ func RunShardedOpts(ctx context.Context, cfg Config, slots int64, shards int, op
 		return nil, err
 	}
 
-	merged := &Metrics{}
+	// Sized once: growing the per-terminal records shard by shard would
+	// reallocate (and leave as garbage) most of the population's records.
+	merged := &Metrics{PerTerminal: make([]TerminalStats, 0, cfg.Terminals)}
 	for _, p := range parts {
 		merged.Merge(p.metrics)
 	}
@@ -179,6 +176,15 @@ func RunShardedOpts(ctx context.Context, cfg Config, slots int64, shards int, op
 			cfg.Core.Costs.Update, cfg.Core.Costs.Poll)
 	}
 	return merged, nil
+}
+
+// shardEngine returns the per-shard implementation of engine e; both
+// RunShardedOpts and RunPartial dispatch through it.
+func shardEngine(e Engine) func(context.Context, shardRun) (shardResult, error) {
+	if e == EngineDES {
+		return runShard
+	}
+	return runShardCols
 }
 
 // shardResult is one shard's share of a run: its metrics plus its
@@ -231,9 +237,9 @@ func validateResume(cp *Checkpoint, cfg Config, slots int64, shards, startD int)
 		return fmt.Errorf("sim: checkpoint is for update scheme %s(%d), run wants %s(%d)",
 			cpScheme, cp.SchemeParam, upd.kind, upd.param)
 	}
-	if engineClass(cp.Engine) != engineClass(cfg.Engine) {
+	if cp.Engine != cfg.Engine {
 		return fmt.Errorf("sim: %s-engine checkpoint cannot resume on engine %s",
-			engineClass(cp.Engine), cfg.Engine)
+			cp.Engine, cfg.Engine)
 	}
 	if cp.Shards != shards || len(cp.Shard) != cp.Shards {
 		return fmt.Errorf("sim: checkpoint partitions %d terminals into %d shards (%d recorded), run wants %d",
@@ -254,13 +260,13 @@ func validateResume(cp *Checkpoint, cfg Config, slots int64, shards, startD int)
 		if len(sc.Terms) != width || len(sc.HLR) != width || len(sc.Metrics.PerTerminal) != width {
 			return fmt.Errorf("sim: checkpoint shard %d holds %d terminals, run wants %d", s, len(sc.Terms), width)
 		}
-		if engineClass(cp.Engine) == "des" {
+		if cp.Engine == EngineDES {
 			if sc.DES == nil {
 				return fmt.Errorf("sim: checkpoint shard %d missing reference-engine scheduler state", s)
 			}
 		} else if len(sc.Scheds) != width || len(sc.PreSweep) != width ||
 			len(sc.CurD) != width || len(sc.RunLen) != width {
-			return fmt.Errorf("sim: checkpoint shard %d missing batch-engine scheduler state", s)
+			return fmt.Errorf("sim: checkpoint shard %d missing columnar-engine scheduler state", s)
 		}
 	}
 	return nil
@@ -295,7 +301,7 @@ func validate(cfg Config, slots int64) error {
 		return fmt.Errorf("sim: negative telemetry snapshot cadence %d", cfg.Telemetry.SnapshotEvery)
 	}
 	switch cfg.Engine {
-	case EngineFast, EngineDES, EngineCols:
+	case EngineCols, EngineDES:
 	default:
 		return fmt.Errorf("sim: unknown engine %d", int(cfg.Engine))
 	}
@@ -401,7 +407,7 @@ func finishShard(n *network, terms []terminal, slots int64) *Metrics {
 
 // runShard simulates terminals [r.lo, r.hi) of the global population on
 // one discrete-event engine — the reference EngineDES implementation the
-// fast path is differentially tested against. Its Metrics carry only
+// columnar engine is differentially tested against. Its Metrics carry only
 // this shard's share: Terminals is hi−lo, PerTerminal holds records for
 // ids lo..hi−1 and Events counts sub-slot events only (the caller adds
 // the slot sweeps once after merging). r.shard is the shard's index,

@@ -37,7 +37,7 @@ import (
 // mobility.
 const SlotTicks = 2048
 
-// Engine selects the simulation engine implementation. All engines
+// Engine selects the simulation engine implementation. Both engines
 // produce bit-identical Metrics, telemetry series and histograms for every
 // configuration — the equivalence contract enforced by
 // TestFastPathEquivalence and locman's TestEngineEquivalence — so the
@@ -45,52 +45,54 @@ const SlotTicks = 2048
 type Engine int
 
 const (
-	// EngineFast is the slot-batched fast path (the default): terminals
-	// advance slot by slot in a tight terminal-major loop that draws
-	// movement/call outcomes straight from their RNG streams, touching
-	// event-queue machinery only for the slots where paging, ack/retry or
-	// fault handling actually fires. See runShardFast.
-	EngineFast Engine = iota
+	// EngineCols is the columnar cohort engine (the default): per-terminal
+	// hot state lives in flat parallel slices walked in cache-sized
+	// cohorts, event-free stretches are skipped with exact geometric
+	// gap-sampling (stats.EventGap) instead of per-slot draws, and the
+	// event-queue machinery is touched only for the slots where paging,
+	// ack/retry or fault handling actually fires. See runShardCols.
+	EngineCols Engine = iota
 	// EngineDES is the reference event-driven engine: one discrete-event
 	// scheduler per shard sweeps the whole population every slot. It is
-	// the specification the other engines are differentially tested
-	// against.
+	// the slow, obviously-correct specification EngineCols is
+	// differentially tested against.
 	EngineDES
-	// EngineCols is the columnar cohort engine: per-terminal hot state
-	// lives in flat parallel slices walked in cache-sized cohorts, and
-	// event-free stretches are skipped with exact geometric gap-sampling
-	// (stats.EventGap) instead of per-slot draws. See runShardCols.
-	EngineCols
 )
+
+// retiredFastName is the name of the slot-batched engine EngineCols
+// replaced. Journaled job specs, scripts and benchmark reports still say
+// "fast"; the engines were bit-identical by contract, so the name
+// resolves to EngineCols and every such run reproduces its bytes.
+const retiredFastName = "fast"
 
 // String names the engine.
 func (e Engine) String() string {
 	switch e {
-	case EngineFast:
-		return "fast"
-	case EngineDES:
-		return "des"
 	case EngineCols:
 		return "cols"
+	case EngineDES:
+		return "des"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
 }
 
-// EngineNames lists the names EngineByName resolves, in resolution
-// order; CLI help strings and error messages are built from this single
-// list so they can never drift from the parser.
+// EngineNames lists the names EngineByName resolves, default first; CLI
+// help strings and error messages are built from this single list so
+// they can never drift from the parser. The retired name "fast" still
+// resolves but is not advertised.
 func EngineNames() []string {
-	return []string{EngineFast.String(), EngineDES.String(), EngineCols.String()}
+	return []string{EngineCols.String(), EngineDES.String()}
 }
 
 // EngineByName resolves an engine name, for CLI flags. The error for an
 // unknown name enumerates every valid one.
 func EngineByName(name string) (Engine, error) {
-	for _, e := range []Engine{EngineFast, EngineDES, EngineCols} {
-		if name == e.String() {
-			return e, nil
-		}
+	switch name {
+	case EngineCols.String(), retiredFastName:
+		return EngineCols, nil
+	case EngineDES.String():
+		return EngineDES, nil
 	}
 	return 0, fmt.Errorf("sim: unknown engine %q (valid engines: %s)",
 		name, strings.Join(EngineNames(), ", "))
@@ -146,8 +148,8 @@ type Config struct {
 	// (Seed, i) — never on the population size ordering or the shard
 	// partition (see RunSharded).
 	Seed uint64
-	// Engine selects the simulation engine. The zero value is EngineFast,
-	// the slot-batched fast path; EngineDES selects the reference
+	// Engine selects the simulation engine. The zero value is EngineCols,
+	// the columnar cohort engine; EngineDES selects the reference
 	// event-driven engine. Both produce bit-identical results.
 	Engine Engine
 }
@@ -255,8 +257,12 @@ func (e *estimator) params() chain.Params {
 	return chain.Params{Q: q, C: c}
 }
 
+// terminal is the mobile side of one terminal. Both engines hold one
+// per terminal for the whole run, so the fields are ordered to leave no
+// padding (the 4-byte fields pair up).
 type terminal struct {
 	id     uint32
+	seq    uint32
 	pos    wire.Cell
 	params chain.Params
 	rng    *stats.RNG
@@ -268,14 +274,13 @@ type terminal struct {
 	// threshold is the terminal's own view of d; the HLR learns it from
 	// update messages.
 	threshold int
-	seq       uint32
 	moveProb  float64 // q/(1−c), cached
-	// ackedSeq is the highest update sequence number the HLR has
-	// acknowledged (meaningful only with FaultPlan.UpdateRetries > 0).
-	ackedSeq uint32
 	// retries counts retransmissions spent on the pending update
 	// exchange; it resets when a fresh exchange starts.
 	retries int
+	// ackedSeq is the highest update sequence number the HLR has
+	// acknowledged (meaningful only with FaultPlan.UpdateRetries > 0).
+	ackedSeq uint32
 	// desynced marks that the HLR's record has diverged from the
 	// terminal's own view (a lost or outage-deferred update);
 	// desyncedAt stamps its onset for the recovery-latency metric.

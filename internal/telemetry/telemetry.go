@@ -36,12 +36,11 @@ type Config struct {
 	// over atomic counters; poll Progress.Snapshot from another goroutine
 	// (e.g. an expvar handler) while the run is in flight. Update
 	// granularity is engine-dependent: the reference engine publishes
-	// after every slot, the fast engine once per slot batch (the
-	// telemetry cadence, or the whole run when SnapshotEvery is zero),
-	// and the columnar engine additionally publishes work/events after
-	// every finished cohort inside a batch. All engines agree at every
-	// batch boundary, so polled values are always a prefix of the same
-	// trajectory.
+	// after every slot, the columnar engine once per slot batch (the
+	// telemetry cadence, or the whole run when SnapshotEvery is zero)
+	// and additionally work/events after every finished cohort inside a
+	// batch. The engines agree at every batch boundary, so polled values
+	// are always a prefix of the same trajectory.
 	Progress *Progress
 }
 

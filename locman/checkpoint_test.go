@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -14,7 +16,7 @@ import (
 // slot boundaries — the one event species a checkpoint must serialize),
 // and a telemetry cadence that divides neither the run length nor the
 // checkpoint cadence, so frame and checkpoint boundaries interleave
-// mid-batch for the batched engines.
+// mid-batch for the columnar engine.
 func checkpointConfig(engine Engine) NetworkConfig {
 	return NetworkConfig{
 		Config: Config{
@@ -61,7 +63,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	// reoptimization period, nor the 1500-slot run: checkpoints land at
 	// 611 and 1222, both mid-batch from every other boundary's view.
 	const every = 611
-	engines := []Engine{EngineDES, EngineFast, EngineCols}
+	engines := []Engine{EngineDES, EngineCols}
 	shardCounts := []int{1, 3, 7}
 
 	report := func(t *testing.T, m *NetworkMetrics) []byte {
@@ -128,63 +130,75 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointCrossEngineResume checks the engine-class contract: the
-// batch engines (fast, cols) share a checkpoint representation, so a
-// checkpoint taken by one resumes on the other with byte-identical
-// results, while the reference engine's representation is its own class
-// and cross-class resume is rejected rather than silently diverging.
+// TestCheckpointCrossEngineResume checks the engine contract of
+// checkpoints written before the fast engine was retired: the fixtures
+// are the 3-shard, slot-611 checkpoints of checkpointConfig as the
+// retired fast engine and the columnar engine wrote them (the two differ
+// only in their engine tag). Both must resume on today's columnar
+// engine with the uninterrupted run's exact bytes, and both must be
+// rejected by the reference engine, whose checkpoint representation is
+// its own — as a reference-engine checkpoint is rejected by the columnar
+// engine — rather than silently diverging.
 func TestCheckpointCrossEngineResume(t *testing.T) {
 	const every = 611
 	const shards = 3
-
-	capture := func(t *testing.T, engine Engine) (*Checkpoint, []byte) {
+	report := func(t *testing.T, m *NetworkMetrics) []byte {
 		t.Helper()
-		cfg := checkpointConfig(engine)
-		var cp *Checkpoint
-		m, err := SimulateNetworkCheckpointed(context.Background(),
-			cfg, checkpointSlots, shards, every, func(c *Checkpoint) {
-				if c.Slot == every {
-					data, err := EncodeCheckpoint(c)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					cp, err = DecodeCheckpoint(data)
-					if err != nil {
-						t.Error(err)
-					}
-				}
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
 		b, err := json.MarshalIndent(NewReport(m), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cp, b
+		return b
 	}
-
-	fastCP, want := capture(t, EngineFast)
-
 	colsCfg := checkpointConfig(EngineCols)
-	resumed, err := ResumeNetworkCheckpointed(context.Background(),
-		colsCfg, checkpointSlots, shards, fastCP, 0, nil)
-	if err != nil {
-		t.Fatalf("cols resume of fast checkpoint: %v", err)
-	}
-	got, err := json.MarshalIndent(NewReport(resumed), "", "  ")
+	desCfg := checkpointConfig(EngineDES)
+	clean, err := SimulateNetworkSharded(colsCfg, checkpointSlots, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("cols resume of a fast checkpoint diverged:\n%s\nreference:\n%s", got, want)
+	want := report(t, clean)
+
+	for _, fixture := range []string{"legacy-fast.ckpt", "legacy-cols.ckpt"} {
+		t.Run(fixture, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.Engine != EngineCols || cp.Slot != every || cp.Shards != shards {
+				t.Fatalf("fixture decodes as engine %s at slot %d over %d shards, want cols at %d over %d",
+					cp.Engine, cp.Slot, cp.Shards, every, shards)
+			}
+			resumed, err := ResumeNetworkCheckpointed(context.Background(),
+				colsCfg, checkpointSlots, shards, cp, 0, nil)
+			if err != nil {
+				t.Fatalf("cols resume: %v", err)
+			}
+			if got := report(t, resumed); !bytes.Equal(got, want) {
+				t.Errorf("cols resume of %s diverged:\n%s\nreference:\n%s", fixture, got, want)
+			}
+			if _, err := ResumeNetworkCheckpointed(context.Background(),
+				desCfg, checkpointSlots, shards, cp, 0, nil); err == nil {
+				t.Error("resuming a columnar-engine checkpoint on the reference engine should fail")
+			}
+		})
 	}
 
-	desCfg := checkpointConfig(EngineDES)
+	var desCP *Checkpoint
+	if _, err := SimulateNetworkCheckpointed(context.Background(),
+		desCfg, checkpointSlots, shards, every, func(c *Checkpoint) {
+			if desCP == nil {
+				desCP = c
+			}
+		}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ResumeNetworkCheckpointed(context.Background(),
-		desCfg, checkpointSlots, shards, fastCP, 0, nil); err == nil {
-		t.Error("resuming a batch-engine checkpoint on the reference engine should fail")
+		colsCfg, checkpointSlots, shards, desCP, 0, nil); err == nil {
+		t.Error("resuming a reference-engine checkpoint on the columnar engine should fail")
 	}
 }
 
@@ -193,7 +207,7 @@ func TestCheckpointCrossEngineResume(t *testing.T) {
 // bytes. shards == 0 adopts the checkpoint's own partition.
 func TestCheckpointResumeValidation(t *testing.T) {
 	const every = 611
-	cfg := checkpointConfig(EngineFast)
+	cfg := checkpointConfig(EngineCols)
 	var cp *Checkpoint
 	var raw []byte
 	if _, err := SimulateNetworkCheckpointed(context.Background(),

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestEngineEquivalence is the three-engine differential suite and the
+// TestEngineEquivalence is the engine differential suite and the
 // merge gate for any engine change: over the cross product of
 // {distance, timer, movement update schemes} × {1d, 2d} ×
 // {static, dynamic threshold} × {zero faults, lossy+outage}, every
@@ -15,9 +15,9 @@ import (
 // JSON document is byte-identical to the single-shard reference
 // engine's. Comparing the full Report bytes — not just headline metrics
 // — covers the counters, per-call delay and recovery summaries, both
-// histograms and the telemetry snapshot series; byte equality against
-// one reference makes every pair of {des, fast, cols} equal by
-// transitivity. Run under -race in CI.
+// histograms and the telemetry snapshot series, and the single-shard
+// reference engine is the oracle every columnar run answers to. Run
+// under -race in CI.
 //
 // The timer and movement schemes run on a jittered heterogeneous Fleet
 // (covering the fleet path's shard invariance in the same stroke) and
@@ -25,7 +25,7 @@ import (
 // movement count (5) exceeds the paging radius (2), so out-of-area calls
 // exercise the fallback/recovery paging paths even in the clean cases;
 // the timer period (37) divides neither the snapshot cadence nor the run
-// length, so refresh deadlines land mid-batch for the batch engines.
+// length, so refresh deadlines land mid-batch for the columnar engine.
 func TestEngineEquivalence(t *testing.T) {
 	schemes := []struct {
 		name   string
@@ -63,7 +63,7 @@ func TestEngineEquivalence(t *testing.T) {
 			Outages:       []Outage{{Start: 300, End: 450}, {Start: 1_200, End: 1_350}},
 		}},
 	}
-	engines := []Engine{EngineDES, EngineFast, EngineCols}
+	engines := []Engine{EngineDES, EngineCols}
 	shardCounts := []int{1, 3, 7}
 
 	config := func(scheme UpdateScheme, model Model, dynamic bool, plan FaultPlan) NetworkConfig {
@@ -82,7 +82,7 @@ func TestEngineEquivalence(t *testing.T) {
 			Faults:    plan,
 			// A cadence that divides neither the run length nor the
 			// dynamic reoptimization period, so frame boundaries land
-			// mid-batch for the batched engines.
+			// mid-batch for the columnar engine.
 			SnapshotEvery: 400,
 			Seed:          11,
 		}

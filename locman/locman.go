@@ -310,11 +310,10 @@ type NetworkConfig struct {
 	Progress *Progress
 	// Seed seeds the deterministic simulation.
 	Seed uint64
-	// Engine selects the simulation engine: EngineFast (the zero value)
-	// is the slot-batched fast path, EngineDES the reference event-driven
-	// engine, EngineCols the columnar cohort engine for very large
-	// populations. All produce bit-identical metrics, telemetry series
-	// and histograms for every configuration; the choice is purely speed.
+	// Engine selects the simulation engine: EngineCols (the zero value)
+	// is the columnar cohort engine, EngineDES the reference event-driven
+	// engine. Both produce bit-identical metrics, telemetry series and
+	// histograms for every configuration; the choice is purely speed.
 	Engine Engine
 }
 
@@ -324,17 +323,17 @@ type Engine = sim.Engine
 
 // Engine implementations.
 const (
-	// EngineFast is the slot-batched fast path (the default).
-	EngineFast = sim.EngineFast
+	// EngineCols is the columnar cohort engine (the default): flat
+	// per-terminal state columns walked in cache-sized cohorts with
+	// geometric gap-sampling.
+	EngineCols = sim.EngineCols
 	// EngineDES is the reference event-driven engine.
 	EngineDES = sim.EngineDES
-	// EngineCols is the columnar cohort engine: flat per-terminal state
-	// columns walked in cache-sized cohorts with geometric gap-sampling.
-	EngineCols = sim.EngineCols
 )
 
-// EngineByName resolves "fast", "des" or "cols", for CLI flags; the
-// error for an unknown name enumerates the valid ones.
+// EngineByName resolves "cols" or "des", for CLI flags; the retired name
+// "fast" resolves to EngineCols, and the error for an unknown name
+// enumerates the valid ones.
 func EngineByName(name string) (Engine, error) { return sim.EngineByName(name) }
 
 // EngineNames lists the names EngineByName resolves, for CLI help
