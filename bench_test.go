@@ -23,7 +23,6 @@ import (
 	"repro/internal/paperdata"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/walk"
 	"repro/internal/wire"
 )
 
@@ -287,20 +286,6 @@ func BenchmarkBaselineAnalysis(b *testing.B) {
 }
 
 // --- Simulator throughput ----------------------------------------------------
-
-// BenchmarkWalkSimulator measures Monte-Carlo slots per second.
-func BenchmarkWalkSimulator(b *testing.B) {
-	cfg := core.Config{
-		Model:    chain.TwoDimExact,
-		Params:   tableParams,
-		Costs:    core.Costs{Update: 100, Poll: 10},
-		MaxDelay: 3,
-	}
-	b.ResetTimer()
-	if _, err := walk.Run(cfg, 4, int64(b.N)+1, 1); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkNetworkSimulator measures DES terminal-slots per second (10
 // terminals).

@@ -52,9 +52,13 @@ func main() {
 		fmt.Printf("%-4d %.3f%s\n", d, b.Total, marker)
 	}
 
-	// Validate the analysis against a Monte-Carlo run on the real
-	// hexagonal grid.
-	simres, err := locman.SimulateWalk(cfg, res.Best.Threshold, 1_000_000, 42)
+	// Validate the analysis against a simulated terminal walking the real
+	// hexagonal grid and signalling the network.
+	simres, err := locman.SimulateNetwork(locman.NetworkConfig{
+		Config:    cfg,
+		Threshold: res.Best.Threshold,
+		Seed:      42,
+	}, 1_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}

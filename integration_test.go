@@ -1,15 +1,15 @@
 // Integration tests: one operating point evaluated through every
 // independent path in the repository — exact analysis, closed forms, the
-// dense generic Markov solver, the Monte-Carlo walk, the discrete-event
-// PCN system, the trace replay, and the baseline simulator's
-// distance-based mode — all of which must agree on the paper's C_T.
+// dense generic Markov solver, power iteration, the discrete-event PCN
+// system and the trace replay — all of which must agree on the paper's
+// C_T. (The baseline package's time-, movement- and distance-based schemes
+// run on the same PCN simulator, so they are not a separate path.)
 package repro_test
 
 import (
 	"math"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -17,11 +17,10 @@ import (
 	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/walk"
 )
 
 // TestAllPathsAgree evaluates 2-D, q=0.05, c=0.01, U=100, V=10, d=3, m=2
-// through seven code paths.
+// through five code paths.
 func TestAllPathsAgree(t *testing.T) {
 	const (
 		d     = 3
@@ -66,16 +65,7 @@ func TestAllPathsAgree(t *testing.T) {
 		t.Errorf("power iteration path: %v vs %v", power, exact.Total)
 	}
 
-	// Path 4: Monte-Carlo walk on the real hexagonal grid.
-	w, err := walk.Run(cfg, d, slots, 101)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(w.TotalCost-exact.Total) / exact.Total; rel > 0.03 {
-		t.Errorf("walk path: %v vs %v (rel %.3f)", w.TotalCost, exact.Total, rel)
-	}
-
-	// Path 5: the discrete-event PCN system.
+	// Path 4: the discrete-event PCN system.
 	metrics, err := sim.Run(sim.Config{Core: cfg, Terminals: 4, Threshold: d, Seed: 55}, slots/4)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +77,7 @@ func TestAllPathsAgree(t *testing.T) {
 		t.Errorf("PCN path: %v vs %v (rel %.3f)", metrics.TotalCost, exact.Total, rel)
 	}
 
-	// Path 6: generated trace replayed through the mechanism.
+	// Path 5: generated trace replayed through the mechanism.
 	tr, err := trace.Generate(grid.TwoDimHex, params, slots, 77)
 	if err != nil {
 		t.Fatal(err)
@@ -100,23 +90,11 @@ func TestAllPathsAgree(t *testing.T) {
 		t.Errorf("trace path: %v vs %v (rel %.3f)", rep.TotalCost, exact.Total, rel)
 	}
 
-	// Path 7: the baseline simulator's distance-based mode.
-	bl, err := baseline.Simulate(baseline.Config{
-		Kind: grid.TwoDimHex, Params: params, Costs: costs,
-		Scheme: baseline.DistanceBased, Param: d, MaxDelay: m,
-	}, slots, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(bl.TotalCost-exact.Total) / exact.Total; rel > 0.03 {
-		t.Errorf("baseline path: %v vs %v (rel %.3f)", bl.TotalCost, exact.Total, rel)
-	}
-
-	// The delay metric agrees across analysis, walk and the PCN system.
+	// The delay metric agrees across analysis, the PCN system and the
+	// trace replay.
 	for name, got := range map[string]float64{
-		"walk": w.Delay.Mean(),
-		"sim":  metrics.Delay.Mean(),
-		"rep":  rep.Delay.Mean(),
+		"sim": metrics.Delay.Mean(),
+		"rep": rep.Delay.Mean(),
 	} {
 		if math.Abs(got-exact.ExpectedDelay) > 0.03 {
 			t.Errorf("%s delay: %v vs analytical %v", name, got, exact.ExpectedDelay)

@@ -18,7 +18,12 @@
 //
 // All schemes are evaluated by Monte-Carlo simulation on the real cell
 // grids under the same random-walk/call workload, reporting per-slot
-// average costs in the paper's U/V units.
+// average costs in the paper's U/V units. The time-, movement- and
+// distance-based schemes run on the network simulator (package sim) with
+// its matching update scheme and Param as the paging radius. LA keeps the
+// one bespoke loop: its paging area is a fixed tile of the static
+// partition, not a disk around the last report, so sim's HLR record of a
+// center cell plus a radius cannot express it.
 package baseline
 
 import (
@@ -75,7 +80,9 @@ type Config struct {
 	Scheme Scheme
 	// Param is the scheme parameter: LA size/radius, τ slots, M moves, or
 	// threshold distance d. For LA in 1-D it must be ≥ 1; elsewhere ≥ 0
-	// with scheme-specific meaning.
+	// with scheme-specific meaning. Simulate pages the time-, movement-
+	// and distance-based schemes within radius Param inside one slot, so
+	// it rejects Param above 1013 for them.
 	Param int
 	// MaxDelay bounds paging for DistanceBased (0 = unbounded, matching
 	// [6]); other schemes have fixed paging disciplines: LA pages in one
@@ -90,6 +97,9 @@ func (c Config) Validate() error {
 	}
 	if err := c.Costs.Validate(); err != nil {
 		return err
+	}
+	if c.Kind != grid.OneDim && c.Kind != grid.TwoDimHex {
+		return fmt.Errorf("baseline: unknown grid kind %v", c.Kind)
 	}
 	switch c.Scheme {
 	case LA:
@@ -135,18 +145,10 @@ func Simulate(cfg Config, slots int64, seed uint64) (Result, error) {
 	if slots <= 0 {
 		return Result{}, errors.New("baseline: slots must be positive")
 	}
-	rng := stats.NewRNG(seed)
-	var res Result
-	res.Slots = slots
-	if cfg.Kind == grid.OneDim {
-		simulateLine(cfg, slots, rng, &res)
-	} else {
-		simulateHex(cfg, slots, rng, &res)
+	if cfg.Scheme == LA {
+		return simulateLA(cfg, slots, seed), nil
 	}
-	res.UpdateCost = float64(res.Updates) * cfg.Costs.Update / float64(slots)
-	res.PagingCost = float64(res.PolledCells) * cfg.Costs.Poll / float64(slots)
-	res.TotalCost = res.UpdateCost + res.PagingCost
-	return res, nil
+	return simulateOnSim(cfg, slots, seed)
 }
 
 // OptimizeParam scans the scheme parameter over lo..hi and returns the

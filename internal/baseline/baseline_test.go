@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/chain"
@@ -155,6 +156,12 @@ func TestMovementBasedPagingBounded(t *testing.T) {
 	if r.Delay.Mean() > float64(m+1) {
 		t.Errorf("mean delay %v exceeds M+1", r.Delay.Mean())
 	}
+	// A call finds at most M−1 moves since the last contact, so the
+	// per-ring search ends by ring M−1: no call ever needs more than M
+	// cycles (a recovery round past the radius would).
+	if r.Delay.Max() > float64(m) {
+		t.Errorf("worst delay %v exceeds M", r.Delay.Max())
+	}
 }
 
 func TestDistanceBeatsTimeAndMovementAtOptimum(t *testing.T) {
@@ -216,6 +223,7 @@ func TestValidateAndErrors(t *testing.T) {
 		{Kind: grid.OneDim, Params: chain.Params{Q: 0.1}, Costs: core.Costs{Update: 1, Poll: 1}, Scheme: MovementBased, Param: 0},
 		{Kind: grid.OneDim, Params: chain.Params{Q: 0.1}, Costs: core.Costs{Update: 1, Poll: 1}, Scheme: DistanceBased, Param: -1},
 		{Kind: grid.OneDim, Params: chain.Params{Q: 0.1}, Costs: core.Costs{Update: 1, Poll: 1}, Scheme: Scheme(99), Param: 1},
+		{Kind: grid.Kind(7), Params: chain.Params{Q: 0.1}, Costs: core.Costs{Update: 1, Poll: 1}, Scheme: TimeBased, Param: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -228,6 +236,15 @@ func TestValidateAndErrors(t *testing.T) {
 	}
 	if _, _, err := OptimizeParam(good, 5, 4, 100, 1); err == nil {
 		t.Error("empty range accepted")
+	}
+	// Past the simulator's polling budget the error names the baseline
+	// parameter and its ceiling, not sim's MaxThreshold.
+	if _, err := Simulate(cfg(grid.OneDim, TimeBased, maxSimParam), 1000, 1); err != nil {
+		t.Errorf("ceiling τ=%d rejected: %v", maxSimParam, err)
+	}
+	_, err := Simulate(cfg(grid.OneDim, TimeBased, 5000), 1000, 1)
+	if err == nil || !strings.Contains(err.Error(), "time-based parameter 5000 exceeds 1013") {
+		t.Errorf("τ=5000: got error %v", err)
 	}
 }
 

@@ -1,3 +1,7 @@
+// Package walk checks the single-terminal random walk of the paper's
+// mobility model — moves, calls, distance-based updates and delay-bounded
+// paging on the actual grids — against the analysis. The walk runs on
+// internal/sim, the one simulator; this package holds no code of its own.
 package walk
 
 import (
@@ -7,6 +11,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/paging"
+	"repro/internal/sim"
 )
 
 func cfg(model chain.Model, q, c, u, v float64, m int) core.Config {
@@ -18,6 +23,11 @@ func cfg(model chain.Model, q, c, u, v float64, m int) core.Config {
 	}
 }
 
+// run walks one terminal with update threshold d for the given slots.
+func run(c core.Config, d int, slots int64, seed uint64) (*sim.Metrics, error) {
+	return sim.Run(sim.Config{Core: c, Threshold: d, Seed: seed}, slots)
+}
+
 func TestRunMatchesAnalysis1D(t *testing.T) {
 	c := cfg(chain.OneDim, 0.05, 0.01, 100, 10, 2)
 	const d = 3
@@ -25,7 +35,7 @@ func TestRunMatchesAnalysis1D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(c, d, 4_000_000, 1)
+	got, err := run(c, d, 4_000_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +63,7 @@ func TestRunMatchesAnalysis2DExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(c, d, 4_000_000, 2)
+	got, err := run(c, d, 4_000_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +76,10 @@ func TestRunMatchesAnalysis2DExact(t *testing.T) {
 }
 
 func TestRingOccupancyMatchesStationary(t *testing.T) {
+	// Unbounded delay pages one ring per cycle, so a call to a terminal in
+	// ring i takes i+1 cycles; calls arrive independently of position, so
+	// the delay histogram is the ring occupancy.
+	//
 	// The 1-D ring process is exactly lumpable (both cells of a ring are
 	// symmetric), so occupancy must match the chain to within noise. In
 	// 2-D the ring process is NOT exactly lumpable — corner and edge cells
@@ -85,13 +99,14 @@ func TestRingOccupancyMatchesStationary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(cfg(tc.model, p.Q, p.C, 50, 1, 1), d, 3_000_000, 3)
+		res, err := run(cfg(tc.model, p.Q, p.C, 50, 1, paging.Unbounded), d, 3_000_000, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range pi {
-			if diff := math.Abs(res.RingOccupancy[i] - pi[i]); diff > tc.tol {
-				t.Errorf("%v: ring %d occupancy %v vs stationary %v", tc.model, i, res.RingOccupancy[i], pi[i])
+			occ := float64(res.DelayHist.Counts[i+1]) / float64(res.Delay.N())
+			if diff := math.Abs(occ - pi[i]); diff > tc.tol {
+				t.Errorf("%v: ring %d occupancy %v vs stationary %v", tc.model, i, occ, pi[i])
 			}
 		}
 	}
@@ -99,7 +114,7 @@ func TestRingOccupancyMatchesStationary(t *testing.T) {
 
 func TestRunDelayBoundNeverExceeded(t *testing.T) {
 	c := cfg(chain.TwoDimExact, 0.3, 0.1, 10, 1, 2)
-	res, err := Run(c, 7, 200_000, 4)
+	res, err := run(c, 7, 200_000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +134,7 @@ func TestRunDelayBoundNeverExceeded(t *testing.T) {
 func TestRunThresholdZero(t *testing.T) {
 	// d=0: every move is an update, every call polls exactly one cell.
 	c := cfg(chain.OneDim, 0.3, 0.2, 1, 1, 1)
-	res, err := Run(c, 0, 1_000_000, 5)
+	res, err := run(c, 0, 1_000_000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,33 +147,36 @@ func TestRunThresholdZero(t *testing.T) {
 }
 
 func TestRunNoMovement(t *testing.T) {
-	c := cfg(chain.TwoDimExact, 0, 0.5, 10, 1, 1)
-	res, err := Run(c, 2, 100_000, 6)
+	// Paging ring by ring finds a terminal that never left the center
+	// cell on the first cycle, polling that one cell.
+	c := cfg(chain.TwoDimExact, 0, 0.5, 10, 1, paging.Unbounded)
+	res, err := run(c, 2, 100_000, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Updates != 0 {
 		t.Errorf("stationary terminal performed %d updates", res.Updates)
 	}
-	if res.RingOccupancy[0] != 1 {
-		t.Errorf("ring-0 occupancy %v", res.RingOccupancy[0])
+	if res.Calls == 0 || res.PolledCells != res.Calls || res.Delay.Max() != 1 {
+		t.Errorf("%d calls polled %d cells, worst delay %v: terminal not always in ring 0",
+			res.Calls, res.PolledCells, res.Delay.Max())
 	}
 }
 
 func TestRunDeterministicPerSeed(t *testing.T) {
 	c := cfg(chain.TwoDimExact, 0.1, 0.05, 10, 1, 2)
-	a, err := Run(c, 3, 100_000, 42)
+	a, err := run(c, 3, 100_000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c, 3, 100_000, 42)
+	b, err := run(c, 3, 100_000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Updates != b.Updates || a.Calls != b.Calls || a.PolledCells != b.PolledCells {
 		t.Error("same seed produced different runs")
 	}
-	d, err := Run(c, 3, 100_000, 43)
+	d, err := run(c, 3, 100_000, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,25 +193,30 @@ func TestRunWithOptimalDPScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(dp, 6, 2_000_000, 7)
+	got, err := run(dp, 6, 2_000_000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel := math.Abs(got.TotalCost-want.Total) / want.Total; rel > 0.03 {
 		t.Errorf("DP scheme: simulated %v vs analytical %v", got.TotalCost, want.Total)
 	}
+	if got.Delay.Max() > 2 {
+		t.Errorf("DP scheme: worst delay %v exceeds bound", got.Delay.Max())
+	}
 }
 
 func TestRunErrors(t *testing.T) {
+	// A negative threshold is valid here: it selects the network-optimized
+	// threshold (sim.Config.Threshold). One past the clamp is not.
 	good := cfg(chain.OneDim, 0.1, 0.1, 1, 1, 1)
-	if _, err := Run(good, -1, 1000, 0); err == nil {
-		t.Error("negative d accepted")
+	if _, err := run(good, 51, 1000, 0); err == nil {
+		t.Error("d above MaxThreshold accepted")
 	}
-	if _, err := Run(good, 1, 0, 0); err == nil {
+	if _, err := run(good, 1, 0, 0); err == nil {
 		t.Error("zero slots accepted")
 	}
 	bad := cfg(chain.OneDim, 0.9, 0.9, 1, 1, 1)
-	if _, err := Run(bad, 1, 1000, 0); err == nil {
+	if _, err := run(bad, 1, 1000, 0); err == nil {
 		t.Error("invalid params accepted")
 	}
 }

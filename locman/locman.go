@@ -17,11 +17,11 @@
 //   - the optimal threshold d* (Optimize, OptimizeAnneal) and the paper's
 //     cheap near-optimal d′ (NearOptimal),
 //
-// and validates the analysis with two simulators: a Monte-Carlo random
-// walk on the real grids (SimulateWalk) and a discrete-event PCN system
-// with binary signalling messages and an HLR (SimulateNetwork). The
-// classic baseline schemes (static location areas, time-based and
-// movement-based updating) are available through SimulateBaseline.
+// and validates the analysis with a simulator of the PCN system: terminals
+// random-walk the real grids and signal an HLR with binary update and
+// paging messages (SimulateNetwork, SimulateNetworkSharded). The classic
+// baseline schemes (static location areas, time-based and movement-based
+// updating) are available through SimulateBaseline.
 //
 // # Quick start
 //
@@ -44,11 +44,9 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/walk"
 )
 
 // Model selects the mobility model.
@@ -230,30 +228,6 @@ func NearOptimal(cfg Config, correct bool) (Result, error) {
 		return Result{}, err
 	}
 	return core.NearOptimal(cfg.internal(), cfg.MaxThreshold, correct)
-}
-
-// WalkResult is the outcome of a Monte-Carlo walk simulation; per-slot
-// costs are directly comparable with Breakdown.
-type WalkResult = walk.Result
-
-// SimulateWalk runs the mechanism over a random walk on the real cell grid
-// for the given slots and seed.
-func SimulateWalk(cfg Config, d int, slots int64, seed uint64) (WalkResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return WalkResult{}, err
-	}
-	return walk.Run(cfg.internal(), d, slots, seed)
-}
-
-// SimulateWalkParallel is SimulateWalk split across the given number of
-// independent worker streams and merged; statistically equivalent, but the
-// wall-clock time divides by the worker count. Deterministic for a fixed
-// (seed, workers) pair.
-func SimulateWalkParallel(cfg Config, d int, slots int64, seed uint64, workers int) (WalkResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return WalkResult{}, err
-	}
-	return walk.RunParallel(cfg.internal(), d, slots, seed, workers)
 }
 
 // NetworkConfig configures the discrete-event PCN system simulation.
@@ -506,21 +480,11 @@ type BaselineResult = baseline.Result
 
 // SimulateBaseline evaluates a classic scheme under cfg's workload. param
 // is scheme-specific: LA size/radius, update period τ, movement count M,
-// or distance threshold d.
+// or distance threshold d; the last three are paged within radius param
+// inside one slot, which caps them at 1013.
 func SimulateBaseline(cfg Config, scheme BaselineScheme, param int, slots int64, seed uint64) (BaselineResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return BaselineResult{}, err
 	}
-	kind := grid.TwoDimHex
-	if cfg.Model == OneDimensional {
-		kind = grid.OneDim
-	}
-	return baseline.Simulate(baseline.Config{
-		Kind:     kind,
-		Params:   chain.Params{Q: cfg.MoveProb, C: cfg.CallProb},
-		Costs:    core.Costs{Update: cfg.UpdateCost, Poll: cfg.PollCost},
-		Scheme:   scheme,
-		Param:    param,
-		MaxDelay: cfg.MaxDelay,
-	}, slots, seed)
+	return baseline.Simulate(baselineConfig(cfg, scheme, param), slots, seed)
 }

@@ -90,18 +90,21 @@ func TestNearOptimalAndAnneal(t *testing.T) {
 	}
 }
 
-func TestSimulateWalkAgreesWithEvaluate(t *testing.T) {
+func TestSimulateNetworkAgreesWithEvaluate(t *testing.T) {
 	cfg := valid()
 	want, err := Evaluate(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SimulateWalk(cfg, 2, 2_000_000, 11)
+	got, err := SimulateNetwork(NetworkConfig{Config: cfg, Threshold: 2, Seed: 11}, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel := math.Abs(got.TotalCost-want.Total) / want.Total; rel > 0.03 {
-		t.Errorf("walk %v vs analysis %v", got.TotalCost, want.Total)
+		t.Errorf("simulated %v vs analysis %v", got.TotalCost, want.Total)
+	}
+	if math.Abs(got.Delay.Mean()-want.ExpectedDelay) > 0.05 {
+		t.Errorf("delay %v vs analysis %v", got.Delay.Mean(), want.ExpectedDelay)
 	}
 }
 
@@ -234,9 +237,6 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if _, err := OptimizeAnneal(cfg, AnnealOptions{}); err == nil {
 			t.Errorf("case %d: OptimizeAnneal accepted", i)
-		}
-		if _, err := SimulateWalk(cfg, 1, 100, 0); err == nil {
-			t.Errorf("case %d: SimulateWalk accepted", i)
 		}
 		if _, err := SimulateNetwork(NetworkConfig{Config: cfg, Threshold: 1}, 100); err == nil {
 			t.Errorf("case %d: SimulateNetwork accepted", i)
