@@ -11,10 +11,10 @@
 //	pcnctl result j000001 > report.json
 //	pcnctl query -where "scheme=distance" -by scenario,d -agg "count,mean(total_cost),p95(delay_p95)"
 //
-// submit mirrors the pcnsim flag surface (including the fault-injection
-// flags) and posts the job spec; with -wait it follows the job's NDJSON
-// stream, reporting progress on stderr, and prints the final report on
-// stdout. The report bytes are copied verbatim from the service, so
+// submit takes pcnsim's run flags — both commands register the same
+// jobs.SpecFlags set — and posts the job spec they describe; with -wait
+// it follows the job's NDJSON stream, reporting progress on stderr, and
+// prints the final report on stdout. The report bytes are copied verbatim from the service, so
 // `pcnctl submit ... -wait` output is byte-identical to `pcnsim -json`
 // run with the same configuration.
 package main
@@ -29,7 +29,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -37,7 +36,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/results"
 	"repro/internal/server"
-	"repro/locman"
 )
 
 func main() {
@@ -145,53 +143,13 @@ func oneID(cmd string, rest []string) (string, error) {
 	return rest[0], nil
 }
 
-// submit parses the pcnsim-mirroring flag surface into a job Spec,
-// posts it, and either prints the accepted job document or (-wait)
+// submit parses the run flags pcnsim shares (jobs.SpecFlags) into a
+// job Spec, posts it, and either prints the accepted job document or (-wait)
 // follows the stream and prints the final report verbatim.
 func (c *client) submit(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pcnctl submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	model := fs.String("model", "2d", "mobility model: 1d or 2d")
-	q := fs.Float64("q", 0.05, "per-slot movement probability")
-	cc := fs.Float64("c", 0.01, "per-slot call-arrival probability")
-	u := fs.Float64("U", 100, "location-update cost")
-	v := fs.Float64("V", 10, "per-cell polling cost")
-	m := fs.Int("m", 3, "maximum paging delay in polling cycles (0 = unbounded)")
-	terminals := fs.Int("terminals", 20, "number of mobile terminals")
-	slots := fs.Int64("slots", 200_000, "time slots to simulate")
-	threshold := fs.Int("d", -1, "static threshold (-1 = network-optimized)")
-	dynamic := fs.Bool("dynamic", false, "per-terminal online estimation and re-optimization")
-	hetero := fs.Bool("hetero", false,
-		"heterogeneous population (per-terminal q varies ±50%, like pcnsim -hetero)")
-	scheme := fs.String("scheme", "",
-		"location-update scheme: "+strings.Join(locman.UpdateSchemeNames(), ", ")+" (default distance)")
-	schemeParam := fs.Int64("scheme-param", 0,
-		"update-scheme parameter: timer period or movement count in slots")
-	scenario := fs.String("scenario", "",
-		"run a registered scenario: "+strings.Join(locman.ScenarioNames(), ", ")+
-			" (fixes the model; run-shape flags still apply)")
-	reoptEvery := fs.Int64("reoptimize-every", 0,
-		"dynamic re-optimization period in slots (0 = engine default)")
-	partition := fs.String("partition", "",
-		"paging partitioner: "+strings.Join(locman.PartitionNames(), ", ")+" (default sdf)")
-	loss := fs.Float64("loss", 0, "update-message loss probability (failure injection)")
-	pollLoss := fs.Float64("poll-loss", 0, "downlink paging-poll loss probability")
-	replyLoss := fs.Float64("reply-loss", 0, "uplink paging-reply loss probability")
-	updateRetries := fs.Int("update-retries", 0,
-		"acked-update retransmission budget (0 = fire-and-forget updates)")
-	ackTimeout := fs.Int64("ack-timeout", 0,
-		"first retransmission timeout in scheduler ticks (0 = default)")
-	pageRetries := fs.Int("page-retries", 0,
-		"recovery paging rounds before a call is dropped (0 = default)")
-	outages := fs.String("outage", "",
-		"HLR outage windows in slots, e.g. 1000:2000,5000:5500")
-	telemetryEvery := fs.Int64("telemetry-every", 0,
-		"capture a telemetry snapshot frame every N slots (0 = off)")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	shards := fs.Int("shards", runtime.GOMAXPROCS(0),
-		"parallel simulation shards (results are identical for any shard count)")
-	engine := fs.String("engine", locman.EngineCols.String(),
-		"simulation engine: "+strings.Join(locman.EngineNames(), " or "))
+	specOf := jobs.SpecFlags(fs)
 	timeoutSec := fs.Float64("timeout", 0,
 		"per-job wall-clock deadline in seconds (0 = none)")
 	wait := fs.Bool("wait", false,
@@ -203,79 +161,11 @@ func (c *client) submit(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("submit: unexpected operand %q", fs.Arg(0))
 	}
 
-	var spec jobs.Spec
-	if *scenario != "" {
-		// The scenario fixes the model half of the Spec; a model flag set
-		// alongside it would be rejected by the service anyway, but the
-		// flag-set defaults (q=0.05, U=100, ...) are not zero, so the
-		// model fields must be left unset rather than copied — and an
-		// explicitly set model flag is reported here, in flag spelling.
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		var conflicts []string
-		for _, name := range []string{
-			"model", "q", "c", "U", "V", "m", "partition", "dynamic",
-			"reoptimize-every", "hetero", "scheme", "scheme-param", "loss",
-			"poll-loss", "reply-loss", "update-retries", "ack-timeout",
-			"page-retries", "outage",
-		} {
-			if set[name] {
-				conflicts = append(conflicts, "-"+name)
-			}
-		}
-		if len(conflicts) > 0 {
-			return fmt.Errorf("-scenario %s fixes the model; drop the conflicting flag(s): %s",
-				*scenario, strings.Join(conflicts, ", "))
-		}
-		spec = jobs.Spec{Scenario: *scenario}
-	} else {
-		spec = jobs.Spec{
-			Model:           *model,
-			MoveProb:        *q,
-			CallProb:        *cc,
-			UpdateCost:      *u,
-			PollCost:        *v,
-			MaxDelay:        *m,
-			Partition:       *partition,
-			Scheme:          *scheme,
-			SchemeParam:     *schemeParam,
-			Dynamic:         *dynamic,
-			ReoptimizeEvery: *reoptEvery,
-		}
-		if *hetero {
-			spec.Fleet = jobs.HeteroFleet(*q, *cc)
-		}
-		faults := jobs.FaultSpec{
-			UpdateLoss:    *loss,
-			PollLoss:      *pollLoss,
-			ReplyLoss:     *replyLoss,
-			UpdateRetries: *updateRetries,
-			AckTimeout:    *ackTimeout,
-			PageRetries:   *pageRetries,
-		}
-		if *outages != "" {
-			windows, err := parseOutages(*outages)
-			if err != nil {
-				return err
-			}
-			faults.Outages = windows
-		}
-		if faults.UpdateLoss != 0 || faults.PollLoss != 0 || faults.ReplyLoss != 0 ||
-			faults.UpdateRetries != 0 || faults.AckTimeout != 0 || faults.PageRetries != 0 ||
-			len(faults.Outages) > 0 {
-			spec.Faults = &faults
-		}
+	spec, err := specOf()
+	if err != nil {
+		return err
 	}
-	spec.Terminals = *terminals
-	spec.Slots = *slots
-	spec.Shards = *shards
-	spec.SnapshotEvery = *telemetryEvery
-	spec.Seed = *seed
-	spec.Engine = *engine
 	spec.TimeoutSec = *timeoutSec
-	if *threshold >= 0 {
-		spec.Threshold = threshold
-	}
 
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -544,28 +434,6 @@ func (c *client) watchOnce(id string, stdout io.Writer) (bool, error) {
 		return true, fmt.Errorf("watch %s: %w", id, err)
 	}
 	return true, fmt.Errorf("watch %s: %w", id, errStreamEnded)
-}
-
-// parseOutages parses comma-separated start:end slot windows, matching
-// the pcnsim -outage syntax.
-func parseOutages(s string) ([]jobs.OutageSpec, error) {
-	var out []jobs.OutageSpec
-	for _, w := range strings.Split(s, ",") {
-		start, end, ok := strings.Cut(w, ":")
-		if !ok {
-			return nil, fmt.Errorf("outage window %q is not start:end", w)
-		}
-		a, err := strconv.ParseInt(strings.TrimSpace(start), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("outage window %q: %v", w, err)
-		}
-		b, err := strconv.ParseInt(strings.TrimSpace(end), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("outage window %q: %v", w, err)
-		}
-		out = append(out, jobs.OutageSpec{Start: a, End: b})
-	}
-	return out, nil
 }
 
 // client is a minimal pcnserve API client with transient-failure

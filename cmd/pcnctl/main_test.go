@@ -184,6 +184,7 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"-addr", url}, "missing command"},
 		{[]string{"-addr", url, "submit", "-terminals", "0"}, "terminals"},
 		{[]string{"-addr", url, "submit", "-outage", "bogus"}, "start:end"},
+		{[]string{"-addr", url, "submit", "-outage", "5:3"}, "inverted or empty"},
 		{[]string{"-addr", url, "submit", "-scheme", "psychic"}, "unknown update scheme"},
 		{[]string{"-addr", url, "submit", "-scheme", "timer"}, "timer scheme period"},
 		{[]string{"-addr", url, "submit", "-scenario", "rush-hour"}, "unknown scenario"},

@@ -4,6 +4,8 @@
 //
 //	pcnsim -model 2d -q 0.05 -c 0.01 -U 100 -V 10 -m 3 -terminals 50 -slots 200000
 //	pcnsim -dynamic -hetero   # per-terminal online estimation demo
+//	pcnsim -dynamic -reoptimize-every 500   # re-optimization period
+//	pcnsim -partition blanket                # paging partitioner
 //	pcnsim -terminals 100000 -slots 1000 -shards 8   # sharded parallel engine
 //	pcnsim -scheme timer -scheme-param 500      # timer-based updates
 //	pcnsim -scheme movement -scheme-param 6     # movement-based updates
@@ -14,12 +16,18 @@
 //	pcnsim -telemetry-every 10000 -json   # machine-readable run report
 //	pcnsim -pprof localhost:6060          # live progress + profiling
 //
+// The run flags are jobs.SpecFlags, the set `pcnctl submit` registers
+// too: a flag line builds the same jobs.Spec in both commands, and pcnsim
+// runs it through Spec.NetworkConfig — the mapping the job service uses —
+// so `pcnsim ... -json` prints the bytes `pcnctl submit ... -wait` does.
+// pcnsim adds only -json, -pprof and -scenarios.
+//
 // A -scenario fixes the model half of the run (grid, probabilities,
-// costs, delay bound, update scheme, fleet, faults) from the shared
-// locman registry — the same names pcnctl and the job service resolve —
-// while the run shape (-terminals, -slots, -seed, -shards, -engine,
-// -telemetry-every, -d) stays with the flags; model flags set alongside
-// it are rejected rather than silently overridden.
+// costs, delay bound, partition, update scheme, fleet, faults) from the
+// shared locman registry — the same names pcnctl and the job service
+// resolve — while the run shape (-terminals, -slots, -seed, -shards,
+// -engine, -telemetry-every, -d) stays with the flags; model flags set
+// alongside it are rejected rather than silently overridden.
 //
 // The population is partitioned across -shards parallel simulation engines
 // (default GOMAXPROCS); metrics are bit-identical for any shard count.
@@ -36,11 +44,9 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 
+	"repro/internal/jobs"
 	"repro/locman"
 )
 
@@ -50,36 +56,6 @@ func percent(part, whole int64) string {
 		return "0.00%"
 	}
 	return fmt.Sprintf("%.2f%%", 100*float64(part)/float64(whole))
-}
-
-// parseOutages parses the -outage flag: comma-separated start:end slot
-// windows. Windows must be well-formed up front — non-negative start,
-// end strictly after start — matching the FaultPlan validation so a bad
-// flag fails before any simulation work starts.
-func parseOutages(s string) ([]locman.Outage, error) {
-	var out []locman.Outage
-	for _, w := range strings.Split(s, ",") {
-		start, end, ok := strings.Cut(w, ":")
-		if !ok {
-			return nil, fmt.Errorf("outage window %q is not start:end", w)
-		}
-		a, err := strconv.ParseInt(strings.TrimSpace(start), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("outage window %q: %v", w, err)
-		}
-		b, err := strconv.ParseInt(strings.TrimSpace(end), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("outage window %q: %v", w, err)
-		}
-		if a < 0 {
-			return nil, fmt.Errorf("outage window %q starts at a negative slot", w)
-		}
-		if b <= a {
-			return nil, fmt.Errorf("outage window %q is inverted or empty", w)
-		}
-		out = append(out, locman.Outage{Start: a, End: b})
-	}
-	return out, nil
 }
 
 // printReport writes the human-readable run summary. Lost updates are
@@ -137,159 +113,43 @@ func printReport(w io.Writer, r *locman.Report) {
 	}
 }
 
-// scenarioFlagConflicts lists (in flag spelling, with the dash) the
-// model-half flags present in set — the flags a -scenario fixes and
-// therefore refuses to combine with. Run-shape flags (-terminals,
-// -slots, -seed, -shards, -engine, -telemetry-every, -d, -json,
-// -pprof) never conflict.
-func scenarioFlagConflicts(set map[string]bool) []string {
-	var conflicts []string
-	for _, name := range []string{
-		"model", "q", "c", "U", "V", "m", "dynamic", "hetero",
-		"scheme", "scheme-param", "loss", "poll-loss", "reply-loss",
-		"update-retries", "ack-timeout", "page-retries", "outage",
-	} {
-		if set[name] {
-			conflicts = append(conflicts, "-"+name)
-		}
-	}
-	return conflicts
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pcnsim: ")
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	model := flag.String("model", "2d", "mobility model: 1d or 2d")
-	q := flag.Float64("q", 0.05, "per-slot movement probability")
-	c := flag.Float64("c", 0.01, "per-slot call-arrival probability")
-	u := flag.Float64("U", 100, "location-update cost")
-	v := flag.Float64("V", 10, "per-cell polling cost")
-	m := flag.Int("m", 3, "maximum paging delay in polling cycles (0 = unbounded)")
-	terminals := flag.Int("terminals", 20, "number of mobile terminals")
-	slots := flag.Int64("slots", 200_000, "time slots to simulate")
-	threshold := flag.Int("d", -1, "static threshold (-1 = network-optimized)")
-	dynamic := flag.Bool("dynamic", false, "per-terminal online estimation and re-optimization")
-	hetero := flag.Bool("hetero", false, "heterogeneous population (per-terminal q varies ±50%)")
-	loss := flag.Float64("loss", 0, "update-message loss probability (failure injection)")
-	pollLoss := flag.Float64("poll-loss", 0, "downlink paging-poll loss probability")
-	replyLoss := flag.Float64("reply-loss", 0, "uplink paging-reply loss probability")
-	updateRetries := flag.Int("update-retries", 0,
-		"acked-update retransmission budget (0 = fire-and-forget updates)")
-	ackTimeout := flag.Int64("ack-timeout", 0,
-		"first retransmission timeout in scheduler ticks (0 = default, doubles per retry)")
-	pageRetries := flag.Int("page-retries", 0,
-		"recovery paging rounds before a call is dropped (0 = default)")
-	outages := flag.String("outage", "",
-		"HLR outage windows in slots, e.g. 1000:2000 or 1000:2000,5000:5500")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0),
-		"parallel simulation shards (results are identical for any shard count)")
-	jsonOut := flag.Bool("json", false,
+// run is the testable entry point: it registers the shared run flags and
+// pcnsim's own output flags on fs, parses args, runs the simulation and
+// writes the report to stdout.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	specOf := jobs.SpecFlags(fs)
+	jsonOut := fs.Bool("json", false,
 		"emit the run report as a schema-stable JSON document instead of text")
-	telemetryEvery := flag.Int64("telemetry-every", 0,
-		"capture a telemetry snapshot frame every N slots (0 = off)")
-	pprofAddr := flag.String("pprof", "",
+	pprofAddr := fs.String("pprof", "",
 		"serve net/http/pprof and expvar live shard progress on this address")
-	engineName := flag.String("engine", locman.EngineCols.String(),
-		"simulation engine: "+strings.Join(locman.EngineNames(), " or ")+
-			" (columnar vs reference event-driven); results are bit-identical")
-	schemeName := flag.String("scheme", "distance",
-		"location-update scheme: "+strings.Join(locman.UpdateSchemeNames(), ", "))
-	schemeParam := flag.Int64("scheme-param", 0,
-		"update-scheme parameter: timer period or movement count in slots (distance takes none; its threshold is -d)")
-	scenario := flag.String("scenario", "",
-		"run a registered scenario: "+strings.Join(locman.ScenarioNames(), ", ")+
-			" (fixes the model; run-shape flags still apply)")
-	listScenarios := flag.Bool("scenarios", false,
+	listScenarios := fs.Bool("scenarios", false,
 		"list the registered scenarios and exit")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *listScenarios {
 		for _, sc := range locman.Scenarios() {
-			fmt.Printf("%-18s %s\n", sc.Name, sc.Description)
+			fmt.Fprintf(stdout, "%-18s %s\n", sc.Name, sc.Description)
 		}
-		return
+		return nil
 	}
 
-	engine, err := locman.EngineByName(*engineName)
+	spec, err := specOf()
 	if err != nil {
-		log.Fatalf("-engine: %v", err)
+		return err
 	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	var cfg locman.NetworkConfig
-	if *scenario != "" {
-		// The scenario fixes the model half of the run; a model flag set
-		// alongside it is a contradiction, not an override.
-		if conflicts := scenarioFlagConflicts(set); len(conflicts) > 0 {
-			log.Fatalf("-scenario %s fixes the model; drop the conflicting flag(s): %s",
-				*scenario, strings.Join(conflicts, ", "))
-		}
-		sc, err := locman.ScenarioByName(*scenario)
-		if err != nil {
-			log.Fatalf("-scenario: %v", err)
-		}
-		cfg = sc.Network()
-		cfg.Terminals = *terminals
-		cfg.SnapshotEvery = *telemetryEvery
-		cfg.Seed = *seed
-		cfg.Engine = engine
-		if set["d"] {
-			cfg.Threshold = *threshold
-		}
-	} else {
-		var mdl locman.Model
-		switch *model {
-		case "1d":
-			mdl = locman.OneDimensional
-		case "2d":
-			mdl = locman.TwoDimensional
-		default:
-			log.Fatalf("unknown model %q (want 1d or 2d)", *model)
-		}
-		scheme, err := locman.UpdateSchemeByName(*schemeName, *schemeParam)
-		if err != nil {
-			log.Fatalf("-scheme: %v", err)
-		}
-		cfg = locman.NetworkConfig{
-			Config: locman.Config{
-				Model:      mdl,
-				MoveProb:   *q,
-				CallProb:   *c,
-				UpdateCost: *u,
-				PollCost:   *v,
-				MaxDelay:   *m,
-			},
-			Terminals: *terminals,
-			Threshold: *threshold,
-			Dynamic:   *dynamic,
-			Scheme:    scheme,
-			Faults: locman.FaultPlan{
-				UpdateLoss:    *loss,
-				PollLoss:      *pollLoss,
-				ReplyLoss:     *replyLoss,
-				UpdateRetries: *updateRetries,
-				AckTimeout:    *ackTimeout,
-				PageRetries:   *pageRetries,
-			},
-			SnapshotEvery: *telemetryEvery,
-			Seed:          *seed,
-			Engine:        engine,
-		}
-		if *outages != "" {
-			windows, err := parseOutages(*outages)
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.Faults.Outages = windows
-		}
-		if *hetero {
-			// The historical ±50% movement-probability ramp, now expressed
-			// through the same declarative fleet the jobs Spec carries.
-			cfg.Fleet = locman.HeteroFleet(*q, *c)
-		}
+	cfg, err := spec.NetworkConfig()
+	if err != nil {
+		return err
 	}
 	if *pprofAddr != "" {
 		prog := &locman.Progress{}
@@ -299,7 +159,7 @@ func main() {
 		}))
 		ln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("serving pprof and expvar on http://%s", ln.Addr())
 		go func() {
@@ -309,42 +169,42 @@ func main() {
 		}()
 	}
 
-	metrics, err := locman.SimulateNetworkSharded(cfg, *slots, *shards)
+	metrics, err := locman.SimulateNetworkSharded(cfg, spec.Slots, spec.Shards)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	report := locman.NewReport(metrics)
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return enc.Encode(report)
 	}
 
-	printReport(os.Stdout, report)
+	printReport(stdout, report)
 
 	// Analytical comparison for the homogeneous static distance case; the
 	// paper's cost model prices neither heterogeneous populations nor the
 	// timer/movement triggers, and scenarios may carry any of those.
-	if !*dynamic && !*hetero && *scenario == "" && *schemeName == "distance" {
-		d := *threshold
-		if d < 0 {
-			res, err := locman.Optimize(cfg.Config)
-			if err != nil {
-				log.Fatal(err)
-			}
-			d = res.Best.Threshold
-		}
-		want, err := locman.Evaluate(cfg.Config, d)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nanalytical C_T(d=%d) = %.6f  (simulated %.6f, rel. diff %+.2f%%)\n",
-			d, want.Total, metrics.TotalCost, 100*(metrics.TotalCost-want.Total)/want.Total)
-		fmt.Printf("analytical E[delay]  = %.3f  (simulated %.3f)\n",
-			want.ExpectedDelay, metrics.Delay.Mean())
+	if spec.Dynamic || spec.Fleet != nil || spec.Scenario != "" ||
+		(cfg.Scheme != nil && cfg.Scheme.Name() != "distance") {
+		return nil
 	}
+	d := cfg.Threshold
+	if d < 0 {
+		res, err := locman.Optimize(cfg.Config)
+		if err != nil {
+			return err
+		}
+		d = res.Best.Threshold
+	}
+	want, err := locman.Evaluate(cfg.Config, d)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\nanalytical C_T(d=%d) = %.6f  (simulated %.6f, rel. diff %+.2f%%)\n",
+		d, want.Total, metrics.TotalCost, 100*(metrics.TotalCost-want.Total)/want.Total)
+	fmt.Fprintf(stdout, "analytical E[delay]  = %.3f  (simulated %.3f)\n",
+		want.ExpectedDelay, metrics.Delay.Mean())
+	return nil
 }

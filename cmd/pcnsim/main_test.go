@@ -1,12 +1,42 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"strings"
 	"testing"
 
 	"repro/locman"
 )
 
+// pcnsim runs the command on args with a fresh flag set and returns its
+// stdout.
+func pcnsim(args ...string) (string, error) {
+	var out bytes.Buffer
+	err := run(flag.NewFlagSet("pcnsim", flag.ContinueOnError), args, &out)
+	return out.String(), err
+}
+
+// directJSON renders cfg's report exactly as pcnsim -json prints it.
+func directJSON(t *testing.T, cfg locman.NetworkConfig, slots int64, shards int) string {
+	t.Helper()
+	m, err := locman.SimulateNetworkSharded(cfg, slots, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(locman.NewReport(m)); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestParseOutages checks pcnsim's -outage flag end to end: well-formed
+// windows reach the engine (the report matches a direct run with those
+// windows) and malformed ones fail before any simulation work.
 func TestParseOutages(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -29,7 +59,8 @@ func TestParseOutages(t *testing.T) {
 		{"bad second window", "100:200,300:250", nil, "inverted or empty"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := parseOutages(tc.in)
+			got, err := pcnsim("-outage", tc.in, "-terminals", "4", "-slots", "6000",
+				"-shards", "2", "-json")
 			if tc.err != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.err) {
 					t.Fatalf("err = %v, want containing %q", err, tc.err)
@@ -39,45 +70,36 @@ func TestParseOutages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(tc.want) {
-				t.Fatalf("got %v, want %v", got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Errorf("window %d = %v, want %v", i, got[i], tc.want[i])
-				}
+			want := directJSON(t, locman.NetworkConfig{
+				Config: locman.Config{
+					Model: locman.TwoDimensional, MoveProb: 0.05, CallProb: 0.01,
+					UpdateCost: 100, PollCost: 10, MaxDelay: 3,
+				},
+				Terminals: 4,
+				Threshold: -1,
+				Faults:    locman.FaultPlan{Outages: tc.want},
+				Seed:      1,
+			}, 6000, 2)
+			if got != want {
+				t.Errorf("-outage %q report differs from a direct run with windows %v", tc.in, tc.want)
 			}
 		})
 	}
 }
 
-// TestScenarioFlagConflicts checks the -scenario guard: every model
-// flag is caught, in flag spelling, and the run-shape flags pass.
+// TestScenarioFlagConflicts checks the -scenario guard on pcnsim's whole
+// command line: every model flag is caught, in flag spelling, while the
+// run-shape flags and pcnsim's own output flags pass.
 func TestScenarioFlagConflicts(t *testing.T) {
-	if got := scenarioFlagConflicts(map[string]bool{}); len(got) != 0 {
-		t.Errorf("empty set conflicts: %v", got)
+	shape := []string{"-scenario", "baseline", "-terminals", "4", "-slots", "500",
+		"-seed", "3", "-shards", "2", "-engine", "des", "-telemetry-every", "100", "-d", "2"}
+	if _, err := pcnsim(append(shape, "-json")...); err != nil {
+		t.Errorf("run-shape flags reported as conflicts: %v", err)
 	}
-	runShape := map[string]bool{
-		"terminals": true, "slots": true, "seed": true, "shards": true,
-		"engine": true, "telemetry-every": true, "d": true, "json": true,
-	}
-	if got := scenarioFlagConflicts(runShape); len(got) != 0 {
-		t.Errorf("run-shape flags reported as conflicts: %v", got)
-	}
-	model := map[string]bool{"q": true, "scheme": true, "hetero": true, "outage": true}
-	got := scenarioFlagConflicts(model)
-	want := []string{"-q", "-hetero", "-scheme", "-outage"}
-	if len(got) != len(want) {
-		t.Fatalf("conflicts = %v, want %v", got, want)
-	}
-	for _, w := range want {
-		found := false
-		for _, g := range got {
-			found = found || g == w
-		}
-		if !found {
-			t.Errorf("conflicts %v missing %s", got, w)
-		}
+	_, err := pcnsim(append(shape, "-outage", "1:2", "-q", "0.1", "-scheme", "timer", "-hetero", "-json")...)
+	want := "conflicting flag(s): -hetero, -outage, -q, -scheme"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want containing %q", err, want)
 	}
 }
 
@@ -181,4 +203,31 @@ func lineContaining(out, substr string) string {
 		}
 	}
 	return ""
+}
+
+// TestAnalyticFooter checks the text report's analytical comparison
+// follows the run description: printed for the homogeneous static
+// distance case however the scheme is spelled, omitted where the cost
+// model does not apply.
+func TestAnalyticFooter(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want bool
+	}{
+		{nil, true},
+		{[]string{"-scheme", "distance", "-model", "1d"}, true},
+		{[]string{"-partition", "blanket", "-d", "2"}, true},
+		{[]string{"-scheme", "timer", "-scheme-param", "50"}, false},
+		{[]string{"-hetero"}, false},
+		{[]string{"-dynamic"}, false},
+		{[]string{"-scenario", "baseline"}, false},
+	} {
+		out, err := pcnsim(append(tc.args, "-terminals", "4", "-slots", "500", "-shards", "2")...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if got := strings.Contains(out, "analytical C_T"); got != tc.want {
+			t.Errorf("%v: analytical footer printed = %v, want %v", tc.args, got, tc.want)
+		}
+	}
 }

@@ -12,10 +12,9 @@ import (
 var update = flag.Bool("update", false, "rewrite checked-in fixtures")
 
 // TestPartialFixture pins the checked-in wire envelope CI pipes through
-// schemacheck -kind partial. The gob payload embeds a map, so the bytes
-// are not reproducible run-to-run; the contract is that the fixture
-// decodes to exactly the partial a fresh worker computes for the same
-// lease, spec revision included. Regenerate with -update after wire or
+// schemacheck -kind partial. The contract is that the fixture decodes
+// to exactly the partial a fresh worker computes for the same lease,
+// spec revision included. Regenerate with -update after wire or
 // engine changes.
 func TestPartialFixture(t *testing.T) {
 	path := filepath.Join("testdata", "partial.json")

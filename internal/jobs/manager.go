@@ -740,7 +740,8 @@ func (m *Manager) Result(id string) ([]byte, error) {
 }
 
 // Done returns a channel closed when the job reaches a terminal state,
-// for watchers that want to block instead of poll.
+// for watchers that want to block instead of poll. A done job's results
+// row (Options.Results) lands after this edge, outside the manager lock.
 func (m *Manager) Done(id string) (<-chan struct{}, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

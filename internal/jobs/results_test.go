@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/results"
 )
@@ -29,6 +30,19 @@ func queryJSON(t *testing.T, s *results.Store, req string) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// waitRow waits for job id's results row. A done job's row lands after
+// its done edge (Manager.Done), so waitTerminal alone does not imply it.
+func waitRow(t *testing.T, s *results.Store, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !s.Has(id) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never landed a results row", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestManagerIngestsDoneJobs: every job reaching done lands exactly one
@@ -60,6 +74,8 @@ func TestManagerIngestsDoneJobs(t *testing.T) {
 	for _, id := range []string{v1.ID, v2.ID, v3.ID} {
 		waitTerminal(t, m, id)
 	}
+	waitRow(t, store, v1.ID)
+	waitRow(t, store, v2.ID)
 
 	if !store.Has(v1.ID) || !store.Has(v2.ID) || store.Has(v3.ID) {
 		t.Fatalf("store rows: has(%s)=%v has(%s)=%v has(%s)=%v",
@@ -99,6 +115,7 @@ func TestManagerBackfillsResultsOnRecover(t *testing.T) {
 	}
 	for _, id := range ids {
 		waitTerminal(t, m1, id)
+		waitRow(t, live, id)
 	}
 	const req = `{"group_by":["seed"],"aggregates":[{"op":"count"},{"op":"mean","column":"total_cost"},{"op":"p95","column":"delay_p95"}]}`
 	before := queryJSON(t, live, req)
@@ -152,6 +169,7 @@ func TestManagerRecoverRetiredEngineRows(t *testing.T) {
 	}
 	for _, id := range ids {
 		waitTerminal(t, m1, id)
+		waitRow(t, s1, id)
 	}
 	if err := m1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -217,6 +235,7 @@ func TestManagerBackfillSkipsLoadedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, m1, v.ID)
+	waitRow(t, s1, v.ID)
 	if err := m1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}

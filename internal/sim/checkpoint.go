@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"sync"
 
 	"repro/internal/des"
@@ -119,7 +120,16 @@ type HLRCheckpoint struct {
 // Metrics: the counters, the latency histograms, the threshold-usage map
 // and the per-terminal accumulators. Run-shape fields (Slots, Terminals,
 // ids) and the derived aggregates are rebuilt on resume.
-type MetricsCheckpoint struct {
+type MetricsCheckpoint = metricsState[map[int]int64]
+
+// metricsState is a shard's serializable Metrics state with the
+// threshold-usage counts in form T. Checkpoints keep the map they have
+// always carried (MetricsCheckpoint), so older files still decode. The
+// partial wire, which reads untrusted peers, carries a sorted slice
+// (partialMetrics): gob sizes a decoded map by the entry count the
+// sender claims, so one hostile count could exhaust memory before the
+// decode failed, while a decoded slice grows only with the bytes present.
+type metricsState[T any] struct {
 	Updates, Calls, PolledCells         int64
 	UpdateBytes, PollBytes, ReplyBytes  int64
 	NotFound                            int64
@@ -129,7 +139,7 @@ type MetricsCheckpoint struct {
 	RePolls, DroppedCalls               int64
 	OutageDeferred                      int64
 	DelayHist, RecoveryHist             *telemetry.Hist
-	ThresholdSlots                      map[int]int64
+	ThresholdSlots                      T
 	PerTerminal                         []TermStatsCheckpoint
 }
 
@@ -234,17 +244,18 @@ func captureShardCore(n *network, terms []terminal, rngs []stats.RNG,
 		sc.HLR[i] = HLRCheckpoint{Center: rec.center, Seq: rec.seq, Threshold: rec.threshold}
 	}
 
-	sc.Metrics = exportMetrics(n.metrics)
+	sc.Metrics = exportMetrics(n.metrics, maps.Clone[map[int]int64])
 	sc.Frames = exportFrames(frames)
 	return sc
 }
 
 // exportMetrics converts a shard's live Metrics into the serializable
-// checkpoint form, deep-copying every reference type (the live run may
-// keep mutating them after the export returns). Shared by checkpoint
-// capture and the partial-result wire path (RunPartial).
-func exportMetrics(m *Metrics) MetricsCheckpoint {
-	mc := MetricsCheckpoint{
+// form, deep-copying every reference type (the live run may keep
+// mutating them after the export returns); thresholds converts the
+// threshold-usage map. Shared by checkpoint capture and the
+// partial-result wire path (RunPartial).
+func exportMetrics[T any](m *Metrics, thresholds func(map[int]int64) T) metricsState[T] {
+	mc := metricsState[T]{
 		Updates: m.Updates, Calls: m.Calls, PolledCells: m.PolledCells,
 		UpdateBytes: m.UpdateBytes, PollBytes: m.PollBytes, ReplyBytes: m.ReplyBytes,
 		NotFound:    m.NotFound,
@@ -255,11 +266,8 @@ func exportMetrics(m *Metrics) MetricsCheckpoint {
 		OutageDeferred: m.OutageDeferred,
 		DelayHist:      m.DelayHist.Clone(),
 		RecoveryHist:   m.RecoveryHist.Clone(),
-		ThresholdSlots: make(map[int]int64, len(m.ThresholdSlots)),
+		ThresholdSlots: thresholds(m.ThresholdSlots),
 		PerTerminal:    make([]TermStatsCheckpoint, len(m.PerTerminal)),
-	}
-	for d, c := range m.ThresholdSlots {
-		mc.ThresholdSlots[d] = c
 	}
 	for i := range m.PerTerminal {
 		ts := &m.PerTerminal[i]

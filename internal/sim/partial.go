@@ -2,11 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/chain"
 	"repro/internal/sweep"
@@ -51,8 +53,9 @@ type ShardPartial struct {
 	// SubEvents is the shard's sub-slot event count (the slot-sweep chain
 	// is added back once by MergePartials, like RunSharded's merge).
 	SubEvents uint64
-	// Metrics is the shard's measurement state in checkpoint form.
-	Metrics MetricsCheckpoint
+	// Metrics is the shard's measurement state in checkpoint form, its
+	// threshold-usage counts as a slice sorted by threshold.
+	Metrics partialMetrics
 	// TotalCost and FinalThreshold carry finishShard's per-terminal tail
 	// fields (indexed by terminal position within the shard); shipping
 	// the computed float64 bit patterns keeps the merge arithmetic-free.
@@ -133,7 +136,7 @@ func exportShardPartial(shard, lo, hi int, r shardResult) ShardPartial {
 		Lo:             lo,
 		Hi:             hi,
 		SubEvents:      m.Events,
-		Metrics:        exportMetrics(m),
+		Metrics:        exportMetrics(m, exportThresholds),
 		TotalCost:      make([]float64, len(m.PerTerminal)),
 		FinalThreshold: make([]int, len(m.PerTerminal)),
 		Frames:         exportFrames(r.frames),
@@ -145,15 +148,47 @@ func exportShardPartial(shard, lo, hi int, r shardResult) ShardPartial {
 	return sp
 }
 
+// partialMetrics is a shard's measurement state on the partial wire (see
+// metricsState for why the threshold-usage counts travel as a slice).
+type partialMetrics = metricsState[[]ThresholdCount]
+
+// ThresholdCount is one Metrics.ThresholdSlots entry on the partial wire.
+type ThresholdCount struct {
+	D     int
+	Slots int64
+}
+
+// exportThresholds converts the threshold-usage map to its wire form,
+// sorted by threshold so equal partials encode to equal bytes.
+func exportThresholds(m map[int]int64) []ThresholdCount {
+	out := make([]ThresholdCount, 0, len(m))
+	for d, c := range m {
+		out = append(out, ThresholdCount{D: d, Slots: c})
+	}
+	slices.SortFunc(out, func(a, b ThresholdCount) int { return cmp.Compare(a.D, b.D) })
+	return out
+}
+
+// restoreThresholds rebuilds the threshold-usage map from its wire form.
+func restoreThresholds(tcs []ThresholdCount) map[int]int64 {
+	m := make(map[int]int64, len(tcs))
+	for _, tc := range tcs {
+		m[tc.D] = tc.Slots
+	}
+	return m
+}
+
 // PartialMismatchError reports a partial that does not describe the run
 // it is being merged into: a different run shape (slots, shard count,
-// seed) or a shard slice that does not tile the expected partition.
+// seed), a shard slice that does not tile the expected partition, or
+// histograms or telemetry frames shaped unlike this engine's.
 // Distinguishing it from structural corruption lets a coordinator treat
 // the sender as confused (re-dispatch elsewhere) rather than the bytes
 // as damaged.
 type PartialMismatchError struct {
 	// Field names the mismatched dimension ("slots", "shards", "seed",
-	// "slice", "coverage"); Got and Want are its two sides, stringified.
+	// "slice", "coverage", "hist", "frames"); Got and Want are its two
+	// sides, stringified.
 	Field string
 	Got   string
 	Want  string
@@ -248,6 +283,9 @@ func MergePartials(cfg Config, slots int64, shards int, parts []*Partial) (*Metr
 		}
 		for i := range p.Shard {
 			sp := &p.Shard[i]
+			if err := checkShardShape(sp, slots, cfg.Telemetry.SnapshotEvery); err != nil {
+				return nil, err
+			}
 			if byShard[sp.Shard] != nil {
 				return nil, &PartialMismatchError{Field: "coverage",
 					Got: fmt.Sprintf("shard %d twice", sp.Shard), Want: "each shard once"}
@@ -284,6 +322,44 @@ func MergePartials(cfg Config, slots int64, shards int, parts []*Partial) (*Metr
 	return merged, nil
 }
 
+// checkShardShape rejects a shard whose histograms or telemetry frames
+// are not shaped the way this engine records them for the run. Such a
+// shard passes Partial.Validate, which knows no configuration, but would
+// panic in the histogram or frame merge.
+func checkShardShape(sp *ShardPartial, slots, every int64) error {
+	mc := &sp.Metrics
+	for _, h := range []struct {
+		hist    *telemetry.Hist
+		width   float64
+		buckets int
+	}{
+		{mc.DelayHist, delayHistWidth, delayHistBuckets},
+		{mc.RecoveryHist, recoveryHistWidth, recoveryHistBuckets},
+	} {
+		if h.hist.Width != h.width || len(h.hist.Counts) != h.buckets {
+			return &PartialMismatchError{Field: "hist",
+				Got:  fmt.Sprintf("shard %d histogram %v x %d", sp.Shard, h.hist.Width, len(h.hist.Counts)),
+				Want: fmt.Sprintf("%v x %d", h.width, h.buckets)}
+		}
+	}
+	if every <= 0 {
+		return nil
+	}
+	// Frames land on every multiple of the cadence and on the final slot.
+	if want := (slots + every - 1) / every; int64(len(sp.Frames)) != want {
+		return &PartialMismatchError{Field: "frames",
+			Got: fmt.Sprintf("shard %d with %d frames", sp.Shard, len(sp.Frames)), Want: fmt.Sprint(want)}
+	}
+	for k := range sp.Frames {
+		if want := min(int64(k+1)*every, slots); sp.Frames[k].Slot != want {
+			return &PartialMismatchError{Field: "frames",
+				Got:  fmt.Sprintf("shard %d frame %d at slot %d", sp.Shard, k, sp.Frames[k].Slot),
+				Want: fmt.Sprintf("slot %d", want)}
+		}
+	}
+	return nil
+}
+
 // restorePartialMetrics rebuilds one shard's Metrics exactly as
 // finishShard left them on the producing machine: counters and histogram
 // copies, accumulator states restored bit-for-bit, global ids
@@ -306,13 +382,10 @@ func restorePartialMetrics(cfg Config, slots int64, sp *ShardPartial) *Metrics {
 		OutageDeferred: mc.OutageDeferred,
 		DelayHist:      mc.DelayHist.Clone(),
 		RecoveryHist:   mc.RecoveryHist.Clone(),
-		ThresholdSlots: make(map[int]int64, len(mc.ThresholdSlots)),
+		ThresholdSlots: restoreThresholds(mc.ThresholdSlots),
 		Events:         sp.SubEvents,
 		PerTerminal:    make([]TerminalStats, width),
 		costs:          cfg.Core.Costs,
-	}
-	for d, c := range mc.ThresholdSlots {
-		m.ThresholdSlots[d] = c
 	}
 	for i := range mc.PerTerminal {
 		tsc := &mc.PerTerminal[i]
@@ -328,7 +401,7 @@ func restorePartialMetrics(cfg Config, slots int64, sp *ShardPartial) *Metrics {
 }
 
 // partMagic versions the partial wire format.
-var partMagic = []byte("PCNPART1")
+var partMagic = []byte("PCNPART2")
 
 // EncodePartial serializes a partial to the same self-checking byte
 // format checkpoints use: a magic/version header, the gob payload, and a

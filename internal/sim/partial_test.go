@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -190,4 +192,85 @@ func TestPartialValidate(t *testing.T) {
 	if err := fresh().Validate(); err != nil {
 		t.Errorf("pristine partial rejected: %v", err)
 	}
+}
+
+// TestMergePartialsMisshapenShards: a partial that passes Validate but
+// whose histograms or telemetry frames are shaped unlike the engine's —
+// a worker on another version, or a hostile peer — is a typed mismatch,
+// not a panic in the histogram or frame merge.
+func TestMergePartialsMisshapenShards(t *testing.T) {
+	const slots, shards = 250, 2
+	cfg := partialConfig(EngineCols)
+	for _, tc := range []struct {
+		name   string
+		break_ func(*Partial)
+		field  string
+	}{
+		{"delay histogram buckets", func(p *Partial) {
+			h := p.Shard[1].Metrics.DelayHist
+			h.Counts = h.Counts[:3]
+		}, "hist"},
+		{"recovery histogram width", func(p *Partial) { p.Shard[0].Metrics.RecoveryHist.Width = 2 }, "hist"},
+		{"missing frame", func(p *Partial) { p.Shard[1].Frames = p.Shard[1].Frames[:1] }, "frames"},
+		{"misaligned frame", func(p *Partial) { p.Shard[0].Frames[1].Slot++ }, "frames"},
+	} {
+		p, err := RunPartial(context.Background(), cfg, slots, shards, 0, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.break_(p)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: corruption caught by Validate already: %v", tc.name, err)
+		}
+		_, err = MergePartials(cfg, slots, shards, []*Partial{p})
+		var mis *PartialMismatchError
+		if !errors.As(err, &mis) || mis.Field != tc.field {
+			t.Errorf("%s: got %v, want *PartialMismatchError on %q", tc.name, err, tc.field)
+		}
+	}
+}
+
+// FuzzMergePartials drives hostile partial payloads through the
+// coordinator's whole intake: decode, Validate, MergePartials. Whatever
+// arrives, the merge must return metrics or an error — never panic. The
+// fuzzer mutates the gob payload and the target re-frames it, so
+// mutations reach the decoder and the merge instead of dying at the
+// checksum.
+func FuzzMergePartials(f *testing.F) {
+	const slots, shards = 250, 2
+	cfg := partialConfig(EngineCols)
+	payload := func(p *Partial) []byte {
+		data, err := EncodePartial(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data[len(partMagic) : len(data)-4]
+	}
+	for _, corrupt := range []func(*Partial){
+		func(*Partial) {},
+		func(p *Partial) { p.Shard[0].Metrics.DelayHist.Counts = p.Shard[0].Metrics.DelayHist.Counts[:3] },
+		func(p *Partial) { p.Shard[1].Frames = p.Shard[1].Frames[:1] },
+	} {
+		p, err := RunPartial(context.Background(), cfg, slots, shards, 0, shards)
+		if err != nil {
+			f.Fatal(err)
+		}
+		corrupt(p)
+		f.Add(payload(p))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := append(append([]byte(nil), partMagic...), body...)
+		data = binary.BigEndian.AppendUint32(data, crc32.ChecksumIEEE(body))
+		p, err := DecodePartial(data)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			return
+		}
+		m, err := MergePartials(cfg, slots, shards, []*Partial{p})
+		if err == nil && m == nil {
+			t.Fatal("MergePartials returned neither metrics nor an error")
+		}
+	})
 }
