@@ -223,6 +223,78 @@ func TestManagerCrashResumeByteIdentity(t *testing.T) {
 	}
 }
 
+// TestManagerHostileCheckpointFallsBack: a checkpoint file that decodes
+// but holds state no engine could have written (here a missing latency
+// histogram, which once panicked the resume and so crash-looped the
+// daemon through journal replay) costs only the resume. The job re-runs
+// from slot 0, its result is byte-identical to the engine reference, and
+// the fallback is counted.
+func TestManagerHostileCheckpointFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec()
+	const every = 500
+	cfg, err := spec.NetworkConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var planted []byte
+	if _, err := locman.SimulateNetworkCheckpointed(context.Background(),
+		cfg, spec.Slots, spec.Shards, every, func(cp *locman.Checkpoint) {
+			if planted != nil {
+				return
+			}
+			// Capture deep-copies the live state, so this edit never
+			// reaches the run.
+			cp.Shard[0].Metrics.DelayHist = nil
+			data, err := locman.EncodeCheckpoint(cp)
+			if err != nil {
+				t.Error(err)
+			}
+			planted = data
+		}); err != nil {
+		t.Fatal(err)
+	}
+	const id = "j000001"
+	if err := os.WriteFile(filepath.Join(dir, "checkpoints", id+".ckpt"), planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jl, _, err := OpenJournal(filepath.Join(dir, "journal.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Record{
+		{Kind: KindSubmit, Job: id, Spec: &spec, Time: time.Now()},
+		{Kind: KindState, Job: id, From: StateQueued, To: StateRunning, Time: time.Now()},
+	} {
+		if err := jl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+
+	m := New(Options{QueueDepth: 4, Workers: 1, DataDir: dir, CheckpointEvery: every})
+	if err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown(context.Background())
+	if v := waitTerminal(t, m, id); v.State != StateDone {
+		t.Fatalf("job ended %s (%s)", v.State, v.Error)
+	}
+	got, err := m.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, referenceResult(t, spec)) {
+		t.Error("result after the fallback differs from the engine reference")
+	}
+	if st := m.Stats(); st.CheckpointFallbacks != 1 || st.ResumedJobs != 0 {
+		t.Errorf("CheckpointFallbacks = %d, ResumedJobs = %d; want 1, 0", st.CheckpointFallbacks, st.ResumedJobs)
+	}
+}
+
 // TestManagerRecoveryGrowsQueue: recovery must never drop acknowledged
 // jobs to backpressure, even when more jobs were journaled than the
 // configured queue depth.

@@ -309,12 +309,9 @@ func exportFrames(frames []telemetry.ShardFrame) []FrameCheckpoint {
 // restoreShardCore overlays a shard checkpoint onto freshly-built shard
 // state (newShardNetwork output): terminal structs, RNG positions,
 // registry records, the network's counters and the metrics state. The
-// engine restores its own scheduler state afterwards.
-func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardCheckpoint) error {
-	if len(sc.Terms) != len(terms) || len(sc.HLR) != len(n.hlr) ||
-		len(sc.Metrics.PerTerminal) != len(terms) {
-		return fmt.Errorf("sim: checkpoint shard holds %d terminals, run has %d", len(sc.Terms), len(terms))
-	}
+// engine restores its own scheduler state afterwards. The checkpoint
+// passed validateResume, so its vectors are sized to the shard.
+func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardCheckpoint) {
 	for i := range terms {
 		t := &terms[i]
 		tc := &sc.Terms[i]
@@ -337,8 +334,25 @@ func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardC
 	}
 	n.callSeq = sc.CallSeq
 
-	m := n.metrics
-	mc := &sc.Metrics
+	sc.Metrics.restoreInto(n.metrics, cloneThresholds)
+}
+
+// cloneThresholds copies a checkpoint's threshold-usage map; never nil,
+// since the engines increment it (a columnar checkpoint taken before any
+// threshold change holds no entries and decodes as a nil map).
+func cloneThresholds(m map[int]int64) map[int]int64 {
+	out := make(map[int]int64, len(m))
+	maps.Copy(out, m)
+	return out
+}
+
+// restoreInto overlays the measurement state onto m, whose PerTerminal
+// records must already be sized to the shard: the counters, copies of
+// the histograms, the threshold-usage counts rebuilt by thresholds, and
+// each terminal's counters and accumulator states, bit for bit. The
+// inverse of exportMetrics, shared by checkpoint resume and the partial
+// merge.
+func (mc *metricsState[T]) restoreInto(m *Metrics, thresholds func(T) map[int]int64) {
 	m.Updates, m.Calls, m.PolledCells = mc.Updates, mc.Calls, mc.PolledCells
 	m.UpdateBytes, m.PollBytes, m.ReplyBytes = mc.UpdateBytes, mc.PollBytes, mc.ReplyBytes
 	m.NotFound = mc.NotFound
@@ -349,10 +363,7 @@ func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardC
 	m.OutageDeferred = mc.OutageDeferred
 	m.DelayHist = mc.DelayHist.Clone()
 	m.RecoveryHist = mc.RecoveryHist.Clone()
-	m.ThresholdSlots = make(map[int]int64, len(mc.ThresholdSlots))
-	for d, c := range mc.ThresholdSlots {
-		m.ThresholdSlots[d] = c
-	}
+	m.ThresholdSlots = thresholds(mc.ThresholdSlots)
 	for i := range mc.PerTerminal {
 		tsc := &mc.PerTerminal[i]
 		ts := &m.PerTerminal[i]
@@ -360,7 +371,6 @@ func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardC
 		ts.Delay.SetState(tsc.Delay)
 		ts.Recovery.SetState(tsc.Recovery)
 	}
-	return nil
 }
 
 // restoreFrames rebuilds the engine's telemetry shard-frame series from
@@ -394,42 +404,56 @@ func restoreFrames(fcs []FrameCheckpoint) []telemetry.ShardFrame {
 var ckptMagic = []byte("PCNCKPT1")
 
 // EncodeCheckpoint serializes a checkpoint to a self-checking byte
-// format: a magic/version header, the gob payload, and a CRC32 trailer
-// over the payload. Gob encodes float64 values by bit pattern, so
+// format (encodeFramed). Gob encodes float64 values by bit pattern, so
 // decoding reproduces every RNG position, accumulator and estimator
 // exactly.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(ckptMagic)
-	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
-		return nil, fmt.Errorf("sim: encoding checkpoint: %w", err)
+	return encodeFramed(ckptMagic, "checkpoint", cp)
+}
+
+// DecodeCheckpoint parses bytes produced by EncodeCheckpoint, rejecting
+// unknown formats and corrupted payloads (checksum mismatch).
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+	cp := &Checkpoint{}
+	if err := decodeFramed(ckptMagic, "checkpoint", data, cp); err != nil {
+		return nil, err
 	}
-	payload := buf.Bytes()[len(ckptMagic):]
+	if cp.Engine == legacyColsTag {
+		cp.Engine = EngineCols
+	}
+	return cp, nil
+}
+
+// encodeFramed is the wire codec checkpoints and partials share: the
+// format's magic/version header, the gob payload of v, and a big-endian
+// CRC32 trailer over the payload. what names the format in errors.
+func encodeFramed(magic []byte, what string, v any) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Write(magic)
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("sim: encoding %s: %w", what, err)
+	}
+	payload := buf.Bytes()[len(magic):]
 	var tail [4]byte
 	binary.BigEndian.PutUint32(tail[:], crc32.ChecksumIEEE(payload))
 	buf.Write(tail[:])
 	return buf.Bytes(), nil
 }
 
-// DecodeCheckpoint parses bytes produced by EncodeCheckpoint, rejecting
-// unknown formats and corrupted payloads (checksum mismatch).
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) < len(ckptMagic)+4 || !bytes.Equal(data[:len(ckptMagic)], ckptMagic) {
-		return nil, fmt.Errorf("sim: not a checkpoint (bad magic)")
+// decodeFramed checks the header and trailer encodeFramed wrote and
+// decodes the payload into v.
+func decodeFramed(magic []byte, what string, data []byte, v any) error {
+	if len(data) < len(magic)+4 || !bytes.Equal(data[:len(magic)], magic) {
+		return fmt.Errorf("sim: not a %s (bad magic)", what)
 	}
-	payload := data[len(ckptMagic) : len(data)-4]
-	want := binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("sim: checkpoint checksum mismatch")
+	payload := data[len(magic) : len(data)-4]
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[len(data)-4:]) {
+		return fmt.Errorf("sim: %s checksum mismatch", what)
 	}
-	cp := &Checkpoint{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(cp); err != nil {
-		return nil, fmt.Errorf("sim: decoding checkpoint: %w", err)
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+		return fmt.Errorf("sim: decoding %s: %w", what, err)
 	}
-	if cp.Engine == legacyColsTag {
-		cp.Engine = EngineCols
-	}
-	return cp, nil
+	return nil
 }
 
 // ckptAggregator assembles per-shard captures into whole Checkpoints. A
@@ -442,16 +466,14 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // increasing slot order.
 type ckptAggregator struct {
 	mu      sync.Mutex
-	shards  int
 	shape   Checkpoint // Slot/Shard unset; the shared header fields
 	pending map[int64][]ShardCheckpoint
 	count   map[int64]int
 	sink    func(*Checkpoint)
 }
 
-func newCkptAggregator(shape Checkpoint, shards int, sink func(*Checkpoint)) *ckptAggregator {
+func newCkptAggregator(shape Checkpoint, sink func(*Checkpoint)) *ckptAggregator {
 	return &ckptAggregator{
-		shards:  shards,
 		shape:   shape,
 		pending: make(map[int64][]ShardCheckpoint),
 		count:   make(map[int64]int),
@@ -467,11 +489,11 @@ func (a *ckptAggregator) add(shard int, sc ShardCheckpoint) {
 	defer a.mu.Unlock()
 	b := sc.Slot
 	if a.pending[b] == nil {
-		a.pending[b] = make([]ShardCheckpoint, a.shards)
+		a.pending[b] = make([]ShardCheckpoint, a.shape.Shards)
 	}
 	a.pending[b][shard] = sc
 	a.count[b]++
-	if a.count[b] < a.shards {
+	if a.count[b] < a.shape.Shards {
 		return
 	}
 	cp := a.shape

@@ -1,0 +1,164 @@
+package sim
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/des"
+	"repro/internal/stats"
+)
+
+// FuzzResumeCheckpoint drives damaged checkpoint state through resume.
+// It is structure-aware: each input picks one field of a decoded, valid
+// checkpoint — a pending timer's tag, stamp or time, a scheduler's clock
+// or counter, the reference engine's slot-event stamp, a histogram's
+// bucket count, the frame series' length, one frame's width or one
+// terminal's threshold on either side of the air interface — and
+// overwrites it. Whatever the edit, RunShardedOpts must return metrics
+// or an error, never panic: a panic on a shard goroutine re-raises on
+// the caller's and would take a resuming job service down. (Fuzzing the
+// gob bytes themselves is out of scope here; they are checksummed.)
+func FuzzResumeCheckpoint(f *testing.F) {
+	const slots, shards, every = 400, 2, 150
+	// A retransmission timeout of 50 slots keeps ack timers pending
+	// across checkpoint boundaries, so the scheduler edits have events
+	// to act on.
+	config := func(engine Engine) Config {
+		cfg := partialConfig(engine)
+		cfg.Faults.AckTimeout = 50 * SlotTicks
+		return cfg
+	}
+	engines := []Engine{EngineCols, EngineDES}
+	raws := make([][]byte, len(engines))
+	for e, engine := range engines {
+		if _, err := RunShardedOpts(context.Background(), config(engine), slots, shards, RunOpts{
+			CheckpointEvery: every,
+			CheckpointSink: func(cp *Checkpoint) {
+				if cp.Slot != 2*every {
+					return
+				}
+				data, err := EncodeCheckpoint(cp)
+				if err != nil {
+					f.Error(err)
+				}
+				raws[e] = data
+			},
+		}); err != nil {
+			f.Fatal(err)
+		}
+		cp, err := DecodeCheckpoint(raws[e])
+		if err != nil {
+			f.Fatal(err)
+		}
+		if !hasPending(cp) {
+			f.Fatalf("%s: the seed checkpoint holds no pending timer", engine)
+		}
+	}
+	for field := uint8(0); field < 11; field++ {
+		f.Add(false, field, uint8(0), uint16(0), uint64(1))
+		f.Add(true, field, uint8(1), uint16(3), uint64(1)<<40)
+	}
+	f.Fuzz(func(t *testing.T, ref bool, field, shard uint8, idx uint16, val uint64) {
+		e := 0
+		if ref {
+			e = 1
+		}
+		cp, err := DecodeCheckpoint(raws[e])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := &cp.Shard[int(shard)%len(cp.Shard)]
+		var scheds []*SchedCheckpoint
+		if sc.DES != nil {
+			scheds = append(scheds, &sc.DES.Sched)
+		}
+		for i := range sc.Scheds {
+			scheds = append(scheds, &sc.Scheds[i])
+		}
+		sched := scheds[int(idx)%len(scheds)]
+		// pending picks one queued timer anywhere in the shard.
+		pending := func() *des.PendingEvent {
+			var all []*des.PendingEvent
+			for _, s := range scheds {
+				for i := range s.Pending {
+					all = append(all, &s.Pending[i])
+				}
+			}
+			if len(all) == 0 {
+				return nil
+			}
+			return all[int(idx)%len(all)]
+		}
+		resize := func(n int) int { return int(val % uint64(n+3)) }
+		switch field % 11 {
+		case 0:
+			if p := pending(); p != nil {
+				p.Tag = val
+			}
+		case 1:
+			if p := pending(); p != nil {
+				p.Seq = val
+			}
+		case 2:
+			if p := pending(); p != nil {
+				p.At = des.Time(val)
+			}
+		case 3:
+			sched.Now = val
+		case 4:
+			sched.Seq = val
+		case 5:
+			if sc.DES != nil {
+				sc.DES.SlotEventSeq = val
+			}
+		case 6:
+			h := sc.Metrics.DelayHist
+			if idx%2 == 1 {
+				h = sc.Metrics.RecoveryHist
+			}
+			counts := make([]int64, resize(len(h.Counts)))
+			copy(counts, h.Counts)
+			h.Counts = counts
+		case 7:
+			n := resize(len(sc.Frames))
+			for len(sc.Frames) < n {
+				sc.Frames = append(sc.Frames, sc.Frames[len(sc.Frames)-1])
+			}
+			sc.Frames = sc.Frames[:n]
+		case 8, 9:
+			fr := &sc.Frames[int(idx)%len(sc.Frames)]
+			acc := &fr.Delay
+			if field%11 == 9 {
+				acc = &fr.Recovery
+			}
+			states := make([]stats.AccumulatorState, resize(len(*acc)))
+			copy(states, *acc)
+			*acc = states
+		case 10:
+			d := &sc.Terms[int(idx)%len(sc.Terms)].Threshold
+			if idx%2 == 1 {
+				d = &sc.HLR[int(idx)%len(sc.HLR)].Threshold
+			}
+			*d = int(int64(val))
+		}
+		m, err := RunShardedOpts(context.Background(), config(engines[e]), slots, shards, RunOpts{Resume: cp})
+		if err == nil && m == nil {
+			t.Fatal("resume returned neither metrics nor an error")
+		}
+	})
+}
+
+// hasPending reports whether any scheduler in cp holds a queued event.
+func hasPending(cp *Checkpoint) bool {
+	for _, sc := range cp.Shard {
+		if sc.DES != nil && len(sc.DES.Sched.Pending) > 0 {
+			return true
+		}
+		for _, s := range sc.Scheds {
+			if len(s.Pending) > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}

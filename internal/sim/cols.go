@@ -211,9 +211,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	// from the checkpoint directly.
 	start := int64(0)
 	if r.resume != nil {
-		if err := restoreShardCore(n, terms, rngs, r.resume); err != nil {
-			return shardResult{}, err
-		}
+		restoreShardCore(n, terms, rngs, r.resume)
 		start = r.resume.Slot
 	}
 	c := newColsState(terms, rngs, r.startD)

@@ -1,17 +1,11 @@
 package sim
 
 import (
-	"bytes"
 	"cmp"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"slices"
 
-	"repro/internal/chain"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -68,79 +62,57 @@ type ShardPartial struct {
 }
 
 // RunPartial runs shards [lo, hi) of a shards-way partition of the
-// configured population — the worker half of a distributed run. The
-// shard geometry (terminal ranges, RNG streams, start threshold) is
-// derived exactly as RunShardedOpts derives it, so the returned partial
-// is bit-identical to the same shards' share of a single-node run.
+// configured population — the worker half of a distributed run. It
+// plans and dispatches the shards through the same runPlan as
+// RunShardedOpts (terminal ranges, RNG streams, start threshold), so the
+// returned partial is bit-identical to the same shards' share of a
+// single-node run.
 // Unlike RunSharded, shards must be explicit (a GOMAXPROCS default would
 // differ across machines). cfg.Telemetry.Progress, when set, is
 // initialized for the full global shard count; only entries [lo, hi)
 // receive updates. Cancelling ctx stops in-flight shards within a
 // bounded amount of work and returns ctx.Err().
 func RunPartial(ctx context.Context, cfg Config, slots int64, shards, lo, hi int) (*Partial, error) {
-	cfg = cfg.withDefaults()
-	if err := validate(cfg, slots); err != nil {
+	p, err := newPartialPlan(cfg, slots, shards, "run")
+	if err != nil {
 		return nil, err
-	}
-	if shards < 1 || shards > cfg.Terminals {
-		return nil, fmt.Errorf("sim: partial run needs an explicit shard count in [1, %d], got %d", cfg.Terminals, shards)
 	}
 	if lo < 0 || hi > shards || lo >= hi {
 		return nil, fmt.Errorf("sim: shard slice [%d,%d) outside [0,%d)", lo, hi, shards)
 	}
-	startD, err := startThreshold(cfg)
+	if err := p.resolveStart(); err != nil {
+		return nil, err
+	}
+	parts, err := p.run(ctx, lo, hi, RunOpts{})
 	if err != nil {
 		return nil, err
 	}
-	var loc locator = hexLocator{}
-	if cfg.Core.Model == chain.OneDim {
-		loc = lineLocator{}
-	}
-	engine := shardEngine(cfg.Engine)
-	cfg.Telemetry.Progress.Init(shards)
-	parts, err := sweep.MapCtx(ctx, hi-lo, 0, func(ctx context.Context, i int) (shardResult, error) {
-		s := lo + i
-		return engine(ctx, shardRun{
-			cfg:    cfg,
-			slots:  slots,
-			shard:  s,
-			lo:     s * cfg.Terminals / shards,
-			hi:     (s + 1) * cfg.Terminals / shards,
-			startD: startD,
-			loc:    loc,
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	p := &Partial{
+	out := &Partial{
 		Slots:  slots,
 		Shards: shards,
-		Seed:   cfg.Seed,
+		Seed:   p.cfg.Seed,
 		Lo:     lo,
 		Hi:     hi,
 		Shard:  make([]ShardPartial, hi-lo),
 	}
-	for i, pr := range parts {
-		s := lo + i
-		p.Shard[i] = exportShardPartial(s, s*cfg.Terminals/shards, (s+1)*cfg.Terminals/shards, pr)
+	for i, r := range parts {
+		out.Shard[i] = p.exportShardPartial(lo+i, r)
 	}
-	return p, nil
+	return out, nil
 }
 
-// exportShardPartial converts one engine shard result into its wire form.
-func exportShardPartial(shard, lo, hi int, r shardResult) ShardPartial {
+// exportShardPartial converts shard's engine result into its wire form.
+func (p *runPlan) exportShardPartial(shard int, r shardResult) ShardPartial {
 	m := r.metrics
 	sp := ShardPartial{
 		Shard:          shard,
-		Lo:             lo,
-		Hi:             hi,
 		SubEvents:      m.Events,
 		Metrics:        exportMetrics(m, exportThresholds),
 		TotalCost:      make([]float64, len(m.PerTerminal)),
 		FinalThreshold: make([]int, len(m.PerTerminal)),
 		Frames:         exportFrames(r.frames),
 	}
+	sp.Lo, sp.Hi = p.span(shard)
 	for i := range m.PerTerminal {
 		sp.TotalCost[i] = m.PerTerminal[i].TotalCost
 		sp.FinalThreshold[i] = m.PerTerminal[i].FinalThreshold
@@ -254,12 +226,9 @@ func (p *Partial) Validate() error {
 // different run shape is rejected with *PartialMismatchError; missing or
 // duplicated shards and malformed per-shard state are plain errors.
 func MergePartials(cfg Config, slots int64, shards int, parts []*Partial) (*Metrics, error) {
-	cfg = cfg.withDefaults()
-	if err := validate(cfg, slots); err != nil {
+	plan, err := newPartialPlan(cfg, slots, shards, "merge")
+	if err != nil {
 		return nil, err
-	}
-	if shards < 1 || shards > cfg.Terminals {
-		return nil, fmt.Errorf("sim: partial merge needs an explicit shard count in [1, %d], got %d", cfg.Terminals, shards)
 	}
 	byShard := make([]*ShardPartial, shards)
 	for _, p := range parts {
@@ -277,14 +246,16 @@ func MergePartials(cfg Config, slots int64, shards int, parts []*Partial) (*Metr
 			return nil, &PartialMismatchError{Field: "shards",
 				Got: fmt.Sprint(p.Shards), Want: fmt.Sprint(shards)}
 		}
-		if p.Seed != cfg.Seed {
+		if p.Seed != plan.cfg.Seed {
 			return nil, &PartialMismatchError{Field: "seed",
-				Got: fmt.Sprint(p.Seed), Want: fmt.Sprint(cfg.Seed)}
+				Got: fmt.Sprint(p.Seed), Want: fmt.Sprint(plan.cfg.Seed)}
 		}
 		for i := range p.Shard {
 			sp := &p.Shard[i]
-			if err := checkShardShape(sp, slots, cfg.Telemetry.SnapshotEvery); err != nil {
-				return nil, err
+			mc := &sp.Metrics
+			if mis := checkShape(sp.Shard, mc.DelayHist, mc.RecoveryHist, sp.Frames,
+				sp.Hi-sp.Lo, slots, plan.cfg.Telemetry.SnapshotEvery); mis != nil {
+				return nil, mis
 			}
 			if byShard[sp.Shard] != nil {
 				return nil, &PartialMismatchError{Field: "coverage",
@@ -293,52 +264,51 @@ func MergePartials(cfg Config, slots int64, shards int, parts []*Partial) (*Metr
 			byShard[sp.Shard] = sp
 		}
 	}
-	// Sized once: growing the per-terminal records shard by shard would
-	// reallocate (and leave as garbage) most of the population's records.
-	merged := &Metrics{PerTerminal: make([]TerminalStats, 0, cfg.Terminals)}
-	series := make([][]telemetry.ShardFrame, shards)
-	for s := 0; s < shards; s++ {
-		sp := byShard[s]
+	for s, sp := range byShard {
 		if sp == nil {
 			return nil, &PartialMismatchError{Field: "coverage",
 				Got: fmt.Sprintf("shard %d missing", s), Want: fmt.Sprintf("all %d shards", shards)}
 		}
-		lo, hi := s*cfg.Terminals/shards, (s+1)*cfg.Terminals/shards
-		if sp.Lo != lo || sp.Hi != hi {
+		if lo, hi := plan.span(s); sp.Lo != lo || sp.Hi != hi {
 			return nil, &PartialMismatchError{Field: "slice",
 				Got:  fmt.Sprintf("shard %d over terminals [%d,%d)", s, sp.Lo, sp.Hi),
 				Want: fmt.Sprintf("[%d,%d)", lo, hi)}
 		}
-		merged.Merge(restorePartialMetrics(cfg, slots, sp))
-		series[s] = restoreFrames(sp.Frames)
 	}
-	// Each shard reported only its sub-slot events; add the slot-sweep
-	// chain once, exactly as RunShardedOpts does after its merge.
-	merged.Events += uint64(slots)
-	if cfg.Telemetry.SnapshotEvery > 0 {
-		merged.Snapshots = telemetry.MergeFrames(series, cfg.Terminals,
-			cfg.Core.Costs.Update, cfg.Core.Costs.Poll)
-	}
-	return merged, nil
+	// Shards are restored on demand, so the coordinator holds at most one
+	// restored shard's metrics beside the merged result.
+	return plan.merge(func(s int) shardResult {
+		sp := byShard[s]
+		return shardResult{metrics: plan.restorePartialMetrics(sp), frames: restoreFrames(sp.Frames)}
+	}), nil
 }
 
-// checkShardShape rejects a shard whose histograms or telemetry frames
-// are not shaped the way this engine records them for the run. Such a
-// shard passes Partial.Validate, which knows no configuration, but would
-// panic in the histogram or frame merge.
-func checkShardShape(sp *ShardPartial, slots, every int64) error {
-	mc := &sp.Metrics
+// checkShape rejects shard state whose histograms or telemetry frames
+// are not shaped the way this engine records them: both histograms
+// present with this engine's width and bucket count and, under a
+// telemetry cadence every, one frame of width accumulators per cadence
+// boundary up to through plus one at through itself (a completed run's
+// final slot). Such state passes the configuration-free structural
+// checks (Partial.Validate, the checkpoint's vector lengths) but would
+// panic in the histogram or frame merge. MergePartials and
+// validateResume both gate on it; the Field is "hist" or "frames".
+func checkShape(shard int, delay, recovery *telemetry.Hist, frames []FrameCheckpoint,
+	width int, through, every int64) *PartialMismatchError {
 	for _, h := range []struct {
 		hist    *telemetry.Hist
 		width   float64
 		buckets int
 	}{
-		{mc.DelayHist, delayHistWidth, delayHistBuckets},
-		{mc.RecoveryHist, recoveryHistWidth, recoveryHistBuckets},
+		{delay, delayHistWidth, delayHistBuckets},
+		{recovery, recoveryHistWidth, recoveryHistBuckets},
 	} {
+		if h.hist == nil {
+			return &PartialMismatchError{Field: "hist",
+				Got: fmt.Sprintf("shard %d histogram missing", shard), Want: fmt.Sprintf("%v x %d", h.width, h.buckets)}
+		}
 		if h.hist.Width != h.width || len(h.hist.Counts) != h.buckets {
 			return &PartialMismatchError{Field: "hist",
-				Got:  fmt.Sprintf("shard %d histogram %v x %d", sp.Shard, h.hist.Width, len(h.hist.Counts)),
+				Got:  fmt.Sprintf("shard %d histogram %v x %d", shard, h.hist.Width, len(h.hist.Counts)),
 				Want: fmt.Sprintf("%v x %d", h.width, h.buckets)}
 		}
 	}
@@ -346,54 +316,45 @@ func checkShardShape(sp *ShardPartial, slots, every int64) error {
 		return nil
 	}
 	// Frames land on every multiple of the cadence and on the final slot.
-	if want := (slots + every - 1) / every; int64(len(sp.Frames)) != want {
+	if want := (through + every - 1) / every; int64(len(frames)) != want {
 		return &PartialMismatchError{Field: "frames",
-			Got: fmt.Sprintf("shard %d with %d frames", sp.Shard, len(sp.Frames)), Want: fmt.Sprint(want)}
+			Got: fmt.Sprintf("shard %d with %d frames", shard, len(frames)), Want: fmt.Sprint(want)}
 	}
-	for k := range sp.Frames {
-		if want := min(int64(k+1)*every, slots); sp.Frames[k].Slot != want {
+	for k := range frames {
+		f := &frames[k]
+		if want := min(int64(k+1)*every, through); f.Slot != want {
 			return &PartialMismatchError{Field: "frames",
-				Got:  fmt.Sprintf("shard %d frame %d at slot %d", sp.Shard, k, sp.Frames[k].Slot),
+				Got:  fmt.Sprintf("shard %d frame %d at slot %d", shard, k, f.Slot),
 				Want: fmt.Sprintf("slot %d", want)}
+		}
+		if len(f.Delay) != width || len(f.Recovery) != width {
+			return &PartialMismatchError{Field: "frames",
+				Got:  fmt.Sprintf("shard %d frame %d with %d+%d accumulator(s)", shard, k, len(f.Delay), len(f.Recovery)),
+				Want: fmt.Sprintf("%d+%d", width, width)}
 		}
 	}
 	return nil
 }
 
 // restorePartialMetrics rebuilds one shard's Metrics exactly as
-// finishShard left them on the producing machine: counters and histogram
-// copies, accumulator states restored bit-for-bit, global ids
-// re-derived from the shard's terminal range, and the shipped tail
-// fields (TotalCost, FinalThreshold) taken verbatim. The shard's
-// structural consistency was checked by Partial.Validate.
-func restorePartialMetrics(cfg Config, slots int64, sp *ShardPartial) *Metrics {
-	mc := &sp.Metrics
+// finishShard left them on the producing machine: the measurement state
+// restored bit-for-bit, global ids re-derived from the shard's terminal
+// range, and the shipped tail fields (TotalCost, FinalThreshold) taken
+// verbatim. The shard's structural consistency was checked by
+// Partial.Validate.
+func (p *runPlan) restorePartialMetrics(sp *ShardPartial) *Metrics {
 	width := sp.Hi - sp.Lo
 	m := &Metrics{
-		Slots:     slots,
-		Terminals: width,
-		Updates:   mc.Updates, Calls: mc.Calls, PolledCells: mc.PolledCells,
-		UpdateBytes: mc.UpdateBytes, PollBytes: mc.PollBytes, ReplyBytes: mc.ReplyBytes,
-		NotFound:    mc.NotFound,
-		LostUpdates: mc.LostUpdates, LostPolls: mc.LostPolls, LostReplies: mc.LostReplies,
-		FallbackCalls: mc.FallbackCalls, Retransmissions: mc.Retransmissions,
-		Acks: mc.Acks, AckBytes: mc.AckBytes,
-		RePolls: mc.RePolls, DroppedCalls: mc.DroppedCalls,
-		OutageDeferred: mc.OutageDeferred,
-		DelayHist:      mc.DelayHist.Clone(),
-		RecoveryHist:   mc.RecoveryHist.Clone(),
-		ThresholdSlots: restoreThresholds(mc.ThresholdSlots),
-		Events:         sp.SubEvents,
-		PerTerminal:    make([]TerminalStats, width),
-		costs:          cfg.Core.Costs,
+		Slots:       p.slots,
+		Terminals:   width,
+		Events:      sp.SubEvents,
+		PerTerminal: make([]TerminalStats, width),
+		costs:       p.cfg.Core.Costs,
 	}
-	for i := range mc.PerTerminal {
-		tsc := &mc.PerTerminal[i]
+	sp.Metrics.restoreInto(m, restoreThresholds)
+	for i := range m.PerTerminal {
 		ts := &m.PerTerminal[i]
 		ts.ID = sp.Lo + i
-		ts.Updates, ts.Calls, ts.PolledCells = tsc.Updates, tsc.Calls, tsc.PolledCells
-		ts.Delay.SetState(tsc.Delay)
-		ts.Recovery.SetState(tsc.Recovery)
 		ts.TotalCost = sp.TotalCost[i]
 		ts.FinalThreshold = sp.FinalThreshold[i]
 	}
@@ -404,21 +365,11 @@ func restorePartialMetrics(cfg Config, slots int64, sp *ShardPartial) *Metrics {
 var partMagic = []byte("PCNPART2")
 
 // EncodePartial serializes a partial to the same self-checking byte
-// format checkpoints use: a magic/version header, the gob payload, and a
-// CRC32 trailer over the payload. Gob encodes float64 values by bit
-// pattern, so decoding on another machine reproduces every accumulator
-// and cost rate exactly.
+// format checkpoints use (encodeFramed). Gob encodes float64 values by
+// bit pattern, so decoding on another machine reproduces every
+// accumulator and cost rate exactly.
 func EncodePartial(p *Partial) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(partMagic)
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, fmt.Errorf("sim: encoding partial: %w", err)
-	}
-	payload := buf.Bytes()[len(partMagic):]
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc32.ChecksumIEEE(payload))
-	buf.Write(tail[:])
-	return buf.Bytes(), nil
+	return encodeFramed(partMagic, "partial", p)
 }
 
 // DecodePartial parses bytes produced by EncodePartial, rejecting
@@ -426,17 +377,9 @@ func EncodePartial(p *Partial) ([]byte, error) {
 // decoded structure is not yet validated; callers must run
 // Partial.Validate before trusting it.
 func DecodePartial(data []byte) (*Partial, error) {
-	if len(data) < len(partMagic)+4 || !bytes.Equal(data[:len(partMagic)], partMagic) {
-		return nil, fmt.Errorf("sim: not a partial (bad magic)")
-	}
-	payload := data[len(partMagic) : len(data)-4]
-	want := binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("sim: partial checksum mismatch")
-	}
 	p := &Partial{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(p); err != nil {
-		return nil, fmt.Errorf("sim: decoding partial: %w", err)
+	if err := decodeFramed(partMagic, "partial", data, p); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -136,25 +136,63 @@ func TestMergePartialsMismatch(t *testing.T) {
 	}
 }
 
+// TestDecodePartialRejectsCorruption drives the framed codec partials
+// and checkpoints share through both formats: a foreign or truncated
+// header, a damaged payload, and the other format's bytes must each fail
+// with the format's own error text.
 func TestDecodePartialRejectsCorruption(t *testing.T) {
-	p, err := RunPartial(context.Background(), partialConfig(EngineCols), 20, 2, 0, 1)
+	cfg := partialConfig(EngineCols)
+	p, err := RunPartial(context.Background(), cfg, 20, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodePartial(p)
+	partial, err := EncodePartial(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodePartial(data[:4]); err == nil {
-		t.Error("truncated header accepted")
+	var ckpt []byte
+	if _, err := RunShardedOpts(context.Background(), cfg, 20, 2, RunOpts{
+		CheckpointEvery: 10,
+		CheckpointSink: func(cp *Checkpoint) {
+			data, err := EncodeCheckpoint(cp)
+			if err != nil {
+				t.Error(err)
+			}
+			ckpt = data
+		},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodePartial(append([]byte("XXNOPE99"), data[8:]...)); err == nil {
-		t.Error("bad magic accepted")
-	}
-	flipped := append([]byte(nil), data...)
-	flipped[len(flipped)/2] ^= 0x40
-	if _, err := DecodePartial(flipped); err == nil {
-		t.Error("corrupt payload accepted")
+	decodePartial := func(b []byte) error { _, err := DecodePartial(b); return err }
+	decodeCheckpoint := func(b []byte) error { _, err := DecodeCheckpoint(b); return err }
+	for _, f := range []struct {
+		what         string
+		data, other  []byte
+		decode       func([]byte) error
+		magic, check string
+	}{
+		{"partial", partial, ckpt, decodePartial, "sim: not a partial (bad magic)", "sim: partial checksum mismatch"},
+		{"checkpoint", ckpt, partial, decodeCheckpoint, "sim: not a checkpoint (bad magic)", "sim: checkpoint checksum mismatch"},
+	} {
+		flipped := append([]byte(nil), f.data...)
+		flipped[len(flipped)/2] ^= 0x40
+		for _, tc := range []struct {
+			name string
+			data []byte
+			want string
+		}{
+			{"bad magic", append([]byte("XXNOPE99"), f.data[8:]...), f.magic},
+			{"flipped payload byte", flipped, f.check},
+			{"shorter than header and trailer", f.data[:11], f.magic},
+			{"other format", f.other, f.magic},
+		} {
+			if err := f.decode(tc.data); err == nil || err.Error() != tc.want {
+				t.Errorf("%s, %s: got %v, want %q", f.what, tc.name, err, tc.want)
+			}
+		}
+		if err := f.decode(f.data); err != nil {
+			t.Errorf("%s: pristine bytes rejected: %v", f.what, err)
+		}
 	}
 }
 

@@ -86,8 +86,8 @@ type RunOpts struct {
 // sink checkpoints, or resumed from any of them, still produces
 // bit-identical Metrics for every shard count and engine.
 func RunShardedOpts(ctx context.Context, cfg Config, slots int64, shards int, opts RunOpts) (*Metrics, error) {
-	cfg = cfg.withDefaults()
-	if err := validate(cfg, slots); err != nil {
+	p, err := newRunPlan(cfg, slots)
+	if err != nil {
 		return nil, err
 	}
 	if shards < 0 {
@@ -102,16 +102,9 @@ func RunShardedOpts(ctx context.Context, cfg Config, slots int64, shards int, op
 			shards = runtime.GOMAXPROCS(0)
 		}
 	}
-	if shards > cfg.Terminals {
-		shards = cfg.Terminals
-	}
-	startD, err := startThreshold(cfg)
-	if err != nil {
+	p.shards = min(shards, p.cfg.Terminals)
+	if err := p.resolveStart(); err != nil {
 		return nil, err
-	}
-	var loc locator = hexLocator{}
-	if cfg.Core.Model == chain.OneDim {
-		loc = lineLocator{}
 	}
 	if opts.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("sim: negative checkpoint cadence %d", opts.CheckpointEvery)
@@ -120,32 +113,109 @@ func RunShardedOpts(ctx context.Context, cfg Config, slots int64, shards int, op
 		return nil, errors.New("sim: checkpoint cadence without a sink")
 	}
 	if opts.Resume != nil {
-		if err := validateResume(opts.Resume, cfg, slots, shards, startD); err != nil {
+		if err := p.validateResume(opts.Resume); err != nil {
 			return nil, err
 		}
 	}
+	parts, err := p.run(ctx, 0, p.shards, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.merge(func(s int) shardResult { return parts[s] }), nil
+}
 
-	engine := shardEngine(cfg.Engine)
+// runPlan is the shape every sharded path shares — the single-node run
+// and its resume (RunShardedOpts), a cluster worker's slice
+// (RunPartial) and the coordinator's fold (MergePartials): the
+// validated, defaulted configuration, the run length, the shard count,
+// the start threshold and the cell locator. Shard geometry, dispatch
+// and the merge convention are decided here once, so every path
+// partitions and folds the population identically.
+type runPlan struct {
+	cfg    Config
+	slots  int64
+	shards int
+	// startD is resolved only by the paths that run shards (resolveStart);
+	// the merge needs none, and a network-optimized threshold costs a
+	// core.Scan.
+	startD int
+	loc    locator
+}
+
+// newRunPlan validates cfg for a run of slots slots; the caller settles
+// the shard count.
+func newRunPlan(cfg Config, slots int64) (*runPlan, error) {
+	cfg = cfg.withDefaults()
+	if err := validate(cfg, slots); err != nil {
+		return nil, err
+	}
+	p := &runPlan{cfg: cfg, slots: slots, loc: hexLocator{}}
+	if cfg.Core.Model == chain.OneDim {
+		p.loc = lineLocator{}
+	}
+	return p, nil
+}
+
+// newPartialPlan is newRunPlan for the cluster paths, whose shard count
+// must be explicit: a GOMAXPROCS default would differ across machines.
+// op names the caller in the error.
+func newPartialPlan(cfg Config, slots int64, shards int, op string) (*runPlan, error) {
+	p, err := newRunPlan(cfg, slots)
+	if err != nil {
+		return nil, err
+	}
+	if shards < 1 || shards > p.cfg.Terminals {
+		return nil, fmt.Errorf("sim: partial %s needs an explicit shard count in [1, %d], got %d", op, p.cfg.Terminals, shards)
+	}
+	p.shards = shards
+	return p, nil
+}
+
+// resolveStart resolves the static threshold every terminal starts with;
+// negative Config.Threshold means network-optimized. It runs once before
+// sharding so every shard starts from the same d.
+func (p *runPlan) resolveStart() error {
+	if p.cfg.Threshold >= 0 {
+		p.startD = p.cfg.Threshold
+		return nil
+	}
+	res, err := core.Scan(p.cfg.Core, p.cfg.MaxThreshold)
+	if err != nil {
+		return err
+	}
+	p.startD = res.Best.Threshold
+	return nil
+}
+
+// span is shard s's global terminal range [lo, hi).
+func (p *runPlan) span(s int) (lo, hi int) {
+	return s * p.cfg.Terminals / p.shards, (s + 1) * p.cfg.Terminals / p.shards
+}
+
+// run simulates shards [lo, hi) concurrently on the sweep pool, each on
+// the configured engine, and returns their results in shard order. opts
+// threads the checkpoint plumbing through (a resume must already have
+// passed validateResume). cfg.Telemetry.Progress, when set, is
+// initialized for the full shard count; only entries [lo, hi) receive
+// updates.
+func (p *runPlan) run(ctx context.Context, lo, hi int, opts RunOpts) ([]shardResult, error) {
+	engine := runShardCols
+	if p.cfg.Engine == EngineDES {
+		engine = runShard
+	}
 	var agg *ckptAggregator
 	if opts.CheckpointEvery > 0 {
-		upd, _ := resolveScheme(cfg.Scheme) // validated above
-		shape := Checkpoint{Slots: slots, Shards: shards, StartD: startD,
-			Seed: cfg.Seed, Engine: cfg.Engine,
+		upd, _ := resolveScheme(p.cfg.Scheme) // validated by newRunPlan
+		shape := Checkpoint{Slots: p.slots, Shards: p.shards, StartD: p.startD,
+			Seed: p.cfg.Seed, Engine: p.cfg.Engine,
 			Scheme: upd.kind.String(), SchemeParam: upd.param}
-		agg = newCkptAggregator(shape, shards, opts.CheckpointSink)
+		agg = newCkptAggregator(shape, opts.CheckpointSink)
 	}
-	cfg.Telemetry.Progress.Init(shards)
-	parts, err := sweep.MapCtx(ctx, shards, 0, func(ctx context.Context, s int) (shardResult, error) {
-		r := shardRun{
-			cfg:    cfg,
-			slots:  slots,
-			shard:  s,
-			lo:     s * cfg.Terminals / shards,
-			hi:     (s + 1) * cfg.Terminals / shards,
-			startD: startD,
-			loc:    loc,
-			every:  opts.CheckpointEvery,
-		}
+	p.cfg.Telemetry.Progress.Init(p.shards)
+	return sweep.MapCtx(ctx, hi-lo, 0, func(ctx context.Context, i int) (shardResult, error) {
+		s := lo + i
+		r := shardRun{runPlan: p, shard: s, every: opts.CheckpointEvery}
+		r.lo, r.hi = p.span(s)
 		if opts.Resume != nil {
 			r.resume = &opts.Resume.Shard[s]
 		}
@@ -154,37 +224,31 @@ func RunShardedOpts(ctx context.Context, cfg Config, slots int64, shards int, op
 		}
 		return engine(ctx, r)
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Sized once: growing the per-terminal records shard by shard would
-	// reallocate (and leave as garbage) most of the population's records.
-	merged := &Metrics{PerTerminal: make([]TerminalStats, 0, cfg.Terminals)}
-	for _, p := range parts {
-		merged.Merge(p.metrics)
-	}
-	// Each shard reported only its sub-slot events; add the slot-sweep
-	// chain once, restoring the single-engine convention.
-	merged.Events += uint64(slots)
-	if cfg.Telemetry.SnapshotEvery > 0 {
-		series := make([][]telemetry.ShardFrame, len(parts))
-		for i, p := range parts {
-			series[i] = p.frames
-		}
-		merged.Snapshots = telemetry.MergeFrames(series, cfg.Terminals,
-			cfg.Core.Costs.Update, cfg.Core.Costs.Poll)
-	}
-	return merged, nil
 }
 
-// shardEngine returns the per-shard implementation of engine e; both
-// RunShardedOpts and RunPartial dispatch through it.
-func shardEngine(e Engine) func(context.Context, shardRun) (shardResult, error) {
-	if e == EngineDES {
-		return runShard
+// merge folds every shard's result, fetched by shard(s) in global shard
+// order, into whole-run Metrics: Metrics.Merge per shard, the slot-sweep
+// event chain added back once (each shard reports only its sub-slot
+// events), and the telemetry series assembled by telemetry.MergeFrames.
+// shard is called once per shard and its metrics are folded before the
+// next call, so a caller that builds shards on demand holds only one at
+// a time.
+func (p *runPlan) merge(shard func(s int) shardResult) *Metrics {
+	// Sized once: growing the per-terminal records shard by shard would
+	// reallocate (and leave as garbage) most of the population's records.
+	merged := &Metrics{PerTerminal: make([]TerminalStats, 0, p.cfg.Terminals)}
+	series := make([][]telemetry.ShardFrame, p.shards)
+	for s := range series {
+		r := shard(s)
+		merged.Merge(r.metrics)
+		series[s] = r.frames
 	}
-	return runShardCols
+	merged.Events += uint64(p.slots)
+	if p.cfg.Telemetry.SnapshotEvery > 0 {
+		merged.Snapshots = telemetry.MergeFrames(series, p.cfg.Terminals,
+			p.cfg.Core.Costs.Update, p.cfg.Core.Costs.Poll)
+	}
+	return merged
 }
 
 // shardResult is one shard's share of a run: its metrics plus its
@@ -194,16 +258,13 @@ type shardResult struct {
 	frames  []telemetry.ShardFrame
 }
 
-// shardRun is everything one engine invocation needs: the run shape, the
+// shardRun is everything one engine invocation needs: the run plan, the
 // shard's slice of the population, and the checkpoint plumbing (resume
 // source and capture cadence/sink), both inactive in a plain run.
 type shardRun struct {
-	cfg    Config
-	slots  int64
+	*runPlan
 	shard  int
 	lo, hi int
-	startD int
-	loc    locator
 	// resume, when non-nil, is this shard's slice of the checkpoint the
 	// run continues from (already validated against the run shape).
 	resume *ShardCheckpoint
@@ -215,18 +276,23 @@ type shardRun struct {
 
 // validateResume rejects checkpoints that do not describe the offered
 // run: resuming under a different shape would not merely be lossy, it
-// would produce a report matching no configuration at all.
-func validateResume(cp *Checkpoint, cfg Config, slots int64, shards, startD int) error {
+// would produce a report matching no configuration at all. It also
+// rejects state no engine could have written — misshapen histograms or
+// telemetry frames, scheduler events the restore would panic on — so a
+// damaged checkpoint is an error the caller can fall back from, never a
+// panic on a shard goroutine.
+func (p *runPlan) validateResume(cp *Checkpoint) error {
+	cfg, slots := p.cfg, p.slots
 	if cp.Slots != slots {
 		return fmt.Errorf("sim: checkpoint is for %d slots, run wants %d", cp.Slots, slots)
 	}
 	if cp.Seed != cfg.Seed {
 		return fmt.Errorf("sim: checkpoint seed %d does not match configured seed %d", cp.Seed, cfg.Seed)
 	}
-	if cp.StartD != startD {
-		return fmt.Errorf("sim: checkpoint start threshold %d does not match run's %d", cp.StartD, startD)
+	if cp.StartD != p.startD {
+		return fmt.Errorf("sim: checkpoint start threshold %d does not match run's %d", cp.StartD, p.startD)
 	}
-	upd, _ := resolveScheme(cfg.Scheme) // cfg was validated before resume
+	upd, _ := resolveScheme(cfg.Scheme) // validated by newRunPlan
 	cpScheme := cp.Scheme
 	if cpScheme == "" {
 		// Checkpoints written before the scheme field existed are all
@@ -241,17 +307,22 @@ func validateResume(cp *Checkpoint, cfg Config, slots int64, shards, startD int)
 		return fmt.Errorf("sim: %s-engine checkpoint cannot resume on engine %s",
 			cp.Engine, cfg.Engine)
 	}
-	if cp.Shards != shards || len(cp.Shard) != cp.Shards {
+	if cp.Shards != p.shards || cp.Shards < 1 || len(cp.Shard) != cp.Shards {
 		return fmt.Errorf("sim: checkpoint partitions %d terminals into %d shards (%d recorded), run wants %d",
-			cfg.Terminals, cp.Shards, len(cp.Shard), shards)
+			cfg.Terminals, cp.Shards, len(cp.Shard), p.shards)
 	}
 	if cp.Slot <= 0 || cp.Slot >= slots {
 		return fmt.Errorf("sim: checkpoint boundary %d outside (0, %d)", cp.Slot, slots)
 	}
+	// The telemetry frames captured so far: one per cadence boundary
+	// up to and including the checkpoint's.
+	framed := cp.Slot
+	if every := cfg.Telemetry.SnapshotEvery; every > 0 {
+		framed -= cp.Slot % every
+	}
 	for s := range cp.Shard {
 		sc := &cp.Shard[s]
-		lo := s * cfg.Terminals / shards
-		hi := (s + 1) * cfg.Terminals / shards
+		lo, hi := p.span(s)
 		if sc.Lo != lo || sc.Hi != hi || sc.Slot != cp.Slot {
 			return fmt.Errorf("sim: checkpoint shard %d covers [%d,%d) at slot %d, run wants [%d,%d) at %d",
 				s, sc.Lo, sc.Hi, sc.Slot, lo, hi, cp.Slot)
@@ -267,6 +338,40 @@ func validateResume(cp *Checkpoint, cfg Config, slots int64, shards, startD int)
 		} else if len(sc.Scheds) != width || len(sc.PreSweep) != width ||
 			len(sc.CurD) != width || len(sc.RunLen) != width {
 			return fmt.Errorf("sim: checkpoint shard %d missing columnar-engine scheduler state", s)
+		}
+		for i := range sc.Terms {
+			// Runs keep every threshold in [0, MaxThreshold]; the paging
+			// geometry panics on a negative one.
+			if d, h := sc.Terms[i].Threshold, sc.HLR[i].Threshold; min(d, h) < 0 || max(d, h) > cfg.MaxThreshold {
+				return fmt.Errorf("sim: checkpoint shard %d terminal %d threshold %d (registry %d) outside [0, %d]",
+					s, i, d, h, cfg.MaxThreshold)
+			}
+		}
+		mc := &sc.Metrics
+		if mis := checkShape(s, mc.DelayHist, mc.RecoveryHist, sc.Frames, width,
+			framed, cfg.Telemetry.SnapshotEvery); mis != nil {
+			return fmt.Errorf("sim: checkpoint %s mismatch: got %s, want %s", mis.Field, mis.Got, mis.Want)
+		}
+		// Resume rebinds every pending event to an ack timer of the
+		// shard (ackTag) and replays events by (time, stamp), so each must
+		// name a terminal of the shard, carry a stamp below its
+		// scheduler's counter and be due no earlier than its clock.
+		scheds := sc.Scheds
+		if ds := sc.DES; cp.Engine == EngineDES {
+			// The boundary slot event is re-inserted the same way.
+			if ds.SlotEventSeq >= ds.Sched.Seq || uint64(cp.Slot)*SlotTicks < ds.Sched.Now {
+				return fmt.Errorf("sim: checkpoint shard %d slot event (stamp %d, time %d) outside scheduler (counter %d, now %d)",
+					s, ds.SlotEventSeq, uint64(cp.Slot)*SlotTicks, ds.Sched.Seq, ds.Sched.Now)
+			}
+			scheds = []SchedCheckpoint{ds.Sched}
+		}
+		for _, sched := range scheds {
+			for _, e := range sched.Pending {
+				if i := e.Tag >> 32; i >= uint64(width) || e.Seq >= sched.Seq || uint64(e.At) < sched.Now {
+					return fmt.Errorf("sim: checkpoint shard %d pending event (terminal %d, stamp %d, time %d) outside scheduler (%d terminals, counter %d, now %d)",
+						s, i, e.Seq, e.At, width, sched.Seq, sched.Now)
+				}
+			}
 		}
 	}
 	return nil
@@ -313,20 +418,6 @@ func validate(cfg Config, slots int64) error {
 			cfg.MaxThreshold, cfg.Faults.PageRetries, SlotTicks)
 	}
 	return nil
-}
-
-// startThreshold resolves the static threshold every terminal starts with;
-// negative Config.Threshold means network-optimized. It runs once before
-// sharding so every shard starts from the same d.
-func startThreshold(cfg Config) (int, error) {
-	if cfg.Threshold >= 0 {
-		return cfg.Threshold, nil
-	}
-	res, err := core.Scan(cfg.Core, cfg.MaxThreshold)
-	if err != nil {
-		return 0, err
-	}
-	return res.Best.Threshold, nil
 }
 
 // newShardNetwork builds the starting state the engines share for
@@ -480,11 +571,8 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 		}
 		if r.every > 0 && cur > start && cur%r.every == 0 {
 			sc := captureShardCore(n, terms, rngs, cur, r.lo, r.hi, frames)
-			now, seq, ran, pending := sched.Checkpoint()
-			sc.DES = &DESCheckpoint{
-				Sched:        SchedCheckpoint{Now: uint64(now), Seq: seq, Ran: ran - 1, Pending: pending},
-				SlotEventSeq: slotStamp,
-			}
+			sc.DES = &DESCheckpoint{Sched: schedCheckpoint(&sched), SlotEventSeq: slotStamp}
+			sc.DES.Sched.Ran-- // the running slot event re-dispatches on resume
 			r.emit(sc)
 		}
 		for i := range terms {
@@ -505,9 +593,7 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 		}
 	}
 	if r.resume != nil {
-		if err := restoreShardCore(n, terms, rngs, r.resume); err != nil {
-			return shardResult{}, err
-		}
+		restoreShardCore(n, terms, rngs, r.resume)
 		frames = restoreFrames(r.resume.Frames)
 		start = r.resume.Slot
 		cur = start

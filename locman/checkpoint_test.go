@@ -8,6 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/des"
+	"repro/internal/sim"
 )
 
 // checkpointConfig is a deliberately hostile run for checkpoint/resume:
@@ -257,5 +260,127 @@ func TestCheckpointResumeValidation(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint([]byte("not a checkpoint")); err == nil {
 		t.Error("decoding garbage should fail")
+	}
+}
+
+// TestCheckpointResumeRejectsHostileState: a checkpoint that decodes
+// cleanly but holds state no engine could have written — a damaged disk,
+// a hand-edited file, a bug in an older binary — must fail resume with an
+// error, never panic. A panic on a shard goroutine re-raises on the
+// caller's, so in the job service it would take the daemon down, and
+// journal replay would reload the same file on restart; an error makes
+// the service fall back to a clean run instead.
+func TestCheckpointResumeRejectsHostileState(t *testing.T) {
+	const every, shards = 97, 3
+	// sched finds a checkpointed scheduler that has scheduled something —
+	// the reference engine's per-shard scheduler or one of the columnar
+	// engine's per-terminal ones — to plant pending timers in. (Timers
+	// fire within the slot that armed them under the default ack
+	// timeout, so a checkpoint holds none of its own.)
+	sched := func(cp *Checkpoint) *sim.SchedCheckpoint {
+		for s := range cp.Shard {
+			sc := &cp.Shard[s]
+			if sc.DES != nil {
+				return &sc.DES.Sched
+			}
+			for i := range sc.Scheds {
+				if sc.Scheds[i].Seq > 0 && sc.Scheds[i].Now > 0 {
+					return &sc.Scheds[i]
+				}
+			}
+		}
+		return nil
+	}
+	// plant queues the ack timer event(ps) on sched(cp). Tag 1<<32|2 is
+	// terminal 1's update 2; the initial registration consumed seq 1.
+	plant := func(cp *Checkpoint, event func(ps *sim.SchedCheckpoint) des.PendingEvent) {
+		ps := sched(cp)
+		ps.Pending = append(ps.Pending, event(ps))
+	}
+	cases := []struct {
+		name    string
+		desOnly bool
+		break_  func(cp *Checkpoint)
+	}{
+		{"timer of a terminal outside the shard", false, func(cp *Checkpoint) {
+			plant(cp, func(ps *sim.SchedCheckpoint) des.PendingEvent {
+				return des.PendingEvent{At: des.Time(ps.Now), Tag: 1<<50 | 2}
+			})
+		}},
+		{"timer stamped at the counter", false, func(cp *Checkpoint) {
+			plant(cp, func(ps *sim.SchedCheckpoint) des.PendingEvent {
+				return des.PendingEvent{At: des.Time(ps.Now), Seq: ps.Seq, Tag: 1<<32 | 2}
+			})
+		}},
+		{"timer due before the clock", false, func(cp *Checkpoint) {
+			plant(cp, func(ps *sim.SchedCheckpoint) des.PendingEvent {
+				return des.PendingEvent{At: des.Time(ps.Now - 1), Tag: 1<<32 | 2}
+			})
+		}},
+		{"missing delay histogram", false, func(cp *Checkpoint) { cp.Shard[0].Metrics.DelayHist = nil }},
+		{"3-bucket delay histogram", false, func(cp *Checkpoint) {
+			h := cp.Shard[1].Metrics.DelayHist
+			h.Counts = h.Counts[:3]
+		}},
+		{"recovery histogram width", false, func(cp *Checkpoint) { cp.Shard[2].Metrics.RecoveryHist.Width = 2 }},
+		{"dropped telemetry frame", false, func(cp *Checkpoint) {
+			cp.Shard[0].Frames = cp.Shard[0].Frames[:len(cp.Shard[0].Frames)-1]
+		}},
+		{"misaligned telemetry frame", false, func(cp *Checkpoint) { cp.Shard[1].Frames[0].Slot++ }},
+		{"narrow telemetry frame", false, func(cp *Checkpoint) {
+			f := &cp.Shard[2].Frames[0]
+			f.Recovery = f.Recovery[:1]
+		}},
+		{"slot event stamped at the counter", true, func(cp *Checkpoint) {
+			ds := cp.Shard[1].DES
+			ds.SlotEventSeq = ds.Sched.Seq
+		}},
+		{"clock past the boundary", true, func(cp *Checkpoint) {
+			cp.Shard[2].DES.Sched.Now = uint64(cp.Slot+1) * sim.SlotTicks
+		}},
+	}
+	for _, engine := range []Engine{EngineCols, EngineDES} {
+		cfg := checkpointConfig(engine)
+		// Keep the first checkpoint past a telemetry frame, encoded:
+		// every case mutates a fresh decode.
+		var raw []byte
+		if _, err := SimulateNetworkCheckpointed(context.Background(),
+			cfg, checkpointSlots, shards, every, func(cp *Checkpoint) {
+				if raw != nil || cp.Slot < cfg.SnapshotEvery || sched(cp) == nil {
+					return
+				}
+				data, err := EncodeCheckpoint(cp)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				raw = data
+			}); err != nil {
+			t.Fatal(err)
+		}
+		if raw == nil {
+			t.Fatalf("%s: no checkpoint past slot %d has a used scheduler", engine, cfg.SnapshotEvery)
+		}
+		for _, tc := range cases {
+			if tc.desOnly && engine != EngineDES {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/%s", engine, tc.name), func(t *testing.T) {
+				cp, err := DecodeCheckpoint(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.break_(cp)
+				defer func() {
+					if v := recover(); v != nil {
+						t.Errorf("resume panicked: %v", v)
+					}
+				}()
+				if _, err := ResumeNetworkCheckpointed(context.Background(),
+					cfg, checkpointSlots, shards, cp, 0, nil); err == nil {
+					t.Error("hostile checkpoint resumed")
+				}
+			})
+		}
 	}
 }
