@@ -134,7 +134,7 @@ type Result struct {
 	UpdateCost, PagingCost, TotalCost float64
 	// Delay is the paging delay per call in polling cycles (always 1 for
 	// the LA scheme).
-	Delay stats.Accumulator
+	Delay stats.Moments
 }
 
 // Simulate runs the configured scheme for the given number of slots.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/des"
@@ -12,8 +13,9 @@ import (
 // It is structure-aware: each input picks one field of a decoded, valid
 // checkpoint — a pending timer's tag, stamp or time, a scheduler's clock
 // or counter, the reference engine's slot-event stamp, a histogram's
-// bucket count, the frame series' length, one frame's width or one
-// terminal's threshold on either side of the air interface — and
+// bucket count, the frame series' length, the unit of one frame's or
+// the shard's delay/recovery moments or one terminal's threshold on
+// either side of the air interface — and
 // overwrites it. Whatever the edit, RunShardedOpts must return metrics
 // or an error, never panic: a panic on a shard goroutine re-raises on
 // the caller's and would take a resuming job service down. (Fuzzing the
@@ -120,20 +122,21 @@ func FuzzResumeCheckpoint(f *testing.F) {
 			copy(counts, h.Counts)
 			h.Counts = counts
 		case 7:
-			n := resize(len(sc.Frames))
-			for len(sc.Frames) < n {
-				sc.Frames = append(sc.Frames, sc.Frames[len(sc.Frames)-1])
+			n := resize(len(sc.Snapshots))
+			for len(sc.Snapshots) < n {
+				sc.Snapshots = append(sc.Snapshots, sc.Snapshots[len(sc.Snapshots)-1])
 			}
-			sc.Frames = sc.Frames[:n]
+			sc.Snapshots = sc.Snapshots[:n]
 		case 8, 9:
-			fr := &sc.Frames[int(idx)%len(sc.Frames)]
-			acc := &fr.Delay
+			fr := &sc.Snapshots[int(idx)%len(sc.Snapshots)]
+			m := &fr.Delay
 			if field%11 == 9 {
-				acc = &fr.Recovery
+				m = &fr.Recovery
 			}
-			states := make([]stats.AccumulatorState, resize(len(*acc)))
-			copy(states, *acc)
-			*acc = states
+			if idx%2 == 1 {
+				m = &sc.Metrics.Recovery
+			}
+			*m = stats.NewMoments(1 + int64(val%(2*SlotTicks)))
 		case 10:
 			d := &sc.Terms[int(idx)%len(sc.Terms)].Threshold
 			if idx%2 == 1 {
@@ -161,4 +164,38 @@ func hasPending(cp *Checkpoint) bool {
 		}
 	}
 	return false
+}
+
+// TestDecodeCheckpointV1RejectsInexactMoments: a PCNCKPT1 file whose
+// per-terminal Welford state cannot come from integer samples fails to
+// decode with ErrInexactLegacyMoments rather than resuming with made-up
+// sums. Gob matches fields by name, so a document holding just the
+// legacy per-terminal state stands in for a whole old checkpoint.
+func TestDecodeCheckpointV1RejectsInexactMoments(t *testing.T) {
+	type term struct{ Delay, Recovery stats.AccumulatorState }
+	type metrics struct{ PerTerminal []term }
+	type shard struct{ Metrics metrics }
+	legacy := func(delay stats.AccumulatorState) []byte {
+		doc := struct{ Shard []shard }{[]shard{{metrics{[]term{{Delay: delay}}}}}}
+		data, err := encodeFramed(ckptMagicV1, "checkpoint", doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// Two samples of 1 and 2 cycles: Σx = 3, Σx² = 5.
+	cp, err := DecodeCheckpoint(legacy(stats.AccumulatorState{N: 2, Mean: 1.5, M2: 0.5, Min: 1, Max: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stats.Moments{}
+	want.Add(1)
+	want.Add(2)
+	if got := cp.Shard[0].Metrics.Delay; got != want || cp.Shard[0].Metrics.Recovery.Unit() != SlotTicks {
+		t.Errorf("converted delay %+v (recovery unit %d), want %+v", got, cp.Shard[0].Metrics.Recovery.Unit(), want)
+	}
+	// A mean of 1.25 over two samples is no pair of integers.
+	if _, err := DecodeCheckpoint(legacy(stats.AccumulatorState{N: 2, Mean: 1.25, M2: 0.125, Min: 1, Max: 1.5})); !errors.Is(err, ErrInexactLegacyMoments) {
+		t.Errorf("got %v, want ErrInexactLegacyMoments", err)
+	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/grid"
@@ -228,7 +229,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	// reference engine's Processed() minus its slot sweeps.
 	var subEvents uint64
 	if r.resume != nil {
-		frames = restoreFrames(r.resume.Frames)
+		frames = slices.Clone(r.resume.Snapshots)
 		subEvents = r.resume.SubEvents
 		bind := ackBind(n, terms)
 		for i := range terms {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // shardMetrics builds a plausible one-shard Metrics for terminals with the
@@ -18,9 +19,8 @@ func shardMetrics(slots int64, ids ...int) *Metrics {
 		costs:          core.Costs{Update: 100, Poll: 10},
 	}
 	for _, id := range ids {
-		ts := TerminalStats{ID: id, Updates: 1, Calls: 1, PolledCells: 2, FinalThreshold: 3}
-		ts.Delay.Add(1)
-		m.PerTerminal = append(m.PerTerminal, ts)
+		m.PerTerminal = append(m.PerTerminal, TerminalStats{ID: id, Updates: 1, Calls: 1, PolledCells: 2, FinalThreshold: 3})
+		m.Delay.Add(1)
 		m.Updates++
 		m.Calls++
 		m.PolledCells += 2
@@ -35,8 +35,9 @@ func shardMetrics(slots int64, ids ...int) *Metrics {
 // to one per terminal and one recovery episode of two slots each.
 func faultShardMetrics(slots int64, ids ...int) *Metrics {
 	m := shardMetrics(slots, ids...)
-	for i := range m.PerTerminal {
-		m.PerTerminal[i].Recovery.Add(2)
+	m.Recovery = stats.NewMoments(SlotTicks)
+	for range ids {
+		m.Recovery.Add(2 * SlotTicks)
 	}
 	n := int64(len(ids))
 	m.LostUpdates, m.LostPolls, m.LostReplies = n, n, n
@@ -155,8 +156,8 @@ func TestMetricsMerge(t *testing.T) {
 						t.Errorf("%s = %d, want 3", name, got)
 					}
 				}
-				// One 2-slot recovery episode per terminal, re-reduced
-				// from the per-terminal accumulators in id order.
+				// One 2-slot recovery episode per terminal, summed
+				// across the shards.
 				if m.Recovery.N() != 3 || m.Recovery.Mean() != 2 {
 					t.Errorf("recovery %v, want 3 samples of mean 2", m.Recovery)
 				}
@@ -190,22 +191,21 @@ func TestMetricsMerge(t *testing.T) {
 	}
 }
 
-// TestMetricsMergeGroupingInvariant checks the floating-point reduction is
-// grouping-independent: folding shards {0,1}+{2,3} and {0}+{1,2}+{3} must
-// give bit-identical aggregates, because Merge always re-reduces from the
-// per-terminal records in id order.
+// TestMetricsMergeGroupingInvariant checks the reduction is grouping- and
+// order-independent: folding shards {0,1}+{2,3}, {0}+{1,2}+{3} and
+// {3}+{1,2}+{0} must give bit-identical aggregates, because every merged
+// aggregate is an exact integer sum.
 func TestMetricsMergeGroupingInvariant(t *testing.T) {
-	delays := map[int][]float64{
+	delays := map[int][]int64{
 		0: {1, 2, 3}, 1: {2}, 2: {1, 1, 2}, 3: {3, 1},
 	}
 	build := func(ids ...int) *Metrics {
 		m := &Metrics{Slots: 10, Terminals: len(ids), ThresholdSlots: map[int]int64{}}
 		for _, id := range ids {
-			ts := TerminalStats{ID: id}
+			m.PerTerminal = append(m.PerTerminal, TerminalStats{ID: id})
 			for _, d := range delays[id] {
-				ts.Delay.Add(d)
+				m.Delay.Add(d)
 			}
-			m.PerTerminal = append(m.PerTerminal, ts)
 		}
 		m.recompute()
 		return m
@@ -217,8 +217,12 @@ func TestMetricsMergeGroupingInvariant(t *testing.T) {
 	b.Merge(build(0))
 	b.Merge(build(1, 2))
 	b.Merge(build(3))
-	if !reflect.DeepEqual(&a, &b) {
-		t.Errorf("grouping changed the merged metrics:\n%+v\n%+v", a, b)
+	var c Metrics
+	c.Merge(build(3))
+	c.Merge(build(1, 2))
+	c.Merge(build(0))
+	if !reflect.DeepEqual(&a, &b) || !reflect.DeepEqual(&a, &c) {
+		t.Errorf("grouping changed the merged metrics:\n%+v\n%+v\n%+v", a, b, c)
 	}
 	if a.Delay.N() != 9 {
 		t.Errorf("delay samples %d, want 9", a.Delay.N())

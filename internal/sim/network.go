@@ -116,9 +116,9 @@ func (n *network) markDesynced(t *terminal) {
 	}
 }
 
-// markSynced closes a divergence episode, recording its duration in slots
-// on the terminal's recovery-latency accumulator (folded in id order at
-// merge time, like the delay accumulator) and the fixed-bucket histogram.
+// markSynced closes a divergence episode, recording its duration on the
+// shard's recovery-latency moments (in ticks) and the fixed-bucket
+// histogram (in slots).
 func (n *network) markSynced(t *terminal) {
 	n.markSyncedAt(t, n.sched.Now())
 }
@@ -131,9 +131,9 @@ func (n *network) markSynced(t *terminal) {
 func (n *network) markSyncedAt(t *terminal, now des.Time) {
 	if t.desynced {
 		t.desynced = false
-		latency := float64(now-t.desyncedAt) / SlotTicks
-		n.term(t.id).Recovery.Add(latency)
-		n.metrics.RecoveryHist.Add(latency)
+		ticks := now - t.desyncedAt
+		n.metrics.Recovery.Add(int64(ticks))
+		n.metrics.RecoveryHist.Add(float64(ticks) / SlotTicks)
 	}
 }
 
@@ -269,9 +269,8 @@ func (n *network) replyDelivered(t *terminal, call uint32) bool {
 
 // pageSuccess finishes a resolved call after cycles polling cycles: the
 // terminal heard its poll and its reply got through, so both sides
-// re-center and any desync episode ends. The delay lands on the terminal's
-// own accumulator; the aggregate is folded in id order at merge time so it
-// is independent of the shard count.
+// re-center and any desync episode ends. The delay lands on the shard's
+// exact integer moments, which merge in any order.
 func (n *network) pageSuccess(t *terminal, cycles int) {
 	n.pageSuccessAt(t, cycles, n.sched.Now())
 }
@@ -284,7 +283,7 @@ func (n *network) pageSuccessAt(t *terminal, cycles int, now des.Time) {
 	t.center = t.pos
 	t.moves = 0
 	t.lastContact = int64(now / SlotTicks)
-	n.term(t.id).Delay.Add(float64(cycles))
+	n.metrics.Delay.Add(int64(cycles))
 	n.metrics.DelayHist.Add(float64(cycles))
 	n.markSyncedAt(t, now)
 }

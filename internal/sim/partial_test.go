@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/chain"
+	"repro/internal/stats"
 )
 
 // partialConfig is a run that exercises every merged surface: faults and
@@ -219,7 +220,6 @@ func TestPartialValidate(t *testing.T) {
 		{"empty terminal range", func(p *Partial) { p.Shard[1].Hi = p.Shard[1].Lo }},
 		{"terminal vector drift", func(p *Partial) { p.Shard[0].TotalCost = nil }},
 		{"missing histogram", func(p *Partial) { p.Shard[0].Metrics.DelayHist = nil }},
-		{"frame width drift", func(p *Partial) { p.Shard[0].Frames[0].Delay = nil }},
 	} {
 		p := fresh()
 		tc.break_(p)
@@ -233,9 +233,9 @@ func TestPartialValidate(t *testing.T) {
 }
 
 // TestMergePartialsMisshapenShards: a partial that passes Validate but
-// whose histograms or telemetry frames are shaped unlike the engine's —
-// a worker on another version, or a hostile peer — is a typed mismatch,
-// not a panic in the histogram or frame merge.
+// whose histograms, moments or telemetry frames are shaped unlike the
+// engine's — a worker on another version, or a hostile peer — is a typed
+// mismatch, not a panic in the histogram or moments merge.
 func TestMergePartialsMisshapenShards(t *testing.T) {
 	const slots, shards = 250, 2
 	cfg := partialConfig(EngineCols)
@@ -249,8 +249,10 @@ func TestMergePartialsMisshapenShards(t *testing.T) {
 			h.Counts = h.Counts[:3]
 		}, "hist"},
 		{"recovery histogram width", func(p *Partial) { p.Shard[0].Metrics.RecoveryHist.Width = 2 }, "hist"},
-		{"missing frame", func(p *Partial) { p.Shard[1].Frames = p.Shard[1].Frames[:1] }, "frames"},
-		{"misaligned frame", func(p *Partial) { p.Shard[0].Frames[1].Slot++ }, "frames"},
+		{"recovery moments in slots", func(p *Partial) { p.Shard[1].Metrics.Recovery = stats.NewMoments(1) }, "moments"},
+		{"frame delay moments in ticks", func(p *Partial) { p.Shard[0].Snapshots[1].Delay = stats.NewMoments(SlotTicks) }, "moments"},
+		{"missing frame", func(p *Partial) { p.Shard[1].Snapshots = p.Shard[1].Snapshots[:1] }, "frames"},
+		{"misaligned frame", func(p *Partial) { p.Shard[0].Snapshots[1].Slot++ }, "frames"},
 	} {
 		p, err := RunPartial(context.Background(), cfg, slots, shards, 0, shards)
 		if err != nil {
@@ -287,7 +289,8 @@ func FuzzMergePartials(f *testing.F) {
 	for _, corrupt := range []func(*Partial){
 		func(*Partial) {},
 		func(p *Partial) { p.Shard[0].Metrics.DelayHist.Counts = p.Shard[0].Metrics.DelayHist.Counts[:3] },
-		func(p *Partial) { p.Shard[1].Frames = p.Shard[1].Frames[:1] },
+		func(p *Partial) { p.Shard[1].Snapshots = p.Shard[1].Snapshots[:1] },
+		func(p *Partial) { p.Shard[0].Snapshots[0].Recovery = stats.NewMoments(1) },
 	} {
 		p, err := RunPartial(context.Background(), cfg, slots, shards, 0, shards)
 		if err != nil {

@@ -4,17 +4,16 @@
 // merge (Hist), and live per-shard progress counters safe to poll from
 // another goroutine while a sharded run is in flight (Progress).
 //
-// Determinism contract: every aggregate a merged Frame exposes is either
-// an exact integer sum (order-independent by construction) or a Welford
-// accumulator folded over per-terminal states in global terminal-id order
-// — the same reduction order sim.Metrics uses — so the merged snapshot
-// series of a seeded run is bit-identical for every shard count,
-// property-tested alongside the engine's metrics invariance.
+// Determinism contract: every aggregate a merged Frame exposes is an
+// exact integer sum — the counters, and the delay/recovery samples held
+// as stats.Moments (count, Σx, Σx², extrema) — so shard frames merge in
+// any order and the merged snapshot series of a seeded run is
+// bit-identical for every shard count, property-tested alongside the
+// engine's metrics invariance.
 package telemetry
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -26,10 +25,9 @@ type Config struct {
 	// completed slots each shard captures a ShardFrame, and one final
 	// frame is always captured when the run drains. 0 disables snapshots.
 	// Snapshots take no RNG draws and schedule no events, so they never
-	// perturb the simulation. Each shard frame transiently holds a copy
-	// of the shard's per-terminal accumulator states (needed for the
-	// id-order fold), so the cadence should stay modest for very large
-	// populations.
+	// perturb the simulation. A shard frame holds the shard's counters
+	// and two fixed-size moment totals, so its size does not grow with
+	// the population.
 	SnapshotEvery int64
 	// Progress, when non-nil, receives live per-shard progress updates
 	// (current slot, terminal-slots of work completed, events processed)
@@ -79,8 +77,9 @@ func (c *Counters) add(o Counters) {
 	c.Events += o.Events
 }
 
-// Summary is a JSON-able view of a Welford accumulator: sample count,
-// mean, standard deviation and exact extrema (all zero when N is 0).
+// Summary is a JSON-able view of a stats.Moments: sample count, mean,
+// standard deviation and exact extrema (all zero when N is 0). Mean and
+// StdDev are each the float64 nearest the exact value.
 type Summary struct {
 	N      int64   `json:"n"`
 	Mean   float64 `json:"mean"`
@@ -89,8 +88,8 @@ type Summary struct {
 	Max    float64 `json:"max"`
 }
 
-// Summarize extracts a Summary from an accumulator.
-func Summarize(a *stats.Accumulator) Summary {
+// Summarize extracts a Summary from exact moments.
+func Summarize(a *stats.Moments) Summary {
 	return Summary{N: a.N(), Mean: a.Mean(), StdDev: a.StdDev(), Min: a.Min(), Max: a.Max()}
 }
 
@@ -110,67 +109,54 @@ type Frame struct {
 	PagingCost float64 `json:"paging_cost"`
 	TotalCost  float64 `json:"total_cost"`
 	// Delay summarizes the per-call paging delay (polling cycles) and
-	// Recovery the HLR desync→recovery latency (slots), both folded over
-	// per-terminal accumulators in global id order.
+	// Recovery the HLR desync→recovery latency (slots).
 	Delay    Summary `json:"delay"`
 	Recovery Summary `json:"recovery"`
 }
 
 // ShardFrame is one shard's snapshot at a slot boundary: its share of the
-// counters plus a copy of its per-terminal delay/recovery accumulator
-// states, which MergeFrames re-folds in global id order. The per-terminal
-// copies exist only until the merge; the merged Frame keeps summaries.
+// counters and its delay/recovery moment totals. Every field is an
+// integer total, so MergeFrames adds shard frames in any order.
 type ShardFrame struct {
 	// Slot is the boundary (completed slots) this frame captures.
 	Slot int64
-	// First is the global id of the shard's first terminal; shard frames
-	// are folded in ascending First order.
-	First int
 	// Counters carries only this shard's share; Events counts sub-slot
 	// events only (the merge adds the slot sweeps back once).
 	Counters
-	// Delay and Recovery hold the shard's per-terminal accumulator states
-	// in ascending global id order.
-	Delay, Recovery []stats.Accumulator
+	// Delay and Recovery are the shard's delay (cycles) and recovery
+	// (ticks) samples so far.
+	Delay, Recovery stats.Moments
 }
 
 // MergeFrames folds per-shard snapshot series into the global series.
 // All shards of a run capture frames at the same slot boundaries, so the
 // series must be equally long and aligned; anything else is an engine bug
-// and panics. Counters merge by exact integer sums, costs are recomputed
-// from the merged counters, and the delay/recovery summaries are folded
-// over the per-terminal accumulators in global id order — making the
-// result independent of how the population was sharded.
+// and panics. Counters and moments merge by exact integer sums, and costs
+// are recomputed from the merged counters — so the result is independent
+// of how the population was sharded and of the shards' order.
 func MergeFrames(shards [][]ShardFrame, terminals int, updateCost, pollCost float64) []Frame {
 	if len(shards) == 0 || len(shards[0]) == 0 {
 		return nil
 	}
 	frames := len(shards[0])
-	ordered := make([][]ShardFrame, len(shards))
-	copy(ordered, shards)
-	for _, s := range ordered {
+	for _, s := range shards {
 		if len(s) != frames {
 			panic(fmt.Sprintf("telemetry: shard captured %d frames, want %d", len(s), frames))
 		}
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i][0].First < ordered[j][0].First })
 
 	out := make([]Frame, frames)
 	for k := range out {
-		f := Frame{Slot: ordered[0][k].Slot}
-		var delay, recovery stats.Accumulator
-		for _, s := range ordered {
-			sf := s[k]
+		f := Frame{Slot: shards[0][k].Slot}
+		var delay, recovery stats.Moments
+		for _, s := range shards {
+			sf := &s[k]
 			if sf.Slot != f.Slot {
 				panic(fmt.Sprintf("telemetry: misaligned shard frames: slot %d vs %d", sf.Slot, f.Slot))
 			}
 			f.Counters.add(sf.Counters)
-			for i := range sf.Delay {
-				delay.Merge(&sf.Delay[i])
-			}
-			for i := range sf.Recovery {
-				recovery.Merge(&sf.Recovery[i])
-			}
+			delay.Merge(&sf.Delay)
+			recovery.Merge(&sf.Recovery)
 		}
 		// Shards report sub-slot events only; count the slot sweeps once.
 		f.Events += uint64(f.Slot)

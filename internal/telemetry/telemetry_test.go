@@ -8,19 +8,19 @@ import (
 	"repro/internal/stats"
 )
 
-// buildShardFrame makes a shard frame whose per-terminal accumulators
-// hold the given delay samples (one slice per terminal).
-func buildShardFrame(slot int64, first int, updates int64, delays ...[]float64) ShardFrame {
+// buildShardFrame makes a shard frame for terminals with the given delay
+// samples (one slice per terminal), each of whose samples also closed a
+// recovery episode of that many slots.
+func buildShardFrame(slot int64, updates int64, delays ...[]int64) ShardFrame {
 	sf := ShardFrame{
 		Slot:     slot,
-		First:    first,
 		Counters: Counters{Updates: updates, Calls: int64(len(delays))},
-		Delay:    make([]stats.Accumulator, len(delays)),
-		Recovery: make([]stats.Accumulator, len(delays)),
+		Recovery: stats.NewMoments(2048),
 	}
-	for i, ds := range delays {
+	for _, ds := range delays {
 		for _, d := range ds {
-			sf.Delay[i].Add(d)
+			sf.Delay.Add(d)
+			sf.Recovery.Add(d * 2048)
 		}
 	}
 	return sf
@@ -30,11 +30,11 @@ func buildShardFrame(slot int64, first int, updates int64, delays ...[]float64) 
 // population folded as one shard and as several produces bit-identical
 // merged frames, whatever order the shard series are passed in.
 func TestMergeFramesShardingInvariant(t *testing.T) {
-	perTerm := [][]float64{{1, 2}, {3}, {1, 1, 4}, {2, 2}}
-	single := [][]ShardFrame{{buildShardFrame(10, 0, 8, perTerm...)}}
+	perTerm := [][]int64{{1, 2}, {3}, {1, 1, 4}, {2, 2}}
+	single := [][]ShardFrame{{buildShardFrame(10, 8, perTerm...)}}
 	split := [][]ShardFrame{
-		{buildShardFrame(10, 0, 5, perTerm[:2]...)},
-		{buildShardFrame(10, 2, 3, perTerm[2:]...)},
+		{buildShardFrame(10, 5, perTerm[:2]...)},
+		{buildShardFrame(10, 3, perTerm[2:]...)},
 	}
 	reversed := [][]ShardFrame{split[1], split[0]}
 
@@ -49,8 +49,8 @@ func TestMergeFramesShardingInvariant(t *testing.T) {
 	if f.Updates != 8 || f.Calls != 4 {
 		t.Errorf("counters did not sum: %+v", f)
 	}
-	if f.Delay.N != 8 {
-		t.Errorf("delay summary folded %d samples, want 8", f.Delay.N)
+	if f.Delay.N != 8 || f.Delay.Mean != 2 || f.Recovery.Mean != 2 || f.Recovery.Max != 4 {
+		t.Errorf("delay %+v, recovery %+v: want 8 samples of mean 2 each", f.Delay, f.Recovery)
 	}
 	// 8 updates × U=100 over 10 slots × 4 terminals = 20 per slot per
 	// terminal.
@@ -72,12 +72,12 @@ func TestMergeFramesEmptyAndMisaligned(t *testing.T) {
 	}
 	for name, shards := range map[string][][]ShardFrame{
 		"length mismatch": {
-			{buildShardFrame(10, 0, 1, []float64{1})},
-			{buildShardFrame(10, 1, 1, []float64{1}), buildShardFrame(20, 1, 2, []float64{1})},
+			{buildShardFrame(10, 1, []int64{1})},
+			{buildShardFrame(10, 1, []int64{1}), buildShardFrame(20, 2, []int64{1})},
 		},
 		"slot mismatch": {
-			{buildShardFrame(10, 0, 1, []float64{1})},
-			{buildShardFrame(20, 1, 1, []float64{1})},
+			{buildShardFrame(10, 1, []int64{1})},
+			{buildShardFrame(20, 1, []int64{1})},
 		},
 	} {
 		func() {
@@ -92,16 +92,24 @@ func TestMergeFramesEmptyAndMisaligned(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	var a stats.Accumulator
+	var a stats.Moments
 	if got := Summarize(&a); got != (Summary{}) {
 		t.Errorf("empty summary %+v", got)
 	}
-	for _, x := range []float64{-2, 4, 1} {
+	for _, x := range []int64{-2, 4, 1} {
 		a.Add(x)
 	}
 	got := Summarize(&a)
 	if got.N != 3 || got.Mean != 1 || got.Min != -2 || got.Max != 4 || got.StdDev != 3 {
 		t.Errorf("summary %+v", got)
+	}
+	// Recovery latency: samples in ticks, summarized in slots.
+	r := stats.NewMoments(2048)
+	for _, x := range []int64{1024, 3072} {
+		r.Add(x)
+	}
+	if got := Summarize(&r); got.Mean != 1 || got.Min != 0.5 || got.Max != 1.5 || got.StdDev != 0x1.6a09e667f3bcdp-01 {
+		t.Errorf("recovery summary %+v", got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // checkpointConfig is a deliberately hostile run for checkpoint/resume:
@@ -324,12 +325,14 @@ func TestCheckpointResumeRejectsHostileState(t *testing.T) {
 		}},
 		{"recovery histogram width", false, func(cp *Checkpoint) { cp.Shard[2].Metrics.RecoveryHist.Width = 2 }},
 		{"dropped telemetry frame", false, func(cp *Checkpoint) {
-			cp.Shard[0].Frames = cp.Shard[0].Frames[:len(cp.Shard[0].Frames)-1]
+			cp.Shard[0].Snapshots = cp.Shard[0].Snapshots[:len(cp.Shard[0].Snapshots)-1]
 		}},
-		{"misaligned telemetry frame", false, func(cp *Checkpoint) { cp.Shard[1].Frames[0].Slot++ }},
-		{"narrow telemetry frame", false, func(cp *Checkpoint) {
-			f := &cp.Shard[2].Frames[0]
-			f.Recovery = f.Recovery[:1]
+		{"misaligned telemetry frame", false, func(cp *Checkpoint) { cp.Shard[1].Snapshots[0].Slot++ }},
+		{"telemetry frame recovery in slots", false, func(cp *Checkpoint) {
+			cp.Shard[2].Snapshots[0].Recovery = stats.NewMoments(1)
+		}},
+		{"delay moments in ticks", false, func(cp *Checkpoint) {
+			cp.Shard[0].Metrics.Delay = stats.NewMoments(sim.SlotTicks)
 		}},
 		{"slot event stamped at the counter", true, func(cp *Checkpoint) {
 			ds := cp.Shard[1].DES
