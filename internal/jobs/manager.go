@@ -109,10 +109,9 @@ type job struct {
 	cancel          context.CancelFunc
 	cancelRequested bool
 
-	// report and resultJSON hold a done job's final report; resultJSON
-	// is the exact byte sequence pcnsim -json would emit for the same
-	// run, which is what the byte-identity guarantee is stated over.
-	report     *locman.Report
+	// resultJSON holds a done job's final report: the exact byte
+	// sequence pcnsim -json would emit for the same run, which is what
+	// the byte-identity guarantee is stated over.
 	resultJSON []byte
 
 	// doneSlots freezes the job's terminal-slot total when it reaches a
@@ -431,7 +430,6 @@ func (m *Manager) runJob(j *job) {
 	j.cancel = nil
 	switch {
 	case runErr == nil:
-		j.report = report
 		j.resultJSON = raw
 		j.doneSlots = spec.Slots * int64(spec.Terminals)
 		// The result record precedes the done record, so a replayed
