@@ -7,8 +7,8 @@
 // Determinism is the whole design: terminal i's RNG stream is seeded
 // positionally (stats.SeedSubStream(seed, i)) and shard geometry is a
 // pure function of (terminals, shards), so any worker computes exactly
-// the shards it is asked for, and locman.MergeNetworkPartials re-folds
-// the per-terminal state in global id order. The coordinator therefore
+// the shards it is asked for, and locman.MergeNetworkPartials sums the
+// shards' exact integer totals. The coordinator therefore
 // resolves the shard count once, ships it explicitly in every lease, and
 // pins each lease to a spec revision hash so a stale or misdirected
 // partial can never silently contaminate a merge — it is rejected with a

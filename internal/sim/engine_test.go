@@ -15,7 +15,7 @@ import (
 // inline paging and gap-sampled pure stretches, produces bit-identical
 // Metrics to the reference EngineDES at every shard count.
 // reflect.DeepEqual on the full Metrics covers the counters, the
-// per-terminal records, the Welford accumulator states, both latency
+// per-terminal records, the delay/recovery moments, both latency
 // histograms and the telemetry snapshot series; a JSON comparison
 // guards the serialized view on top. Run under -race in CI.
 // (locman's TestEngineEquivalence covers the same cross-product at the

@@ -96,7 +96,7 @@ func TestSnapshotSeriesShardInvariant(t *testing.T) {
 	}
 }
 
-// TestHistogramsAgreeWithAccumulators pins the histograms to the Welford
+// TestHistogramsAgreeWithAccumulators pins the histograms to the moments
 // aggregates they sit alongside: same sample counts and extrema, ordered
 // quantiles, and buckets that account for every sample.
 func TestHistogramsAgreeWithAccumulators(t *testing.T) {

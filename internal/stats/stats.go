@@ -80,11 +80,8 @@ func (a *Accumulator) String() string {
 }
 
 // AccumulatorState is the exported, serializable form of an Accumulator's
-// Welford state. All fields are plain numbers, so any exact encoding
-// (gob, binary) round-trips the accumulator bit-for-bit — the property
-// simulation checkpoints rely on: an accumulator restored from state and
-// then fed the remaining observations is indistinguishable from one that
-// saw the whole stream.
+// Welford state. Older simulation checkpoints stored one per terminal;
+// Moments.AddWelford recovers the exact integer sums from it.
 type AccumulatorState struct {
 	N        int64
 	Mean, M2 float64
@@ -94,11 +91,6 @@ type AccumulatorState struct {
 // State exports the accumulator's exact internal state.
 func (a *Accumulator) State() AccumulatorState {
 	return AccumulatorState{N: a.n, Mean: a.mean, M2: a.m2, Min: a.min, Max: a.max}
-}
-
-// SetState reinstates a state captured by State.
-func (a *Accumulator) SetState(st AccumulatorState) {
-	a.n, a.mean, a.m2, a.min, a.max = st.N, st.Mean, st.M2, st.Min, st.Max
 }
 
 // Merge folds another accumulator into a (parallel reduction).
