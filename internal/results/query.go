@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -252,30 +253,29 @@ func (s *Store) Query(req *Request) (*Response, error) {
 	}
 	groups := make(map[string]*bucket)
 	var keys []string
+	// enc is the row's group key in an injective byte encoding, reused
+	// across rows: the map lookup allocates nothing, and a group's key
+	// values are boxed once, when the group is first seen.
+	var enc []byte
 	for _, row := range match {
-		key := make([]any, len(req.GroupBy))
-		var enc strings.Builder
-		for i, name := range req.GroupBy {
+		enc = enc[:0]
+		for _, name := range req.GroupBy {
 			ci := colIndex[name]
 			switch columns[ci].kind {
 			case KindString:
 				v := s.cols[ci].strs[row]
-				key[i] = v
-				fmt.Fprintf(&enc, "s%d:%s\x00", len(v), v)
+				enc = strconv.AppendInt(append(enc, 's'), int64(len(v)), 10)
+				enc = append(append(append(enc, ':'), v...), 0)
 			case KindInt:
-				v := s.cols[ci].ints[row]
-				key[i] = v
-				fmt.Fprintf(&enc, "i%d\x00", v)
+				enc = append(strconv.AppendInt(append(enc, 'i'), s.cols[ci].ints[row], 10), 0)
 			case KindFloat:
-				v := s.cols[ci].floats[row]
-				key[i] = v
-				fmt.Fprintf(&enc, "f%x\x00", math.Float64bits(v))
+				enc = append(strconv.AppendUint(append(enc, 'f'), math.Float64bits(s.cols[ci].floats[row]), 16), 0)
 			}
 		}
-		k := enc.String()
-		b := groups[k]
+		b := groups[string(enc)]
 		if b == nil {
-			b = &bucket{key: key}
+			b = &bucket{key: s.groupKey(req.GroupBy, row)}
+			k := string(enc)
 			groups[k] = b
 			keys = append(keys, k)
 		}
@@ -308,6 +308,23 @@ func (s *Store) Query(req *Request) (*Response, error) {
 		resp.Groups = append(resp.Groups, g)
 	}
 	return resp, nil
+}
+
+// groupKey returns row's values of the group-by columns.
+func (s *Store) groupKey(groupBy []string, row int) []any {
+	key := make([]any, len(groupBy))
+	for i, name := range groupBy {
+		ci := colIndex[name]
+		switch columns[ci].kind {
+		case KindString:
+			key[i] = s.cols[ci].strs[row]
+		case KindInt:
+			key[i] = s.cols[ci].ints[row]
+		case KindFloat:
+			key[i] = s.cols[ci].floats[row]
+		}
+	}
+	return key
 }
 
 // rowMatches evaluates one filter against one row.
