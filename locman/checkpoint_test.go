@@ -135,14 +135,15 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 }
 
 // TestCheckpointCrossEngineResume checks the engine contract of
-// checkpoints written before the fast engine was retired: the fixtures
-// are the 3-shard, slot-611 checkpoints of checkpointConfig as the
-// retired fast engine and the columnar engine wrote them (the two differ
-// only in their engine tag). Both must resume on today's columnar
-// engine with the uninterrupted run's exact bytes, and both must be
-// rejected by the reference engine, whose checkpoint representation is
-// its own — as a reference-engine checkpoint is rejected by the columnar
-// engine — rather than silently diverging.
+// checkpoints written by older binaries. The fixtures are all the
+// 3-shard, slot-611 checkpoints of checkpointConfig. The PCNCKPT1 pair
+// was written before the fast engine was retired, by the fast and the
+// columnar engine (the two differ only in their engine tag); the
+// PCNCKPT2 pair was written by the columnar and the reference engine
+// before the columnar codec replaced gob. Each must resume on its
+// engine with the uninterrupted run's exact bytes, and each must be
+// rejected by the other engine, whose checkpoint representation is its
+// own, rather than silently diverging.
 func TestCheckpointCrossEngineResume(t *testing.T) {
 	const every = 611
 	const shards = 3
@@ -162,9 +163,18 @@ func TestCheckpointCrossEngineResume(t *testing.T) {
 	}
 	want := report(t, clean)
 
-	for _, fixture := range []string{"legacy-fast.ckpt", "legacy-cols.ckpt"} {
-		t.Run(fixture, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join("testdata", fixture))
+	for _, fx := range []struct {
+		file       string
+		engine     Engine
+		own, other NetworkConfig
+	}{
+		{"legacy-fast.ckpt", EngineCols, colsCfg, desCfg},
+		{"legacy-cols.ckpt", EngineCols, colsCfg, desCfg},
+		{"legacy-v2-cols.ckpt", EngineCols, colsCfg, desCfg},
+		{"legacy-v2-des.ckpt", EngineDES, desCfg, colsCfg},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", fx.file))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,21 +182,21 @@ func TestCheckpointCrossEngineResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cp.Engine != EngineCols || cp.Slot != every || cp.Shards != shards {
-				t.Fatalf("fixture decodes as engine %s at slot %d over %d shards, want cols at %d over %d",
-					cp.Engine, cp.Slot, cp.Shards, every, shards)
+			if cp.Engine != fx.engine || cp.Slot != every || cp.Shards != shards {
+				t.Fatalf("fixture decodes as engine %s at slot %d over %d shards, want %s at %d over %d",
+					cp.Engine, cp.Slot, cp.Shards, fx.engine, every, shards)
 			}
 			resumed, err := ResumeNetworkCheckpointed(context.Background(),
-				colsCfg, checkpointSlots, shards, cp, 0, nil)
+				fx.own, checkpointSlots, shards, cp, 0, nil)
 			if err != nil {
-				t.Fatalf("cols resume: %v", err)
+				t.Fatalf("%s resume: %v", fx.engine, err)
 			}
 			if got := report(t, resumed); !bytes.Equal(got, want) {
-				t.Errorf("cols resume of %s diverged:\n%s\nreference:\n%s", fixture, got, want)
+				t.Errorf("%s resume of %s diverged:\n%s\nreference:\n%s", fx.engine, fx.file, got, want)
 			}
 			if _, err := ResumeNetworkCheckpointed(context.Background(),
-				desCfg, checkpointSlots, shards, cp, 0, nil); err == nil {
-				t.Error("resuming a columnar-engine checkpoint on the reference engine should fail")
+				fx.other, checkpointSlots, shards, cp, 0, nil); err == nil {
+				t.Errorf("resuming a %s checkpoint on the other engine should fail", fx.engine)
 			}
 		})
 	}
