@@ -125,7 +125,7 @@ type SliceFrame struct {
 // PartialDoc is the wire envelope for one slice's partial result: the
 // lease identity (job, revision, slice geometry) repeated alongside the
 // opaque partial bytes, so the coordinator can reject a mismatched
-// delivery before decoding a single gob byte. Data is the
+// delivery before decoding a single payload byte. Data is the
 // locman.EncodePartial serialization (base64 inside JSON).
 type PartialDoc struct {
 	Schema  int    `json:"schema"`

@@ -2,11 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
-	"fmt"
-	"hash/crc32"
 	"maps"
 	"slices"
 	"sync"
@@ -27,9 +22,8 @@ import (
 //
 // A checkpoint is taken with every shard aligned at the same completed
 // slot count (Slot): the captured state reflects slots [0, Slot) and
-// nothing of slot Slot itself. All fields are exported and concrete so
-// the whole structure round-trips exactly through gob
-// (EncodeCheckpoint/DecodeCheckpoint); float64 fields round-trip
+// nothing of slot Slot itself. The whole structure round-trips exactly
+// through EncodeCheckpoint/DecodeCheckpoint; float64 fields round-trip
 // bit-for-bit, which the RNG positions and EWMA estimators require.
 type Checkpoint struct {
 	// Slot is the boundary the checkpoint was taken at: the number of
@@ -126,11 +120,9 @@ type MetricsCheckpoint = metricsState[map[int]int64]
 
 // metricsState is a shard's serializable Metrics state with the
 // threshold-usage counts in form T. Checkpoints keep the map they have
-// always carried (MetricsCheckpoint), so older files still decode. The
-// partial wire, which reads untrusted peers, carries a sorted slice
-// (partialMetrics): gob sizes a decoded map by the entry count the
-// sender claims, so one hostile count could exhaust memory before the
-// decode failed, while a decoded slice grows only with the bytes present.
+// always carried (MetricsCheckpoint), so PCNCKPT1/PCNCKPT2 files still
+// decode through gob; partials carry a slice sorted by threshold
+// (partialMetrics). On the wire both travel as that sorted slice.
 type metricsState[T any] struct {
 	Updates, Calls, PolledCells         int64
 	UpdateBytes, PollBytes, ReplyBytes  int64
@@ -337,35 +329,40 @@ func (mc *metricsState[T]) restoreInto(m *Metrics, thresholds func(T) map[int]in
 	}
 }
 
-// ckptMagic versions the checkpoint wire format. ckptMagicV1 files,
-// whose metrics and telemetry frames held per-terminal Welford states,
-// still decode (decodeCheckpointV1).
+// ckptMagic versions the checkpoint wire format (codec.go). The gob
+// formats before it still decode, read-only (checkpoint_legacy.go):
+// ckptMagicV2 files directly, and ckptMagicV1 files, whose metrics and
+// telemetry frames held per-terminal Welford states, by conversion.
 var (
-	ckptMagic   = []byte("PCNCKPT2")
+	ckptMagic   = []byte("PCNCKPT3")
+	ckptMagicV2 = []byte("PCNCKPT2")
 	ckptMagicV1 = []byte("PCNCKPT1")
 )
 
-// ErrInexactLegacyMoments rejects a PCNCKPT1 checkpoint whose Welford
-// states do not convert to exact integer moments.
-var ErrInexactLegacyMoments = errors.New("sim: legacy checkpoint moments are not exact integer sums")
-
 // EncodeCheckpoint serializes a checkpoint to a self-checking byte
-// format (encodeFramed). Gob encodes float64 values by bit pattern, so
-// decoding reproduces every RNG position and estimator exactly.
+// format: a magic header, the columnar payload (codec.go) and a CRC32
+// trailer. Float64 values travel as their bit patterns, so decoding
+// reproduces every RNG position and estimator exactly, and equal
+// checkpoints encode to equal bytes. The error is always nil.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
-	return encodeFramed(ckptMagic, "checkpoint", cp)
+	return encodeFramed(ckptMagic, putCheckpoint, cp), nil
 }
 
 // DecodeCheckpoint parses bytes produced by EncodeCheckpoint, or by the
-// PCNCKPT1 encoder before it, rejecting unknown formats and corrupted
-// payloads (checksum mismatch).
+// PCNCKPT1/PCNCKPT2 encoders before it, rejecting unknown formats,
+// corrupted payloads (checksum mismatch) and, for the current format,
+// payloads that do not parse (ErrMalformedPayload). Decoding a current
+// checkpoint allocates memory proportional to its length.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	cp := &Checkpoint{}
 	var err error
-	if bytes.HasPrefix(data, ckptMagicV1) {
+	switch {
+	case bytes.HasPrefix(data, ckptMagicV1):
 		err = decodeCheckpointV1(data, cp)
-	} else {
-		err = decodeFramed(ckptMagic, "checkpoint", data, cp)
+	case bytes.HasPrefix(data, ckptMagicV2):
+		err = decodeGob(ckptMagicV2, "checkpoint", data, cp)
+	default:
+		err = decodeFramed(ckptMagic, "checkpoint", getCheckpoint, data, cp)
 	}
 	if err != nil {
 		return nil, err
@@ -374,93 +371,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		cp.Engine = EngineCols
 	}
 	return cp, nil
-}
-
-// checkpointV1 is the part of a PCNCKPT1 payload the current layout
-// dropped: the per-terminal Welford states of each shard's metrics and
-// telemetry frames. Gob matches fields by name, so the rest of the
-// payload decodes straight into Checkpoint.
-type checkpointV1 struct {
-	Shard []struct {
-		Metrics struct {
-			PerTerminal []struct{ Delay, Recovery stats.AccumulatorState }
-		}
-		Frames []struct {
-			Slot            int64
-			Counters        telemetry.Counters
-			Delay, Recovery []stats.AccumulatorState
-		}
-	}
-}
-
-// decodeCheckpointV1 decodes a PCNCKPT1 checkpoint into cp, converting
-// every shard's and frame's per-terminal Welford states into shard
-// moments (recovery rescaled to ticks). It rejects the file with
-// ErrInexactLegacyMoments when any recovered integer sum lies more than
-// 1e-6 from the float it was rounded from.
-func decodeCheckpointV1(data []byte, cp *Checkpoint) error {
-	var old checkpointV1
-	for _, into := range []any{cp, &old} {
-		if err := decodeFramed(ckptMagicV1, "checkpoint", data, into); err != nil {
-			return err
-		}
-	}
-	worst := 0.0
-	for s := range cp.Shard {
-		sc, o := &cp.Shard[s], &old.Shard[s]
-		m := &sc.Metrics
-		m.Delay, m.Recovery = stats.Moments{}, stats.NewMoments(SlotTicks)
-		for _, ts := range o.Metrics.PerTerminal {
-			worst = max(worst, m.Delay.AddWelford(ts.Delay), m.Recovery.AddWelford(ts.Recovery))
-		}
-		sc.Snapshots = make([]telemetry.ShardFrame, len(o.Frames))
-		for k, f := range o.Frames {
-			sf := telemetry.ShardFrame{Slot: f.Slot, Counters: f.Counters, Recovery: stats.NewMoments(SlotTicks)}
-			for i := range f.Delay {
-				worst = max(worst, sf.Delay.AddWelford(f.Delay[i]))
-			}
-			for i := range f.Recovery {
-				worst = max(worst, sf.Recovery.AddWelford(f.Recovery[i]))
-			}
-			sc.Snapshots[k] = sf
-		}
-	}
-	if worst > 1e-6 {
-		return fmt.Errorf("%w (residual %g)", ErrInexactLegacyMoments, worst)
-	}
-	return nil
-}
-
-// encodeFramed is the wire codec checkpoints and partials share: the
-// format's magic/version header, the gob payload of v, and a big-endian
-// CRC32 trailer over the payload. what names the format in errors.
-func encodeFramed(magic []byte, what string, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(magic)
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("sim: encoding %s: %w", what, err)
-	}
-	payload := buf.Bytes()[len(magic):]
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc32.ChecksumIEEE(payload))
-	buf.Write(tail[:])
-	return buf.Bytes(), nil
-}
-
-// decodeFramed checks the header and trailer encodeFramed wrote and
-// decodes the payload into v.
-func decodeFramed(magic []byte, what string, data []byte, v any) error {
-	if len(data) < len(magic)+4 || !bytes.Equal(data[:len(magic)], magic) {
-		return fmt.Errorf("sim: not a %s (bad magic)", what)
-	}
-	payload := data[len(magic) : len(data)-4]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[len(data)-4:]) {
-		return fmt.Errorf("sim: %s checksum mismatch", what)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("sim: decoding %s: %w", what, err)
-	}
-	return nil
 }
 
 // ckptAggregator assembles per-shard captures into whole Checkpoints. A

@@ -1,0 +1,405 @@
+package sim
+
+import (
+	"math"
+
+	"repro/internal/des"
+	"repro/internal/telemetry"
+)
+
+// The PCNCKPT3 checkpoint and PCNPART4 partial payloads, in the codec of
+// codec.go. A layout's kinds string and its wire function's column
+// numbers must agree; the column numbers run from 0 without gaps.
+
+// termLayout: cell coordinates, thresholds, sequence numbers, retry
+// state and the movement/timer trigger state as uvarints; the EWMA
+// estimates and the four RNG words as 8-byte words.
+var termLayout = layout[TermCheckpoint]{"vvvvvvvvvvwwwwwwvv", func(rows []TermCheckpoint, c *cols) {
+	for i := range rows {
+		t, j := &rows[i], uint8(i)
+		int32Col(c, 0, j, &t.Pos.Q)
+		int32Col(c, 1, j, &t.Pos.R)
+		int32Col(c, 2, j, &t.Center.Q)
+		int32Col(c, 3, j, &t.Center.R)
+		intCol(c, 4, j, &t.Threshold)
+		uint32Col(c, 5, j, &t.Seq)
+		uint32Col(c, 6, j, &t.AckedSeq)
+		intCol(c, 7, j, &t.Retries)
+		boolCol(c, 8, j, &t.Desynced)
+		uint64Col(c, 9, j, &t.DesyncedAt)
+		float64Col(c, 10, j, &t.EstQ)
+		float64Col(c, 11, j, &t.EstC)
+		uint64Col(c, 12, j, &t.RNG[0])
+		uint64Col(c, 13, j, &t.RNG[1])
+		uint64Col(c, 14, j, &t.RNG[2])
+		uint64Col(c, 15, j, &t.RNG[3])
+		int64Col(c, 16, j, &t.Moves)
+		int64Col(c, 17, j, &t.LastContact)
+	}
+}}
+
+var hlrLayout = layout[HLRCheckpoint]{"vvvv", func(rows []HLRCheckpoint, c *cols) {
+	for i := range rows {
+		h, j := &rows[i], uint8(i)
+		int32Col(c, 0, j, &h.Center.Q)
+		int32Col(c, 1, j, &h.Center.R)
+		uint32Col(c, 2, j, &h.Seq)
+		intCol(c, 3, j, &h.Threshold)
+	}
+}}
+
+var termStatsLayout = layout[TermStatsCheckpoint]{"vvv", func(rows []TermStatsCheckpoint, c *cols) {
+	for i := range rows {
+		s, j := &rows[i], uint8(i)
+		int64Col(c, 0, j, &s.Updates)
+		int64Col(c, 1, j, &s.Calls)
+		int64Col(c, 2, j, &s.PolledCells)
+	}
+}}
+
+var thresholdLayout = layout[ThresholdCount]{"vv", func(rows []ThresholdCount, c *cols) {
+	for i := range rows {
+		t, j := &rows[i], uint8(i)
+		intCol(c, 0, j, &t.D)
+		int64Col(c, 1, j, &t.Slots)
+	}
+}}
+
+var pendingLayout = layout[des.PendingEvent]{"vvv", func(rows []des.PendingEvent, c *cols) {
+	for i := range rows {
+		p, j := &rows[i], uint8(i)
+		uint64Col(c, 0, j, (*uint64)(&p.At))
+		uint64Col(c, 1, j, &p.Seq)
+		uint64Col(c, 2, j, &p.Tag)
+	}
+}}
+
+// Layouts of the scalar slices.
+var (
+	uint64Layout = layout[uint64]{"v", func(rows []uint64, c *cols) {
+		for i := range rows {
+			uint64Col(c, 0, uint8(i), &rows[i])
+		}
+	}}
+	int64Layout = layout[int64]{"v", func(rows []int64, c *cols) {
+		for i := range rows {
+			int64Col(c, 0, uint8(i), &rows[i])
+		}
+	}}
+	intLayout = layout[int]{"v", func(rows []int, c *cols) {
+		for i := range rows {
+			intCol(c, 0, uint8(i), &rows[i])
+		}
+	}}
+	float64Layout = layout[float64]{"w", func(rows []float64, c *cols) {
+		for i := range rows {
+			float64Col(c, 0, uint8(i), &rows[i])
+		}
+	}}
+)
+
+// putScheds writes schedulers: every pending event in one flat table,
+// then a table of the schedulers' fields and pending-event counts.
+func putScheds(e *encoder, scheds []SchedCheckpoint) {
+	var flat []des.PendingEvent
+	for i := range scheds {
+		flat = append(flat, scheds[i].Pending...)
+	}
+	putTable(e, flat, pendingLayout)
+	putTable(e, scheds, schedLayout(nil))
+}
+
+// getScheds reads schedulers putScheds wrote. Their pending events share
+// one array, each scheduler's slice capped at its own events.
+func getScheds(d *decoder) []SchedCheckpoint {
+	flat := getTable(d, "pending event", pendingLayout)
+	scheds := getTable(d, "scheduler", schedLayout(&flat))
+	if d.err == nil && len(flat) > 0 {
+		d.fail("%d pending events claimed by no scheduler", len(flat))
+	}
+	return scheds
+}
+
+// schedLayout is the scheduler layout. Decoding, each scheduler takes
+// its count of events off the front of *pending.
+func schedLayout(pending *[]des.PendingEvent) layout[SchedCheckpoint] {
+	return layout[SchedCheckpoint]{"vvvv", func(rows []SchedCheckpoint, c *cols) {
+		for i := range rows {
+			s, j := &rows[i], uint8(i)
+			uint64Col(c, 0, j, &s.Now)
+			uint64Col(c, 1, j, &s.Seq)
+			uint64Col(c, 2, j, &s.Ran)
+			n := uint64(len(s.Pending))
+			uint64Col(c, 3, j, &n)
+			if !c.decoding || n == 0 {
+				continue
+			}
+			if n > uint64(len(*pending)) {
+				c.bad = true
+				return
+			}
+			s.Pending = (*pending)[:n:n]
+			*pending = (*pending)[n:]
+		}
+	}}
+}
+
+// putHist writes an optional histogram.
+func putHist(e *encoder, h *telemetry.Hist) {
+	e.flag(h != nil)
+	if h == nil {
+		return
+	}
+	e.word(math.Float64bits(h.Width))
+	putTable(e, h.Counts, int64Layout)
+	e.varint(h.Overflow)
+	e.varint(h.N)
+	e.word(math.Float64bits(h.Min))
+	e.word(math.Float64bits(h.Max))
+}
+
+func getHist(d *decoder) *telemetry.Hist {
+	if !d.flag() {
+		return nil
+	}
+	h := &telemetry.Hist{Width: math.Float64frombits(d.word())}
+	h.Counts = getTable(d, "histogram bucket", int64Layout)
+	h.Overflow = d.varint()
+	h.N = d.varint()
+	h.Min = math.Float64frombits(d.word())
+	h.Max = math.Float64frombits(d.word())
+	return h
+}
+
+// counters lists a shard's counters in wire order.
+func (mc *metricsState[T]) counters() [17]*int64 {
+	return [...]*int64{
+		&mc.Updates, &mc.Calls, &mc.PolledCells,
+		&mc.UpdateBytes, &mc.PollBytes, &mc.ReplyBytes,
+		&mc.NotFound,
+		&mc.LostUpdates, &mc.LostPolls, &mc.LostReplies,
+		&mc.FallbackCalls, &mc.Retransmissions,
+		&mc.Acks, &mc.AckBytes,
+		&mc.RePolls, &mc.DroppedCalls,
+		&mc.OutageDeferred,
+	}
+}
+
+// putMetrics writes a shard's measurement state, its threshold-usage
+// counts given as a slice sorted by threshold.
+func putMetrics[T any](e *encoder, mc *metricsState[T], thresholds []ThresholdCount) {
+	for _, c := range mc.counters() {
+		e.varint(*c)
+	}
+	e.moments(&mc.Delay)
+	e.moments(&mc.Recovery)
+	putHist(e, mc.DelayHist)
+	putHist(e, mc.RecoveryHist)
+	putTable(e, thresholds, thresholdLayout)
+	putTable(e, mc.PerTerminal, termStatsLayout)
+}
+
+// getMetrics reads what putMetrics wrote into mc and returns the
+// threshold-usage counts, which must be sorted by threshold without
+// repeats.
+func getMetrics[T any](d *decoder, mc *metricsState[T]) []ThresholdCount {
+	for _, c := range mc.counters() {
+		*c = d.varint()
+	}
+	d.moments(&mc.Delay)
+	d.moments(&mc.Recovery)
+	mc.DelayHist = getHist(d)
+	mc.RecoveryHist = getHist(d)
+	thresholds := getTable(d, "threshold count", thresholdLayout)
+	for i := 1; i < len(thresholds); i++ {
+		if thresholds[i].D <= thresholds[i-1].D {
+			d.fail("threshold counts not sorted by threshold")
+		}
+	}
+	mc.PerTerminal = getTable(d, "terminal stats", termStatsLayout)
+	return thresholds
+}
+
+func putFrame(e *encoder, f *telemetry.ShardFrame) {
+	e.varint(f.Slot)
+	for _, c := range [...]int64{f.Updates, f.LostUpdates, f.Retransmissions,
+		f.Calls, f.PolledCells, f.DroppedCalls, f.RePolls} {
+		e.varint(c)
+	}
+	e.uvarint(f.Events)
+	e.moments(&f.Delay)
+	e.moments(&f.Recovery)
+}
+
+func getFrame(d *decoder, f *telemetry.ShardFrame) {
+	f.Slot = d.varint()
+	for _, c := range [...]*int64{&f.Updates, &f.LostUpdates, &f.Retransmissions,
+		&f.Calls, &f.PolledCells, &f.DroppedCalls, &f.RePolls} {
+		*c = d.varint()
+	}
+	f.Events = d.uvarint()
+	d.moments(&f.Delay)
+	d.moments(&f.Recovery)
+}
+
+var minFrameSize = sectionSize(putFrame, &telemetry.ShardFrame{})
+
+func putFrames(e *encoder, frames []telemetry.ShardFrame) {
+	e.count(len(frames))
+	for i := range frames {
+		putFrame(e, &frames[i])
+	}
+}
+
+func getFrames(d *decoder) []telemetry.ShardFrame {
+	n := d.count("telemetry frame", minFrameSize)
+	if n == 0 || d.err != nil {
+		return nil
+	}
+	frames := make([]telemetry.ShardFrame, n)
+	for i := range frames {
+		getFrame(d, &frames[i])
+	}
+	return frames
+}
+
+// putCheckpoint writes a Checkpoint's PCNCKPT3 payload.
+func putCheckpoint(e *encoder, cp *Checkpoint) {
+	e.varint(cp.Slot)
+	e.varint(cp.Slots)
+	e.varint(int64(cp.Shards))
+	e.varint(int64(cp.StartD))
+	e.word(cp.Seed)
+	e.varint(int64(cp.Engine))
+	e.str(cp.Scheme)
+	e.varint(cp.SchemeParam)
+	e.count(len(cp.Shard))
+	for i := range cp.Shard {
+		putShardCheckpoint(e, &cp.Shard[i])
+	}
+}
+
+func getCheckpoint(d *decoder, cp *Checkpoint) {
+	cp.Slot = d.varint()
+	cp.Slots = d.varint()
+	cp.Shards = d.int()
+	cp.StartD = d.int()
+	cp.Seed = d.word()
+	cp.Engine = Engine(d.int())
+	cp.Scheme = d.str("scheme")
+	cp.SchemeParam = d.varint()
+	n := d.count("shard", minShardCheckpointSize)
+	if n == 0 || d.err != nil {
+		return
+	}
+	cp.Shard = make([]ShardCheckpoint, n)
+	for i := range cp.Shard {
+		getShardCheckpoint(d, &cp.Shard[i])
+	}
+}
+
+func putShardCheckpoint(e *encoder, sc *ShardCheckpoint) {
+	e.varint(sc.Slot)
+	e.varint(int64(sc.Lo))
+	e.varint(int64(sc.Hi))
+	e.uvarint(uint64(sc.CallSeq))
+	e.uvarint(sc.SubEvents)
+	putTable(e, sc.Terms, termLayout)
+	putTable(e, sc.HLR, hlrLayout)
+	putMetrics(e, &sc.Metrics, exportThresholds(sc.Metrics.ThresholdSlots))
+	putFrames(e, sc.Snapshots)
+	putScheds(e, sc.Scheds)
+	putTable(e, sc.PreSweep, uint64Layout)
+	putTable(e, sc.CurD, int64Layout)
+	putTable(e, sc.RunLen, int64Layout)
+	e.flag(sc.DES != nil)
+	if sc.DES != nil {
+		putScheds(e, []SchedCheckpoint{sc.DES.Sched})
+		e.uvarint(sc.DES.SlotEventSeq)
+	}
+}
+
+func getShardCheckpoint(d *decoder, sc *ShardCheckpoint) {
+	sc.Slot = d.varint()
+	sc.Lo = d.int()
+	sc.Hi = d.int()
+	if callSeq := d.uvarint(); callSeq <= math.MaxUint32 {
+		sc.CallSeq = uint32(callSeq)
+	} else {
+		d.fail("call sequence %d overflows uint32", callSeq)
+	}
+	sc.SubEvents = d.uvarint()
+	sc.Terms = getTable(d, "terminal", termLayout)
+	sc.HLR = getTable(d, "registry", hlrLayout)
+	if thresholds := getMetrics(d, &sc.Metrics); len(thresholds) > 0 {
+		sc.Metrics.ThresholdSlots = restoreThresholds(thresholds)
+	}
+	sc.Snapshots = getFrames(d)
+	sc.Scheds = getScheds(d)
+	sc.PreSweep = getTable(d, "pre-sweep mark", uint64Layout)
+	sc.CurD = getTable(d, "threshold in use", int64Layout)
+	sc.RunLen = getTable(d, "run length", int64Layout)
+	if d.flag() {
+		scheds := getScheds(d)
+		if len(scheds) != 1 {
+			d.fail("reference engine with %d schedulers", len(scheds))
+			return
+		}
+		sc.DES = &DESCheckpoint{Sched: scheds[0], SlotEventSeq: d.uvarint()}
+	}
+}
+
+var minShardCheckpointSize = sectionSize(putShardCheckpoint, &ShardCheckpoint{})
+
+// putPartial writes a Partial's PCNPART4 payload.
+func putPartial(e *encoder, p *Partial) {
+	e.varint(p.Slots)
+	e.varint(int64(p.Shards))
+	e.word(p.Seed)
+	e.varint(int64(p.Lo))
+	e.varint(int64(p.Hi))
+	e.count(len(p.Shard))
+	for i := range p.Shard {
+		putShardPartial(e, &p.Shard[i])
+	}
+}
+
+func getPartial(d *decoder, p *Partial) {
+	p.Slots = d.varint()
+	p.Shards = d.int()
+	p.Seed = d.word()
+	p.Lo = d.int()
+	p.Hi = d.int()
+	n := d.count("shard", minShardPartialSize)
+	if n == 0 || d.err != nil {
+		return
+	}
+	p.Shard = make([]ShardPartial, n)
+	for i := range p.Shard {
+		getShardPartial(d, &p.Shard[i])
+	}
+}
+
+func putShardPartial(e *encoder, sp *ShardPartial) {
+	e.varint(int64(sp.Shard))
+	e.varint(int64(sp.Lo))
+	e.varint(int64(sp.Hi))
+	e.uvarint(sp.SubEvents)
+	putMetrics(e, &sp.Metrics, sp.Metrics.ThresholdSlots)
+	putTable(e, sp.TotalCost, float64Layout)
+	putTable(e, sp.FinalThreshold, intLayout)
+	putFrames(e, sp.Snapshots)
+}
+
+func getShardPartial(d *decoder, sp *ShardPartial) {
+	sp.Shard = d.int()
+	sp.Lo = d.int()
+	sp.Hi = d.int()
+	sp.SubEvents = d.uvarint()
+	sp.Metrics.ThresholdSlots = getMetrics(d, &sp.Metrics)
+	sp.TotalCost = getTable(d, "total cost", float64Layout)
+	sp.FinalThreshold = getTable(d, "final threshold", intLayout)
+	sp.Snapshots = getFrames(d)
+}
+
+var minShardPartialSize = sectionSize(putShardPartial, &ShardPartial{})

@@ -20,9 +20,9 @@ import (
 // to RunSharded on one machine — the cross-machine extension of the
 // shard-count-invariance contract.
 //
-// All fields are exported and concrete so the structure round-trips
-// exactly through gob (EncodePartial/DecodePartial): float64 values are
-// encoded by bit pattern, which the per-terminal cost rates require.
+// The structure round-trips exactly through EncodePartial/DecodePartial:
+// float64 values travel as bit patterns, which the per-terminal cost
+// rates require.
 type Partial struct {
 	// Slots, Shards and Seed echo the run shape the partial belongs to;
 	// MergePartials validates them against the offered configuration
@@ -364,24 +364,27 @@ func (p *runPlan) restorePartialMetrics(sp *ShardPartial) *Metrics {
 	return m
 }
 
-// partMagic versions the partial wire format.
-var partMagic = []byte("PCNPART3")
+// partMagic versions the partial wire format. Nothing decodes the gob
+// formats before it: a worker and its coordinator run one binary.
+var partMagic = []byte("PCNPART4")
 
 // EncodePartial serializes a partial to the same self-checking byte
-// format checkpoints use (encodeFramed). Gob encodes float64 values by
-// bit pattern, so decoding on another machine reproduces every cost rate
-// exactly.
+// format checkpoints use (codec.go). Float64 values travel as their bit
+// patterns, so decoding on another machine reproduces every cost rate
+// exactly, and equal partials encode to equal bytes. The error is
+// always nil.
 func EncodePartial(p *Partial) ([]byte, error) {
-	return encodeFramed(partMagic, "partial", p)
+	return encodeFramed(partMagic, putPartial, p), nil
 }
 
 // DecodePartial parses bytes produced by EncodePartial, rejecting
-// unknown formats and corrupted payloads (checksum mismatch). The
-// decoded structure is not yet validated; callers must run
-// Partial.Validate before trusting it.
+// unknown formats, corrupted payloads (checksum mismatch) and payloads
+// that do not parse (ErrMalformedPayload); it allocates memory
+// proportional to len(data). The decoded structure is not yet
+// validated; callers must run Partial.Validate before trusting it.
 func DecodePartial(data []byte) (*Partial, error) {
 	p := &Partial{}
-	if err := decodeFramed(partMagic, "partial", data, p); err != nil {
+	if err := decodeFramed(partMagic, "partial", getPartial, data, p); err != nil {
 		return nil, err
 	}
 	return p, nil

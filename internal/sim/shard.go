@@ -298,7 +298,7 @@ func (p *runPlan) validateResume(cp *Checkpoint) error {
 	cpScheme := cp.Scheme
 	if cpScheme == "" {
 		// Checkpoints written before the scheme field existed are all
-		// distance-scheme runs; the gob zero value reads back as such.
+		// distance-scheme runs; gob decodes their missing field as "".
 		cpScheme = schemeDistance.String()
 	}
 	if cpScheme != upd.kind.String() || cp.SchemeParam != upd.param {

@@ -170,13 +170,13 @@ func cmpMidSq(x, y float64, v *big.Rat) int {
 	return m.Quo(m, big.NewRat(4, 1)).Cmp(v)
 }
 
-// momentsBytes is the length of the MarshalBinary form.
-const momentsBytes = 7 * 8
+// MomentsBinaryLen is the length of the MarshalBinary form.
+const MomentsBinaryLen = 7 * 8
 
 // MarshalBinary encodes the exact state as seven little-endian 64-bit
 // words: unit, n, Σx, Σx² (high, low), min, max.
 func (a Moments) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, momentsBytes)
+	out := make([]byte, 0, MomentsBinaryLen)
 	for _, w := range [...]uint64{uint64(a.Unit()), uint64(a.n), uint64(a.sum), a.sqHi, a.sqLo, uint64(a.min), uint64(a.max)} {
 		out = binary.LittleEndian.AppendUint64(out, w)
 	}
@@ -186,8 +186,8 @@ func (a Moments) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary restores a state written by MarshalBinary, rejecting a
 // wrong length, a unit below 1 or a negative count.
 func (a *Moments) UnmarshalBinary(data []byte) error {
-	if len(data) != momentsBytes {
-		return fmt.Errorf("stats: moments encoding of %d bytes, want %d", len(data), momentsBytes)
+	if len(data) != MomentsBinaryLen {
+		return fmt.Errorf("stats: moments encoding of %d bytes, want %d", len(data), MomentsBinaryLen)
 	}
 	var w [7]uint64
 	for i := range w {

@@ -12,11 +12,13 @@ import (
 type Checkpoint = sim.Checkpoint
 
 // EncodeCheckpoint serializes a checkpoint to a self-checking byte
-// format (magic header, gob payload, CRC32 trailer).
+// format (magic header, columnar binary payload, CRC32 trailer); equal
+// checkpoints encode to equal bytes.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) { return sim.EncodeCheckpoint(cp) }
 
-// DecodeCheckpoint parses bytes produced by EncodeCheckpoint, rejecting
-// unknown formats and corrupted payloads.
+// DecodeCheckpoint parses bytes produced by EncodeCheckpoint, or by an
+// older binary's gob encoder, rejecting unknown formats and corrupted
+// payloads.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return sim.DecodeCheckpoint(data) }
 
 // SimulateNetworkCheckpointed is SimulateNetworkShardedCtx with periodic

@@ -56,8 +56,8 @@ func MergeNetworkPartials(cfg NetworkConfig, slots int64, shards int, parts []*P
 }
 
 // EncodePartial serializes a partial to a self-checking byte format
-// (magic header, gob payload, CRC32 trailer); float64 state round-trips
-// bit-for-bit across machines.
+// (magic header, columnar binary payload, CRC32 trailer); float64 state
+// round-trips bit-for-bit across machines.
 func EncodePartial(p *Partial) ([]byte, error) { return sim.EncodePartial(p) }
 
 // DecodePartial parses bytes produced by EncodePartial, rejecting
