@@ -114,9 +114,10 @@ func main() {
 	}
 
 	// The analytics table: every done job flattens into it and POST
-	// /query answers from it. With -data-dir the table itself persists
-	// beside the journal (and loads back instantly on restart); the
-	// journal replay below backfills whatever the table file lacks.
+	// /query answers from it. With -data-dir the table is saved beside
+	// the journal at shutdown (and loads back instantly on restart); the
+	// journal is the per-job durable record, and its replay below
+	// backfills whatever the table file lacks, as after a SIGKILL.
 	store := results.NewStore()
 	if *dataDir != "" {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
@@ -172,7 +173,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv}
+	// A client gets ReadHeaderTimeout to send its request line and
+	// headers, and an idle keep-alive connection is closed after
+	// IdleTimeout. ReadTimeout and WriteTimeout stay unset: a job's
+	// /stream response lives as long as the job, and ReadTimeout would
+	// cancel that handler's context once it expired. Request bodies are
+	// bounded by size in the handlers instead.
+	httpSrv := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	log.Printf("serving on http://%s (%d workers, queue depth %d)",
 		ln.Addr(), *workers, *queue)
 

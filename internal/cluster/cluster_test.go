@@ -357,6 +357,30 @@ func TestWorkerRejectsSkewedLease(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsOversizedOrUnknownLease: a lease body past the
+// limit is refused with 413 and one with a field SliceRequest lacks with
+// 400, both before any simulation starts.
+func TestWorkerRejectsOversizedOrUnknownLease(t *testing.T) {
+	w, err := NewWorker(WorkerOptions{Join: "http://c.invalid", Advertise: "http://w.invalid"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"oversized", `{"job":"` + strings.Repeat("a", maxSliceRequest) + `"}`, http.StatusRequestEntityTooLarge},
+		{"unknown-field", `{"schema":1,"job":"j1","priority":9}`, http.StatusBadRequest},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/slices", strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		w.SliceHandler().ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }

@@ -182,14 +182,25 @@ func (w *Worker) SliceHandler() http.Handler {
 	return http.HandlerFunc(w.handleSlice)
 }
 
+// maxSliceRequest bounds a lease body; a SliceRequest is a job spec
+// plus a few integers, well under a kilobyte.
+const maxSliceRequest = 1 << 20
+
 func (w *Worker) handleSlice(rw http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	var sr SliceRequest
-	if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
-		http.Error(rw, fmt.Sprintf("bad slice request: %v", err), http.StatusBadRequest)
+	dec := json.NewDecoder(http.MaxBytesReader(rw, req.Body, maxSliceRequest))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sr); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(rw, fmt.Sprintf("bad slice request: %v", err), status)
 		return
 	}
 	if sr.Schema != WireSchema {

@@ -43,6 +43,8 @@ const (
 	// KindResult records a completed job's report document byte-for-byte
 	// (base64 inside the envelope); it is always appended before the
 	// done-state record, so a replayed done job always has its bytes.
+	// The Manager serves a journaled done job's report by reading this
+	// line back (readResult), so the journal is where those bytes live.
 	KindResult = "result"
 	// KindCheckpoint notes that a resumable checkpoint for a running job
 	// was persisted. Informational: the checkpoint bytes themselves live
@@ -91,6 +93,10 @@ type Record struct {
 	Node string `json:"node,omitempty"`
 	Lo   int    `json:"lo,omitempty"`
 	Hi   int    `json:"hi,omitempty"`
+
+	// off and n locate a replayed record's line, newline included, in
+	// the journal file. ReplayJournal sets them; they are never encoded.
+	off, n int64
 }
 
 // envelope is the on-disk line framing: the raw record bytes plus their
@@ -208,6 +214,7 @@ func ReplayJournal(r io.Reader) ([]Record, int64, error) {
 		if err != nil {
 			return recs, valid, nil
 		}
+		rec.off, rec.n = valid, int64(len(line))
 		recs = append(recs, rec)
 		valid += int64(len(line))
 		prevSeq = rec.Seq
@@ -279,24 +286,58 @@ func (j *Journal) Append(rec Record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := j.f.Write(line); err != nil {
+	// Size follows the file's write position even when a write or sync
+	// fails, so offsets taken from it keep locating later records.
+	n, err := j.f.Write(line)
+	j.size += int64(n)
+	if err != nil {
 		return err
 	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
+	// The whole line reached the file, so its seq is spent even if the
+	// fsync fails: a later record must not reuse it.
 	j.seq = rec.Seq
 	j.records++
-	j.size += int64(len(line))
-	return nil
+	return j.f.Sync()
 }
 
 // Records returns the number of records in the journal (replayed plus
 // appended).
 func (j *Journal) Records() int64 { return j.records }
 
-// Size returns the journal's byte length.
+// Size returns the journal's byte length: the offset at which the next
+// record will start.
 func (j *Journal) Size() int64 { return j.size }
 
 // Close closes the underlying file.
 func (j *Journal) Close() error { return j.f.Close() }
+
+// readResult reads the journal line at [off, off+n) of the file at path
+// (newline included), checks its checksum and that it is job id's result
+// record, and returns the report bytes it carries. It opens the file
+// itself, so it works after the appending Journal is closed. Nothing
+// but the checked record's own bytes is ever returned.
+func readResult(path string, off, n int64, id string) ([]byte, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("jobs: journal line of %d bytes", n)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	line := make([]byte, n)
+	if _, err := f.ReadAt(line, off); err != nil {
+		return nil, fmt.Errorf("jobs: reading journal bytes [%d,%d): %w", off, off+n, err)
+	}
+	if line[n-1] != '\n' {
+		return nil, fmt.Errorf("jobs: journal bytes [%d,%d) are not one line", off, off+n)
+	}
+	rec, err := decodeLine(line[:n-1], 0)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Kind != KindResult || rec.Job != id {
+		return nil, fmt.Errorf("jobs: journal record at byte %d is %s of %s, want result of %s", off, rec.Kind, rec.Job, id)
+	}
+	return rec.Result, nil
+}

@@ -46,6 +46,10 @@ var (
 	// ErrNotDone reports a result request for a job that has not
 	// completed successfully (HTTP 409).
 	ErrNotDone = errors.New("jobs: job has no result")
+	// ErrResultUnreadable reports a done job whose journaled report could
+	// not be read back intact: the file is gone, or the line fails its
+	// checksum or is not the job's result record (HTTP 500).
+	ErrResultUnreadable = errors.New("jobs: journaled result unreadable")
 )
 
 // Options configures a Manager; the zero value selects the defaults.
@@ -76,7 +80,9 @@ type Options struct {
 	// analytics table (ResultRow): live on the done edge, and backfilled
 	// from the journaled result bytes during Recover — so after recovery
 	// the table holds exactly the done jobs, however the process got
-	// there.
+	// there. Ingesting writes no file; the manager calls Results.Flush
+	// once in Shutdown, after the workers unwind, and in Recover when
+	// backfill added rows.
 	Results *results.Store
 	// Runner, when non-nil, executes jobs instead of the in-process
 	// engines — the distributed coordinator path. Checkpoint capture and
@@ -101,6 +107,7 @@ type job struct {
 
 	// progress receives live per-shard counters while the job runs; the
 	// engines publish completed terminal-slots directly (ShardStatus.Work).
+	// Nil once the job is terminal (settle).
 	progress *telemetry.Progress
 
 	// cancel aborts the running simulation; cancelRequested records that
@@ -109,16 +116,22 @@ type job struct {
 	cancel          context.CancelFunc
 	cancelRequested bool
 
-	// resultJSON holds a done job's final report: the exact byte
-	// sequence pcnsim -json would emit for the same run, which is what
-	// the byte-identity guarantee is stated over.
-	resultJSON []byte
+	// A done job's final report is the exact byte sequence pcnsim -json
+	// would emit for the same run, which is what the byte-identity
+	// guarantee is stated over. A journaled job keeps only where its
+	// result record lies in the journal — resultLen bytes at resultOff —
+	// and Result reads the line back. resultJSON holds the bytes only
+	// without a journal, when the result append failed, or transiently
+	// while Recover backfills from the replayed records.
+	resultJSON           []byte
+	resultOff, resultLen int64
 
 	// doneSlots freezes the job's terminal-slot total when it reaches a
 	// terminal state.
 	doneSlots int64
 
-	// done closes when the job reaches a terminal state.
+	// done closes when the job reaches a terminal state, and is then
+	// the shared closedDone (settle).
 	done chan struct{}
 }
 
@@ -236,7 +249,7 @@ func (m *Manager) Recover() error {
 	if err := os.MkdirAll(filepath.Join(m.opts.DataDir, "checkpoints"), 0o755); err != nil {
 		return err
 	}
-	jl, recs, err := OpenJournal(filepath.Join(m.opts.DataDir, "journal.ndjson"))
+	jl, recs, err := OpenJournal(m.journalPath())
 	if err != nil {
 		return err
 	}
@@ -290,6 +303,7 @@ func (m *Manager) Recover() error {
 		case KindResult:
 			if j := m.jobs[rec.Job]; j != nil {
 				j.resultJSON = rec.Result
+				j.resultOff, j.resultLen = rec.off, rec.n
 			}
 		}
 	}
@@ -313,8 +327,12 @@ func (m *Manager) Recover() error {
 				j.doneSlots = j.spec.Slots * int64(j.spec.Terminals)
 				m.backfillResultLocked(j)
 			}
-			close(j.done)
+			j.settle()
 		}
+		// The replayed bytes have served backfill; from here on Result
+		// reads them back from the journal. An interrupted job's stale
+		// result is superseded when it runs again.
+		j.resultJSON = nil
 	}
 	if len(pend) > cap(m.queue) {
 		m.queue = make(chan *job, len(pend))
@@ -324,8 +342,31 @@ func (m *Manager) Recover() error {
 	}
 	m.recovering = false
 	m.mu.Unlock()
+	// Save the rows backfill added, so the next boot loads them instead
+	// of rebuilding them; a no-op when the table file already had them.
+	m.flushResults()
 	m.startWorkers()
 	return nil
+}
+
+// journalPath is the journal file beneath the data directory.
+func (m *Manager) journalPath() string {
+	return filepath.Join(m.opts.DataDir, "journal.ndjson")
+}
+
+// flushResults saves the results table to its file (results.Store.Flush;
+// a no-op for a memory-only store). Best-effort like every write after
+// boot: a failure is counted, and the next recovery backfills from the
+// journal whatever rows the file lacks.
+func (m *Manager) flushResults() {
+	if m.opts.Results == nil {
+		return
+	}
+	if err := m.opts.Results.Flush(); err != nil {
+		m.mu.Lock()
+		m.resultsErrs++
+		m.mu.Unlock()
+	}
 }
 
 // appendLocked journals one record (stamped with the manager clock)
@@ -430,11 +471,19 @@ func (m *Manager) runJob(j *job) {
 	j.cancel = nil
 	switch {
 	case runErr == nil:
-		j.resultJSON = raw
 		j.doneSlots = spec.Slots * int64(spec.Terminals)
 		// The result record precedes the done record, so a replayed
-		// done-state always finds its bytes already in place.
-		m.appendLocked(Record{Kind: KindResult, Job: j.id, Result: raw})
+		// done-state always finds its bytes already in place. Once the
+		// record is durable the journal holds the bytes for Result too;
+		// only a job without one keeps them in memory.
+		j.resultJSON = raw
+		if m.journal != nil {
+			off := m.journal.Size()
+			if m.appendLocked(Record{Kind: KindResult, Job: j.id, Result: raw}) == nil {
+				j.resultJSON = nil
+				j.resultOff, j.resultLen = off, m.journal.Size()-off
+			}
+		}
 		j.transition(StateDone)
 		m.appendLocked(Record{Kind: KindState, Job: j.id, From: StateRunning, To: StateDone})
 	case j.cancelRequested || errors.Is(runErr, context.Canceled):
@@ -459,8 +508,9 @@ func (m *Manager) runJob(j *job) {
 	m.mu.Unlock()
 
 	// Flatten the done job into the analytics table outside the manager
-	// lock: a persistence-backed store fsyncs its table file per ingest,
-	// and that I/O must not stall the whole job table.
+	// lock. Ingest only appends to memory (the table file is written at
+	// Shutdown, and the journal already holds the result durably), so
+	// this costs microseconds and frees the worker for its next job.
 	if done && m.opts.Results != nil {
 		if err := m.ingestResult(j.id, spec, report); err != nil {
 			m.mu.Lock()
@@ -486,11 +536,12 @@ func (m *Manager) ingestResult(id string, spec Spec, report *locman.Report) erro
 }
 
 // backfillResultLocked rebuilds a recovered done job's analytics row
-// from its journaled result bytes. Runs under the manager lock during
-// Recover — before the recovering flag clears — so a /readyz 200
-// implies the table already answers for every recovered job. Jobs the
-// store already holds (its own persistence file loaded them) are left
-// alone and not counted.
+// from the result bytes the journal replay just read. Runs under the
+// manager lock during Recover — before the recovering flag clears — so
+// a /readyz 200 implies the table already answers for every recovered
+// job. Jobs the store already holds (its table file loaded them) are
+// left alone and not counted; after a crash the file holds only what
+// the last Flush saved, and the journal supplies the rest.
 func (m *Manager) backfillResultLocked(j *job) {
 	if m.opts.Results == nil || m.opts.Results.Has(j.id) {
 		return
@@ -723,18 +774,31 @@ func (m *Manager) List() []View {
 }
 
 // Result returns a done job's report document: the exact bytes
-// pcnsim -json would emit for the same Spec.
+// pcnsim -json would emit for the same Spec. A journaled job's bytes are
+// read back from its result record outside the manager lock, and
+// checked (ErrResultUnreadable otherwise); this keeps working after
+// Shutdown, which pcnserve relies on while it drains HTTP.
 func (m *Manager) Result(id string) ([]byte, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
+		m.mu.Unlock()
 		return nil, ErrNotFound
 	}
 	if j.state != StateDone {
+		m.mu.Unlock()
 		return nil, fmt.Errorf("%w (state %s)", ErrNotDone, j.state)
 	}
-	return j.resultJSON, nil
+	raw, off, n := j.resultJSON, j.resultOff, j.resultLen
+	m.mu.Unlock()
+	if raw != nil {
+		return raw, nil
+	}
+	raw, err := readResult(m.journalPath(), off, n, id)
+	if err != nil {
+		return nil, fmt.Errorf("%w: job %s: %v", ErrResultUnreadable, id, err)
+	}
+	return raw, nil
 }
 
 // Done returns a channel closed when the job reaches a terminal state,
@@ -796,13 +860,15 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		<-workersDone
 		err = ctx.Err()
 	}
-	// The workers have unwound, so no append can race the close.
+	// The workers have unwound, so no append can race the close, and
+	// the results table holds its final rows: save it once, here.
 	m.mu.Lock()
 	if m.journal != nil {
 		m.journal.Close()
 		m.journal = nil
 	}
 	m.mu.Unlock()
+	m.flushResults()
 	return err
 }
 

@@ -77,6 +77,23 @@ func (j *job) transition(to State) {
 	}
 	j.state = to
 	if to.Terminal() {
-		close(j.done)
+		j.settle()
 	}
+}
+
+// closedDone is the done channel every terminal job shares.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// settle releases what only a live job needs, once the job is terminal:
+// its done channel closes (waiters hold their own reference) and is
+// swapped for the shared closed one, and its progress counters go.
+// A service keeps every job it ever ran, so this is per-job residency.
+func (j *job) settle() {
+	close(j.done)
+	j.done = closedDone
+	j.progress = nil
 }

@@ -19,6 +19,12 @@
 // store was filled live, backfilled from a journal replay, or loaded
 // from its persistence file. The pre/post-restart CI leg holds the
 // service to exactly that.
+//
+// Persistence: a store from Open loads a table file and saves it back
+// only on Flush, which pcnserve calls at shutdown and after a recovery
+// that backfilled rows. Ingest never writes it. The job journal is the
+// per-job durable record; after a crash the file lags the journal and
+// recovery backfills the rows it lacks.
 package results
 
 import (

@@ -26,7 +26,8 @@ var ErrDuplicateJob = errors.New("results: job already ingested")
 // row order sorted by job id. All methods are safe for concurrent use.
 type Store struct {
 	mu      sync.RWMutex
-	persist string // when non-empty, Save here after every ingest
+	persist string // the path Open was given, where Flush saves; "" for NewStore
+	dirty   bool   // rows ingested since the table was loaded or last flushed
 
 	cols   []colData      // parallel to the columns schema
 	jobRow map[string]int // job id → row position
@@ -49,10 +50,13 @@ func NewStore() *Store {
 	}
 }
 
-// Open returns a store persisted at path: if the file exists its rows
-// are loaded (the file must be a valid TableSchema document, anything
-// else is an error, not silent data loss), and every subsequent Ingest
-// rewrites it atomically. A missing file is simply an empty store.
+// Open returns a store backed by the table file at path: if the file
+// exists its rows are loaded (the file must be a valid TableSchema
+// document, anything else is an error, not silent data loss), and Flush
+// later saves the table back there. A missing file is simply an empty
+// store. Ingest never writes the file, so between flushes it lags the
+// table; on a pcnserve data directory the job journal is the per-job
+// durable record, and recovery backfills whatever rows the file lacks.
 func Open(path string) (*Store, error) {
 	s := NewStore()
 	s.persist = path
@@ -101,11 +105,8 @@ func (s *Store) Jobs() []string {
 // operands, where NaN and infinity have no stable meaning. Metric
 // columns may carry NaN.
 //
-// When the store is persistence-backed, the table file is rewritten
-// (atomically: temp file, fsync, rename) before Ingest returns; a
-// persistence failure is returned but the row stays ingested — the
-// in-memory table remains authoritative for the running process,
-// mirroring the job journal's best-effort policy after boot.
+// Ingest only touches memory, even on a store from Open; Flush saves
+// the table.
 func (s *Store) Ingest(row Row) error {
 	if row.Job == "" {
 		return fmt.Errorf("results: row has no job id")
@@ -142,12 +143,22 @@ func (s *Store) Ingest(row Row) error {
 	s.order = append(s.order, 0)
 	copy(s.order[at+1:], s.order[at:])
 	s.order[at] = pos
+	s.dirty = true
+	return nil
+}
 
-	if s.persist != "" {
-		if err := s.saveLocked(s.persist); err != nil {
-			return fmt.Errorf("results: persisting table: %w", err)
-		}
+// Flush saves the table to the file Open loaded it from, when rows were
+// ingested since the load or the last flush. It is a no-op on a NewStore.
+func (s *Store) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.persist == "" || !s.dirty {
+		return nil
 	}
+	if err := s.saveLocked(s.persist); err != nil {
+		return fmt.Errorf("results: saving table: %w", err)
+	}
+	s.dirty = false
 	return nil
 }
 

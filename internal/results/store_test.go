@@ -64,8 +64,8 @@ func TestOpenMissingFileIsEmpty(t *testing.T) {
 }
 
 // TestPersistRoundTrip proves the table file carries every value —
-// including NaN metrics — bit for bit, and that a persistence-backed
-// store rewrites the file on every ingest.
+// including NaN metrics — bit for bit, and that a store from Open
+// writes the file on Flush and never on Ingest.
 func TestPersistRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.table.json")
 	s, err := Open(path)
@@ -78,8 +78,11 @@ func TestPersistRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("ingest did not persist the table: %v", err)
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("ingest wrote the table file: %v", err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
 	}
 
 	re, err := Open(path)
@@ -113,6 +116,41 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlushOnlyWhenIngested: Flush writes nothing for a NewStore, nor
+// for a store from Open that ingested nothing since its load or last
+// flush.
+func TestFlushOnlyWhenIngested(t *testing.T) {
+	if err := NewStore().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "results.table.json")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("flushing an empty, unchanged store wrote the file: %v", err)
+	}
+	if err := s.Ingest(fourRows()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatalf("flush after an ingest wrote no file: %v", err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a second flush with no new rows rewrote the file: %v", err)
+	}
+}
+
 // TestLoadFoldsRetiredEngine: a table saved while the retired "fast"
 // engine existed loads with those rows under "cols", the name the same
 // jobs flatten to today, so it saves back the bytes of a table that
@@ -120,14 +158,14 @@ func TestPersistRoundTrip(t *testing.T) {
 func TestLoadFoldsRetiredEngine(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "results.table.json")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewStore()
 	for _, r := range fourRows() {
 		if err := s.Ingest(r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
 	}
 	want := mustRead(t, path)
 	old := strings.ReplaceAll(string(want), `"cols"`, `"fast"`)
@@ -155,14 +193,14 @@ func TestLoadFoldsRetiredEngine(t *testing.T) {
 // table file must fail loudly, never silently drop or mangle rows.
 func TestLoadRejections(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.json")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewStore()
 	for _, r := range fourRows() {
 		if err := s.Ingest(r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
 	}
 	good := string(mustRead(t, path))
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -16,9 +15,7 @@ import (
 
 func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 	var req cluster.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			map[string]string{"error": fmt.Sprintf("invalid register request: %v", err)})
+	if !decodeBody(w, r, maxClusterBody, "register request", &req) {
 		return
 	}
 	if req.Schema != cluster.WireSchema {
@@ -36,9 +33,7 @@ func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req cluster.HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			map[string]string{"error": fmt.Sprintf("invalid heartbeat request: %v", err)})
+	if !decodeBody(w, r, maxClusterBody, "heartbeat request", &req) {
 		return
 	}
 	if req.Schema != cluster.WireSchema {

@@ -7,6 +7,8 @@
 // a full queue is 429 (backpressure, the client should retry later), an
 // unknown job 404, a result requested before completion 409, shutdown
 // 503. Every error body is a one-field JSON object {"error": "..."}.
+// Request bodies are read through http.MaxBytesReader: one past its
+// limit is 413, a malformed one 400.
 package server
 
 import (
@@ -111,6 +113,38 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// Request body limits. A job spec or a query is well under a kilobyte,
+// a cluster register or heartbeat well under a hundred bytes.
+const (
+	maxRequestBody = 1 << 20
+	maxClusterBody = 64 << 10
+)
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes
+// and rejecting unknown fields. On failure it answers the request — 413
+// past the limit, 400 otherwise, the error prefixed with what — and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	writeJSON(w, bodyStatus(err), map[string]string{"error": fmt.Sprintf("invalid %s: %v", what, err)})
+	return false
+}
+
+// bodyStatus is the status for a failed request-body read or decode:
+// 413 when the body ran past its http.MaxBytesReader limit, else 400.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // writeError maps a manager error onto its HTTP status and a JSON body.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
@@ -129,11 +163,7 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec jobs.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			map[string]string{"error": fmt.Sprintf("invalid job spec: %v", err)})
+	if !decodeBody(w, r, maxRequestBody, "job spec", &spec) {
 		return
 	}
 	v, err := s.mgr.Submit(spec)
@@ -207,9 +237,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": "results store not configured"})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
+		writeJSON(w, bodyStatus(err),
 			map[string]string{"error": fmt.Sprintf("reading query request: %v", err)})
 		return
 	}
