@@ -74,13 +74,19 @@ import (
 // call-or-move event directly. The gap sampler is the per-slot threshold
 // scan itself (one call draw, then one move draw, per slot, in sweepSlot
 // order), so it consumes the identical stream positions as per-slot
-// draws and bit-identity is preserved by construction; what it buys is
-// that the generator state, position and center stay in registers for
-// the whole stretch instead of round-tripping through memory every slot.
-// Cell geometry is inlined on a concrete grid.Hex/grid.Line branch
-// rather than called through the locator interface: an interface call
-// would force the register-resident RNG copy to escape to the heap,
-// and the hot loop must not allocate at any population size.
+// draws and bit-identity is preserved by construction. What it buys is
+// one call per stretch instead of two Uint64 calls per slot: EventGap
+// copies the four generator words into locals, steps them in registers
+// for the whole scan and stores them back once. Around it, the stretch
+// loop keeps the terminal's RNG copy, position and center in locals
+// (lr, pos, ctr) and publishes them to the columns only when it crosses
+// into cold code. Cell geometry is inlined on a concrete
+// grid.Hex/grid.Line branch rather than called through the locator
+// interface: an interface call would force the local RNG copy to escape
+// to the heap, and the hot loop must not allocate at any population
+// size. `go build -gcflags=-m ./internal/stats` must report the step
+// function inlined into EventGap, and `go build -gcflags=-m
+// ./internal/sim` must not report lr moved to the heap.
 //
 // Slots are processed in batches bounded by the telemetry cadence, so
 // each snapshot observes exactly the state the reference engine would
@@ -190,8 +196,8 @@ func (c *colsState) flushThreshold(i int, m *Metrics) {
 // are bounded by the telemetry and checkpoint cadences, frames are
 // captured at the boundaries, and late timers drain after the last
 // batch; within a batch, terminals advance in cohorts, and within a
-// terminal, event-free stretches collapse into EventGap draws on
-// register-resident state.
+// terminal, event-free stretches collapse into EventGap scans, which
+// keep the generator state in registers.
 //
 // A cancellable ctx is polled between per-terminal slot chunks, with
 // pure stretches additionally capped at ctxCheckSlots slots, so the
@@ -302,8 +308,8 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 						s++
 						continue
 					}
-					// Pure stretch: load the terminal's hot state into
-					// registers and consume event gaps until the stretch
+					// Pure stretch: copy the terminal's hot state into
+					// locals and consume event gaps until the stretch
 					// ends or the scheduler is armed.
 					stop := next
 					if dyn {
@@ -394,7 +400,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 						}
 						if called {
 							// Inline paging exchange through the cold
-							// path: publish registers, run, reload (the
+							// path: publish the locals, run, reload (the
 							// chain draws losses from the shared RNG
 							// column and may re-center the terminal).
 							rngs[i] = lr

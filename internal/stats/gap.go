@@ -13,40 +13,32 @@ package stats
 // across engines and shard counts (see stats.SubStream and
 // sim.TestFastPathEquivalence).
 //
-// These primitives therefore sample the geometric gap by running the
-// per-slot threshold scan itself — one BernoulliT draw (or one
-// call-draw/move-draw pair) per slot, in the caller's exact draw order —
-// and returning how far the scan got. Equivalence with the scalar loop
-// is by construction, not approximation: the loop bodies below are the
-// scalar engine's per-slot draws verbatim, so the generator state after
-// a gap-sampled stretch equals the state after the same stretch of
-// scalar draws, position for position (property-tested and fuzzed in
-// gap_test.go). What the restructuring buys is the caller's side: the
-// per-slot branch-and-return dance collapses into one call that keeps
-// the generator state in registers for the whole stretch.
-
-// GapSample scans for the next success of a Bernoulli sequence with the
-// precomputed integer threshold t (see BernoulliThreshold), consuming
-// one draw per slot exactly like a BernoulliT-per-slot loop. It returns
-// the number of failure slots consumed before the success. When no
-// success occurs within limit slots it stops having consumed exactly
-// limit draws and returns (limit, false).
-func (r *RNG) GapSample(t uint64, limit int64) (gap int64, hit bool) {
-	for gap = 0; gap < limit; gap++ {
-		if r.BernoulliT(t) {
-			return gap, true
-		}
-	}
-	return limit, false
-}
+// EventGap therefore samples the geometric gap by running the per-slot
+// threshold scan itself — one call-draw/move-draw pair per slot, in the
+// caller's exact draw order — and returning how far the scan got.
+// Equivalence with the scalar loop is by construction, not
+// approximation: the loop body is the scalar engine's per-slot draws
+// verbatim, so the generator state after a gap-sampled stretch equals
+// the state after the same stretch of scalar draws, position for
+// position (property-tested and fuzzed in gap_test.go).
+//
+// What the restructuring buys is the inner loop. The scan copies the
+// four xoshiro256** words into locals, advances them with the inlined
+// step function and writes them back once on exit, so the whole stretch
+// runs with the generator state in registers; a Uint64 call per draw
+// would load and store all four words through the pointer every slot.
+// `go build -gcflags=-m ./internal/stats` checks it: it must report
+// "inlining call to step" at both draws in EventGap.
 
 // EventGap scans for the next slot in which either of two ordered
 // Bernoulli events fires: each slot draws against first, and only on a
 // failure draws against second — the call-then-move draw order of the
-// simulator's slot sweep (sim.network.sweepSlot). It returns the number
+// simulator's slot sweep (sim.network.sweepSlot). The thresholds are
+// BernoulliT thresholds (see BernoulliThreshold). It returns the number
 // of event-free slots consumed before the hit and which event fired
 // (firstHit). When neither fires within limit slots it returns
-// (limit, false, false) with exactly 2·limit draws consumed.
+// (limit, false, false) with exactly 2·limit draws consumed; a limit of
+// zero or less consumes nothing.
 //
 // An event slot consumes only the draws up to its deciding one — one
 // draw when first fires, two when second fires — leaving the generator
@@ -54,13 +46,21 @@ func (r *RNG) GapSample(t uint64, limit int64) (gap int64, hit bool) {
 // it up (the direction draw of a move, the loss draws of a paging
 // chain).
 func (r *RNG) EventGap(first, second uint64, limit int64) (gap int64, firstHit, hit bool) {
-	for gap = 0; gap < limit; gap++ {
-		if r.BernoulliT(first) {
-			return gap, true, true
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var u uint64
+	for ; gap < limit; gap++ {
+		if u, s0, s1, s2, s3 = step(s0, s1, s2, s3); u>>11 < first {
+			firstHit, hit = true, true
+			break
 		}
-		if r.BernoulliT(second) {
-			return gap, false, true
+		if u, s0, s1, s2, s3 = step(s0, s1, s2, s3); u>>11 < second {
+			hit = true
+			break
 		}
 	}
-	return limit, false, false
+	r.s = [4]uint64{s0, s1, s2, s3}
+	if !hit {
+		return limit, false, false
+	}
+	return gap, firstHit, hit
 }

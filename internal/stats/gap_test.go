@@ -1,17 +1,9 @@
 package stats
 
-import "testing"
-
-// scanGap is the scalar reference: a BernoulliT-per-slot loop returning
-// the failure count before the first success, capped at limit.
-func scanGap(r *RNG, t uint64, limit int64) (int64, bool) {
-	for gap := int64(0); gap < limit; gap++ {
-		if r.BernoulliT(t) {
-			return gap, true
-		}
-	}
-	return limit, false
-}
+import (
+	"math"
+	"testing"
+)
 
 // scanEventGap is the scalar reference for the two-event scan in the
 // slot sweep's draw order: first draw, and only on failure the second.
@@ -27,24 +19,12 @@ func scanEventGap(r *RNG, first, second uint64, limit int64) (int64, bool, bool)
 	return limit, false, false
 }
 
-// checkGapCase asserts both primitives agree with their scalar
-// references on result and — the positional contract — on the exact
-// generator state left behind.
+// checkGapCase asserts EventGap agrees with its scalar reference on
+// result and — the positional contract — on the exact generator state
+// left behind.
 func checkGapCase(t *testing.T, seed, t1, t2 uint64, limit int64) {
 	t.Helper()
 	ref, got := NewRNG(seed), NewRNG(seed)
-	wantGap, wantHit := scanGap(ref, t1, limit)
-	gap, hit := got.GapSample(t1, limit)
-	if gap != wantGap || hit != wantHit {
-		t.Fatalf("GapSample(t=%d, limit=%d) seed %d = (%d, %v), scalar scan = (%d, %v)",
-			t1, limit, seed, gap, hit, wantGap, wantHit)
-	}
-	if ref.s != got.s {
-		t.Fatalf("GapSample(t=%d, limit=%d) seed %d left state %v, scalar scan %v",
-			t1, limit, seed, got.s, ref.s)
-	}
-
-	ref, got = NewRNG(seed), NewRNG(seed)
 	wantGap, wantFirst, wantHit := scanEventGap(ref, t1, t2, limit)
 	gap, first, hit := got.EventGap(t1, t2, limit)
 	if gap != wantGap || first != wantFirst || hit != wantHit {
@@ -79,9 +59,10 @@ func TestGapSamplePositionalEquivalence(t *testing.T) {
 	}
 }
 
-// TestGapSampleEdgeThresholds pins the degenerate thresholds: p=0 must
+// TestGapSampleEdgeThresholds pins the degenerate inputs: p=0 must
 // consume one draw per slot without ever firing, p=1 must fire on the
-// first slot, and a zero limit must consume nothing.
+// first slot, and a limit of zero or less must return (limit, false,
+// false) verbatim having consumed nothing.
 func TestGapSampleEdgeThresholds(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 99} {
 		checkGapCase(t, seed, 0, 0, 64)
@@ -91,13 +72,17 @@ func TestGapSampleEdgeThresholds(t *testing.T) {
 		checkGapCase(t, seed, BernoulliThreshold(0.3), BernoulliThreshold(0.7), 0)
 	}
 
-	r := NewRNG(7)
-	before := r.s
-	if gap, hit := r.GapSample(0, 0); gap != 0 || hit {
-		t.Fatalf("GapSample(0, 0) = (%d, %v), want (0, false)", gap, hit)
-	}
-	if r.s != before {
-		t.Fatal("GapSample with limit 0 consumed draws")
+	// Certain-fire thresholds: any draw consumed would be a hit.
+	for _, limit := range []int64{0, -1, -300, math.MinInt64} {
+		r := NewRNG(7)
+		before := r.s
+		if gap, first, hit := r.EventGap(1<<53, 1<<53, limit); gap != limit || first || hit {
+			t.Fatalf("EventGap(1<<53, 1<<53, %d) = (%d, %v, %v), want (%d, false, false)",
+				limit, gap, first, hit, limit)
+		}
+		if r.s != before {
+			t.Fatalf("EventGap with limit %d consumed draws", limit)
+		}
 	}
 }
 
@@ -120,8 +105,8 @@ func TestSeedSubStreamMatchesSubStream(t *testing.T) {
 	}
 }
 
-// FuzzGapSample fuzzes the positional-equivalence property over
-// arbitrary seeds, thresholds and limits.
+// FuzzGapSample fuzzes EventGap's positional-equivalence property over
+// arbitrary seeds, thresholds and limits, negative limits included.
 func FuzzGapSample(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(0), int64(16))
 	f.Add(uint64(2), uint64(1)<<53, uint64(1)<<53, int64(1))
@@ -134,10 +119,39 @@ func FuzzGapSample(f *testing.F) {
 		if t2 > 1<<53 {
 			t2 %= 1<<53 + 1
 		}
-		if limit < 0 {
-			limit = -limit
-		}
 		limit %= 4096
 		checkGapCase(t, seed, t1, t2, limit)
 	})
+}
+
+// eventGapSink keeps the benchmarked results live.
+var eventGapSink int64
+
+// BenchmarkEventGap reports the scan's cost per slot consumed: at the
+// paper's Table point (move q=0.05, call c=0.01) with the cols engine's
+// 256-slot stretch limit, and over event-free stretches (both
+// thresholds 0), where every slot is a call draw plus a move draw.
+func BenchmarkEventGap(b *testing.B) {
+	for _, bc := range []struct {
+		name       string
+		call, move uint64
+		limit      int64
+	}{
+		{"table", BernoulliThreshold(0.01), BernoulliThreshold(0.05), 256},
+		{"event-free", 0, 0, 1000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := NewRNG(1)
+			var slots int64
+			for i := 0; i < b.N; i++ {
+				gap, _, hit := r.EventGap(bc.call, bc.move, bc.limit)
+				slots += gap
+				if hit {
+					slots++
+				}
+			}
+			eventGapSink = slots
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slots), "ns/slot")
+		})
+	}
 }

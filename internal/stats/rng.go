@@ -35,17 +35,26 @@ func NewRNG(seed uint64) *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// step is one xoshiro256** step on a state held in four values: it
+// returns the output word and the advanced state. It is the generator's
+// only copy of the algorithm and is small enough to inline, so a loop
+// that keeps the state in locals (EventGap) draws without touching
+// memory.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 random bits.
-func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+func (r *RNG) Uint64() (out uint64) {
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -59,8 +68,8 @@ func (r *RNG) Intn(n int) int {
 		panic("stats: Intn with non-positive n")
 	}
 	// Lemire's nearly-divisionless bounded generation would be overkill;
-	// rejection sampling over the top 53 bits keeps it simple and unbiased
-	// for the small n used here.
+	// rejecting the lowest (2^64 mod n) values of a full 64-bit draw
+	// leaves a multiple of n outcomes, so v % n is unbiased.
 	bound := uint64(n)
 	threshold := (math.MaxUint64 - bound + 1) % bound
 	for {
