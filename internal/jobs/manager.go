@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -167,6 +168,11 @@ type Manager struct {
 	// Results-store counters (zero without Options.Results).
 	resultsBackfilled int64 // rows rebuilt from the journal at boot
 	resultsErrs       int64 // rows that failed to flatten, ingest or persist
+
+	// writingCheckpoint, when set (by tests, before Recover), runs on a
+	// job's checkpoint writer once the temp file exists and before the
+	// checkpoint is written to it.
+	writingCheckpoint func(id string, slot int64)
 }
 
 // New starts a Manager. Without a DataDir the worker pool starts
@@ -239,7 +245,9 @@ func jobSeq(id string) int64 {
 // no-op. Completed jobs come back with their result bytes exactly as
 // journaled; interrupted jobs take the recovery edge running → queued
 // (itself journaled) and, when a checkpoint file survives, resume
-// mid-run rather than starting over. If more jobs need re-enqueueing
+// mid-run rather than starting over. Checkpoint files no re-enqueued
+// job will resume from, and temp files of interrupted checkpoint writes,
+// are deleted (pruneCheckpoints). If more jobs need re-enqueueing
 // than the configured queue depth, the queue is grown to fit — recovery
 // never drops acknowledged work to backpressure.
 func (m *Manager) Recover() error {
@@ -334,6 +342,7 @@ func (m *Manager) Recover() error {
 		// result is superseded when it runs again.
 		j.resultJSON = nil
 	}
+	m.pruneCheckpoints(pend)
 	if len(pend) > cap(m.queue) {
 		m.queue = make(chan *job, len(pend))
 	}
@@ -347,6 +356,27 @@ func (m *Manager) Recover() error {
 	m.flushResults()
 	m.startWorkers()
 	return nil
+}
+
+// pruneCheckpoints deletes what a crash can leave in the checkpoint
+// directory: the temp file of a write the crash interrupted, and the
+// checkpoint of every job that will not run again — terminal (the crash
+// fell between its terminal record and the removal) or unknown to the
+// journal. The jobs in pend keep theirs to resume from. Best-effort: a
+// file that cannot be listed or removed stays, as before.
+func (m *Manager) pruneCheckpoints(pend []*job) {
+	keep := make(map[string]bool, len(pend))
+	for _, j := range pend {
+		keep[j.id+".ckpt"] = true
+	}
+	dir := filepath.Join(m.opts.DataDir, "checkpoints")
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".ckpt") && !keep[name] {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
 }
 
 // journalPath is the journal file beneath the data directory.
@@ -611,7 +641,12 @@ func (m *Manager) simulate(ctx context.Context, id string, cfg locman.NetworkCon
 	every := m.opts.CheckpointEvery
 	var sink func(*locman.Checkpoint)
 	if every > 0 {
-		sink = func(cp *locman.Checkpoint) { m.persistCheckpoint(id, cp) }
+		// Joined before simulate returns, whatever the run's outcome, so
+		// the job's terminal record and checkpoint removal always come
+		// after its last checkpoint.
+		w := m.startCheckpointWriter(ctx, id)
+		defer w.close()
+		sink = w.put
 	}
 	if cp := m.loadCheckpoint(id); cp != nil {
 		// shards 0 adopts the checkpoint's own partition, which also
@@ -641,25 +676,70 @@ func (m *Manager) checkpointPath(id string) string {
 	return filepath.Join(m.opts.DataDir, "checkpoints", id+".ckpt")
 }
 
+// checkpointWriter persists one job's checkpoints on its own goroutine,
+// so the file write, fsync, rename and journal record run beside the
+// engine instead of on the shard that completed the boundary. It is
+// handed each checkpoint's frame, which holds only the shards' encoded
+// sections, so the captured state is garbage once the hand-off returns.
+// The hand-off is unbuffered: put returns once the writer has taken the
+// frame, which it does only after the previous one has landed, so at
+// most one checkpoint is being written while the next is handed over,
+// and files and journal records keep slot order.
+type checkpointWriter struct {
+	ctx  context.Context
+	ch   chan *locman.CheckpointFrame
+	done chan struct{}
+}
+
+func (m *Manager) startCheckpointWriter(ctx context.Context, id string) *checkpointWriter {
+	w := &checkpointWriter{ctx: ctx, ch: make(chan *locman.CheckpointFrame), done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		for f := range w.ch {
+			m.persistCheckpoint(id, f)
+		}
+	}()
+	return w
+}
+
+// put hands a checkpoint to the writer; it is the run's checkpoint sink.
+// Once the run's context is done the job is about to become terminal,
+// which deletes its checkpoint, so a hand-off still waiting then is
+// dropped rather than written: cancellation waits for at most the one
+// write in flight.
+func (w *checkpointWriter) put(cp *locman.Checkpoint) {
+	select {
+	case w.ch <- locman.FrameCheckpoint(cp):
+	case <-w.ctx.Done():
+	}
+}
+
+// close waits for the last handed-over checkpoint to land. The run must
+// have returned, so no put is in progress.
+func (w *checkpointWriter) close() {
+	close(w.ch)
+	<-w.done
+}
+
 // persistCheckpoint writes a checkpoint file atomically (temp file,
 // fsync, rename), so the file is always either the old complete
 // checkpoint or the new complete one — never a torn mix; the journal's
-// checkpoint record is purely informational. Called from a shard
-// goroutine mid-run; failures are counted, not fatal (the run itself is
+// checkpoint record is purely informational. The frame streams to the
+// file, never assembled in memory. Called from the job's checkpoint
+// writer mid-run; failures are counted, not fatal (the run itself is
 // unaffected, only resumability degrades).
-func (m *Manager) persistCheckpoint(id string, cp *locman.Checkpoint) {
+func (m *Manager) persistCheckpoint(id string, frame *locman.CheckpointFrame) {
 	err := func() error {
-		data, err := locman.EncodeCheckpoint(cp)
-		if err != nil {
-			return err
-		}
 		path := m.checkpointPath(id)
 		tmp := path + ".tmp"
 		f, err := os.Create(tmp)
 		if err != nil {
 			return err
 		}
-		if _, err := f.Write(data); err == nil {
+		if m.writingCheckpoint != nil {
+			m.writingCheckpoint(id, frame.Slot)
+		}
+		if _, err = frame.WriteTo(f); err == nil {
 			err = f.Sync()
 		}
 		if cerr := f.Close(); err == nil {
@@ -678,7 +758,7 @@ func (m *Manager) persistCheckpoint(id string, cp *locman.Checkpoint) {
 		return
 	}
 	m.ckptWritten++
-	m.appendLocked(Record{Kind: KindCheckpoint, Job: id, Slot: cp.Slot})
+	m.appendLocked(Record{Kind: KindCheckpoint, Job: id, Slot: frame.Slot})
 }
 
 // loadCheckpoint reads and decodes job id's checkpoint file, returning

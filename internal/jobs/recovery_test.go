@@ -246,14 +246,21 @@ func TestManagerHostileCheckpointFallsBack(t *testing.T) {
 			if planted != nil {
 				return
 			}
-			// Capture deep-copies the live state, so this edit never
-			// reaches the run.
-			cp.Shard[0].Metrics.DelayHist = nil
+			// A delivered checkpoint carries the sections its shards
+			// encoded, so the edit goes into a decoded copy.
 			data, err := locman.EncodeCheckpoint(cp)
 			if err != nil {
 				t.Error(err)
 			}
-			planted = data
+			edited, err := locman.DecodeCheckpoint(data)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			edited.Shard[0].Metrics.DelayHist = nil
+			if planted, err = locman.EncodeCheckpoint(edited); err != nil {
+				t.Error(err)
+			}
 		}); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"io"
 	"maps"
 	"slices"
 	"sync"
@@ -25,6 +26,12 @@ import (
 // nothing of slot Slot itself. The whole structure round-trips exactly
 // through EncodeCheckpoint/DecodeCheckpoint; float64 fields round-trip
 // bit-for-bit, which the RNG positions and EWMA estimators require.
+//
+// A checkpoint a run hands its sink (RunOpts.CheckpointSink) carries
+// each shard's encoded section, written by the shard when it captured
+// its state; EncodeCheckpoint and FrameCheckpoint reuse those bytes
+// rather than encode the fields again. Such a checkpoint is therefore
+// read-only: to encode an edited one, edit a decoded copy.
 type Checkpoint struct {
 	// Slot is the boundary the checkpoint was taken at: the number of
 	// completed slots, 0 < Slot < Slots.
@@ -84,6 +91,20 @@ type ShardCheckpoint struct {
 	// DES is the reference engine's single shard scheduler; nil for the
 	// columnar engine.
 	DES *DESCheckpoint
+
+	// encoded is the shard's PCNCKPT3 section (putShardCheckpoint) as
+	// the shard encoded it at capture; nil for a checkpoint decoded or
+	// built any other way, whose section is encoded when it is written.
+	encoded []byte
+}
+
+// section returns the shard's PCNCKPT3 section: the bytes encoded at
+// capture, or a fresh encoding.
+func (sc *ShardCheckpoint) section() []byte {
+	if sc.encoded != nil {
+		return sc.encoded
+	}
+	return encodePayload(nil, 0, putShardCheckpoint, sc)
 }
 
 // TermCheckpoint is one terminal's mobile-side state.
@@ -348,6 +369,33 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	return encodeFramed(ckptMagic, putCheckpoint, cp), nil
 }
 
+// CheckpointFrame is a checkpoint's encoding held in pieces: the head of
+// the payload (putCheckpointHead) and every shard's section. It references
+// only encoded bytes, so the checkpoint it was framed from need not
+// outlive it, and it streams to a writer without being assembled in
+// memory.
+type CheckpointFrame struct {
+	// Slot is the framed checkpoint's boundary.
+	Slot   int64
+	pieces [][]byte
+}
+
+// FrameCheckpoint frames cp, reusing the sections its shards encoded at
+// capture and encoding the others.
+func FrameCheckpoint(cp *Checkpoint) *CheckpointFrame {
+	f := &CheckpointFrame{Slot: cp.Slot, pieces: make([][]byte, 0, 1+len(cp.Shard))}
+	f.pieces = append(f.pieces, encodePayload(nil, 0, putCheckpointHead, cp))
+	for i := range cp.Shard {
+		f.pieces = append(f.pieces, cp.Shard[i].section())
+	}
+	return f
+}
+
+// WriteTo writes the encoded checkpoint, EncodeCheckpoint's bytes, to w.
+func (f *CheckpointFrame) WriteTo(w io.Writer) (int64, error) {
+	return writeFramed(w, ckptMagic, f.pieces)
+}
+
 // DecodeCheckpoint parses bytes produced by EncodeCheckpoint, or by the
 // PCNCKPT1/PCNCKPT2 encoders before it, rejecting unknown formats,
 // corrupted payloads (checksum mismatch) and, for the current format,
@@ -377,10 +425,13 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // consistent checkpoint needs every shard at the same boundary, but the
 // shards run freely — nothing blocks at a boundary — so captures for a
 // boundary accumulate until the last shard delivers, at which point the
-// assembled checkpoint is handed to the sink. Because each shard
-// delivers its boundaries in order, boundary B's checkpoint always
-// completes before B+every's, so the sink observes checkpoints in
-// increasing slot order.
+// assembled checkpoint is handed to the sink. Each shard encodes its own
+// section as it delivers, so the shards encode in parallel and the sink
+// gets a checkpoint that only needs framing. Because each shard delivers
+// its boundaries in order, boundary B's checkpoint always completes
+// before B+every's, so the sink observes checkpoints in increasing slot
+// order; the sink runs under the aggregator's lock, so a sink that
+// blocks holds back every shard's next delivery.
 type ckptAggregator struct {
 	mu      sync.Mutex
 	shape   Checkpoint // Slot/Shard unset; the shared header fields
@@ -398,10 +449,11 @@ func newCkptAggregator(shape Checkpoint, sink func(*Checkpoint)) *ckptAggregator
 	}
 }
 
-// add delivers one shard's capture for a boundary; the completing
-// delivery assembles the checkpoint and invokes the sink synchronously
-// (on the delivering shard's goroutine).
+// add encodes one shard's capture for a boundary, on the delivering
+// shard's goroutine, and delivers it; the completing delivery assembles
+// the checkpoint and invokes the sink synchronously (on that goroutine).
 func (a *ckptAggregator) add(shard int, sc ShardCheckpoint) {
+	sc.encoded = sc.section()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	b := sc.Slot

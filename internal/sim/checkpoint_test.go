@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -151,6 +152,68 @@ func FuzzResumeCheckpoint(f *testing.F) {
 			t.Fatal("resume returned neither metrics nor an error")
 		}
 	})
+}
+
+// TestCheckpointFrameIdentity: a delivered checkpoint's encoding, built
+// from the sections its shards encoded at capture, equals the encoding
+// of the same checkpoint with no sections, which encodes every field
+// afresh, and so does its streamed frame (FrameCheckpoint). For both
+// engines, 1, 2, 3 and 7 shards, with and without faults and telemetry.
+// The fresh encodings are taken after the run has finished, so a capture
+// that shared state with the live run, which kept changing it, would
+// show as a difference.
+func TestCheckpointFrameIdentity(t *testing.T) {
+	const slots, every = 400, 97
+	for _, engine := range []Engine{EngineCols, EngineDES} {
+		for _, shards := range []int{1, 2, 3, 7} {
+			for _, faults := range []bool{false, true} {
+				for _, telemetry := range []bool{false, true} {
+					cfg := partialConfig(engine)
+					if !faults {
+						cfg.Faults = FaultPlan{}
+					}
+					if !telemetry {
+						cfg.Telemetry.SnapshotEvery = 0
+					}
+					var cps []*Checkpoint
+					var frames [][]byte
+					if _, err := RunShardedOpts(context.Background(), cfg, slots, shards, RunOpts{
+						CheckpointEvery: every,
+						CheckpointSink: func(cp *Checkpoint) {
+							data, _ := EncodeCheckpoint(cp)
+							var streamed bytes.Buffer
+							if n, err := FrameCheckpoint(cp).WriteTo(&streamed); err != nil || n != int64(len(data)) ||
+								!bytes.Equal(streamed.Bytes(), data) {
+								t.Errorf("slot %d: streamed frame (%d bytes, %v) differs from EncodeCheckpoint", cp.Slot, n, err)
+							}
+							cps = append(cps, cp)
+							frames = append(frames, data)
+						},
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if len(cps) != (slots-1)/every {
+						t.Fatalf("%s/%d shards: %d checkpoints delivered", engine, shards, len(cps))
+					}
+					for i, cp := range cps {
+						bare := *cp
+						bare.Shard = slices.Clone(cp.Shard)
+						for s := range bare.Shard {
+							if bare.Shard[s].encoded == nil {
+								t.Fatalf("%s/%d shards: shard %d delivered without its section", engine, shards, s)
+							}
+							bare.Shard[s].encoded = nil
+						}
+						want, _ := EncodeCheckpoint(&bare)
+						if !bytes.Equal(frames[i], want) {
+							t.Errorf("%s/%d shards/faults %v/telemetry %v: slot-%d frame differs from a fresh encoding",
+								engine, shards, faults, telemetry, cp.Slot)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // hasPending reports whether any scheduler in cp holds a queued event.

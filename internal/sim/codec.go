@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/bits"
 
@@ -69,6 +70,15 @@ func (e *encoder) str(s string) {
 		return
 	}
 	e.buf = append(e.buf, s...)
+}
+
+// raw writes bytes an encoder wrote before.
+func (e *encoder) raw(b []byte) {
+	if e.sizing {
+		e.n += len(b)
+		return
+	}
+	e.buf = append(e.buf, b...)
 }
 
 func (e *encoder) moments(m *stats.Moments) {
@@ -479,22 +489,52 @@ func sectionSize[T any](put func(*encoder, *T), v *T) int {
 	return e.n
 }
 
-// encodeFramed is the wire codec checkpoints and partials share: the
-// format's magic/version header, the payload put writes, and a
-// big-endian CRC32 trailer over the payload. put runs twice: first to
-// size the frame, which is then allocated once, and then to fill it.
-func encodeFramed[T any](magic []byte, put func(*encoder, *T), v *T) []byte {
+// encodePayload returns prefix followed by the payload put writes for
+// v, in a buffer with room for extra more bytes. put runs twice: first
+// to size the payload, which is then allocated once, and then to fill
+// it.
+func encodePayload[T any](prefix []byte, extra int, put func(*encoder, *T), v *T) []byte {
 	e := &encoder{sizing: true}
 	put(e, v)
-	size := len(magic) + e.n + 4
-	e.sizing, e.buf = false, make([]byte, 0, size)
-	e.buf = append(e.buf, magic...)
+	size := len(prefix) + e.n
+	e.sizing, e.buf = false, make([]byte, 0, size+extra)
+	e.buf = append(e.buf, prefix...)
 	put(e, v)
-	e.buf = binary.BigEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf[len(magic):]))
 	if len(e.buf) != size || e.next != len(e.sizes) {
 		panic(fmt.Sprintf("sim: encoder sized %d bytes, wrote %d", size, len(e.buf)))
 	}
 	return e.buf
+}
+
+// encodeFramed is the wire frame checkpoints and partials share: the
+// format's magic/version header, the payload put writes, and a
+// big-endian CRC32 trailer over the payload.
+func encodeFramed[T any](magic []byte, put func(*encoder, *T), v *T) []byte {
+	b := encodePayload(magic, 4, put, v)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(magic):]))
+}
+
+// writeFramed streams encodeFramed's frame for a payload held in
+// pieces (a CheckpointFrame): magic, each piece in order, then the CRC32
+// of their concatenation. It returns the number of bytes written.
+func writeFramed(w io.Writer, magic []byte, pieces [][]byte) (int64, error) {
+	var total int64
+	write := func(b []byte) error {
+		n, err := w.Write(b)
+		total += int64(n)
+		return err
+	}
+	if err := write(magic); err != nil {
+		return total, err
+	}
+	var crc uint32
+	for _, p := range pieces {
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+		if err := write(p); err != nil {
+			return total, err
+		}
+	}
+	return total, write(binary.BigEndian.AppendUint32(nil, crc))
 }
 
 // unframe checks the header and trailer encodeFramed wrote and returns

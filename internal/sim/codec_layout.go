@@ -263,8 +263,23 @@ func getFrames(d *decoder) []telemetry.ShardFrame {
 	return frames
 }
 
-// putCheckpoint writes a Checkpoint's PCNCKPT3 payload.
+// putCheckpoint writes a Checkpoint's PCNCKPT3 payload: the head, then
+// one self-contained section per shard (putShardCheckpoint), taken as
+// the shard encoded it at capture when it did (ShardCheckpoint.encoded).
 func putCheckpoint(e *encoder, cp *Checkpoint) {
+	putCheckpointHead(e, cp)
+	for i := range cp.Shard {
+		if sc := &cp.Shard[i]; sc.encoded != nil {
+			e.raw(sc.encoded)
+		} else {
+			putShardCheckpoint(e, sc)
+		}
+	}
+}
+
+// putCheckpointHead writes the head of a Checkpoint's payload: the run
+// shape and the shard count.
+func putCheckpointHead(e *encoder, cp *Checkpoint) {
 	e.varint(cp.Slot)
 	e.varint(cp.Slots)
 	e.varint(int64(cp.Shards))
@@ -274,9 +289,6 @@ func putCheckpoint(e *encoder, cp *Checkpoint) {
 	e.str(cp.Scheme)
 	e.varint(cp.SchemeParam)
 	e.count(len(cp.Shard))
-	for i := range cp.Shard {
-		putShardCheckpoint(e, &cp.Shard[i])
-	}
 }
 
 func getCheckpoint(d *decoder, cp *Checkpoint) {

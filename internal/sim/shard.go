@@ -75,9 +75,13 @@ type RunOpts struct {
 	Resume *Checkpoint
 	// CheckpointEvery > 0 captures a consistent whole-run checkpoint at
 	// every interior multiple of that many slots and hands it to
-	// CheckpointSink. The sink is called on a shard goroutine (the last
-	// shard to reach the boundary), in increasing slot order; it must not
-	// retain the pointer past the call unless it finishes with it.
+	// CheckpointSink. Each shard captures its state and encodes its
+	// section of the checkpoint on its own goroutine; the sink is called
+	// on the last shard to reach the boundary, in increasing slot order,
+	// and no shard delivers its next boundary until the sink returns. The
+	// checkpoint is the sink's to keep (the run holds no reference to it)
+	// but read-only: EncodeCheckpoint writes the sections encoded at
+	// capture.
 	CheckpointEvery int64
 	CheckpointSink  func(*Checkpoint)
 }

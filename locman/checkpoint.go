@@ -16,6 +16,14 @@ type Checkpoint = sim.Checkpoint
 // checkpoints encode to equal bytes.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) { return sim.EncodeCheckpoint(cp) }
 
+// CheckpointFrame is a checkpoint's encoding held in pieces, ready to
+// stream to a writer (WriteTo) without the checkpoint it was framed from
+// and without assembling the bytes in memory; see sim.CheckpointFrame.
+type CheckpointFrame = sim.CheckpointFrame
+
+// FrameCheckpoint frames cp; its WriteTo writes EncodeCheckpoint's bytes.
+func FrameCheckpoint(cp *Checkpoint) *CheckpointFrame { return sim.FrameCheckpoint(cp) }
+
 // DecodeCheckpoint parses bytes produced by EncodeCheckpoint, or by an
 // older binary's gob encoder, rejecting unknown formats and corrupted
 // payloads.
@@ -24,9 +32,13 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return sim.DecodeCheck
 // SimulateNetworkCheckpointed is SimulateNetworkShardedCtx with periodic
 // checkpoint capture: every multiple of every slots (interior boundaries
 // only), a consistent whole-run Checkpoint is handed to sink, in
-// increasing slot order, from a shard goroutine. Checkpointing never
-// perturbs the simulation: the returned metrics are bit-identical to an
-// unobserved run.
+// increasing slot order, from a shard goroutine; the shards wait for the
+// sink to return before delivering the next one. Each shard encodes its
+// part of the checkpoint as it captures it, so EncodeCheckpoint on a
+// delivered checkpoint only frames those bytes, and the checkpoint must
+// not be edited before it is encoded. Checkpointing never perturbs the
+// simulation: the returned metrics are bit-identical to an unobserved
+// run.
 func SimulateNetworkCheckpointed(ctx context.Context, cfg NetworkConfig, slots int64, shards int, every int64, sink func(*Checkpoint)) (*NetworkMetrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -216,6 +216,64 @@ func TestCheckpointCrossEngineResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointV3Golden pins the PCNCKPT3 format: testdata/v3-cols.ckpt
+// is checkpointConfig's columnar run over 2 shards at slot 611 (faults
+// on, one telemetry frame captured), as the whole-frame encoder wrote it
+// before shards encoded their own sections. The same boundary must
+// encode to those bytes exactly, and the file must resume to the
+// uninterrupted run's Report.
+func TestCheckpointV3Golden(t *testing.T) {
+	const every, shards = 611, 2
+	cfg := checkpointConfig(EngineCols)
+	golden, err := os.ReadFile(filepath.Join("testdata", "v3-cols.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	var encErr error
+	if _, err := SimulateNetworkCheckpointed(context.Background(),
+		cfg, checkpointSlots, shards, every, func(cp *Checkpoint) {
+			if cp.Slot == every {
+				got, encErr = EncodeCheckpoint(cp)
+			}
+		}); err != nil {
+		t.Fatal(err)
+	}
+	if encErr != nil {
+		t.Fatal(encErr)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Errorf("slot-%d checkpoint encodes to %d bytes that differ from the %d-byte golden",
+			every, len(got), len(golden))
+	}
+
+	cp, err := DecodeCheckpoint(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Shard[0].Snapshots) == 0 {
+		t.Fatal("golden holds no telemetry frame")
+	}
+	report := func(m *NetworkMetrics) []byte {
+		b, err := json.MarshalIndent(NewReport(m), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	clean, err := SimulateNetworkSharded(cfg, checkpointSlots, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ResumeNetworkCheckpointed(context.Background(), cfg, checkpointSlots, shards, cp, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(report(resumed), report(clean)) {
+		t.Error("resume from the golden diverged from the uninterrupted run")
+	}
+}
+
 // TestCheckpointResumeValidation rejects checkpoints that do not
 // describe the offered run: wrong shard count, wrong seed, corrupted
 // bytes. shards == 0 adopts the checkpoint's own partition.
