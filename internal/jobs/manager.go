@@ -763,8 +763,9 @@ func (m *Manager) persistCheckpoint(id string, frame *locman.CheckpointFrame) {
 
 // loadCheckpoint reads and decodes job id's checkpoint file, returning
 // nil when there is none (the common case) or when the bytes do not
-// decode (counted as a fallback; atomic persistence makes that a
-// damaged-disk case, not a crash-timing one).
+// decode (counted as a fallback). Atomic persistence makes that a
+// damaged disk or a file an older binary wrote in a retired format,
+// never a crash-timing case.
 func (m *Manager) loadCheckpoint(id string) *locman.Checkpoint {
 	data, err := os.ReadFile(m.checkpointPath(id))
 	if err != nil {

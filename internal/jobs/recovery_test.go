@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/locman"
 )
 
@@ -230,38 +231,79 @@ func TestManagerCrashResumeByteIdentity(t *testing.T) {
 // from slot 0, its result is byte-identical to the engine reference, and
 // the fallback is counted.
 func TestManagerHostileCheckpointFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
-		t.Fatal(err)
-	}
 	spec := testSpec()
 	const every = 500
-	cfg, err := spec.NetworkConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var planted []byte
-	if _, err := locman.SimulateNetworkCheckpointed(context.Background(),
-		cfg, spec.Slots, spec.Shards, every, func(cp *locman.Checkpoint) {
-			if planted != nil {
-				return
-			}
-			// A delivered checkpoint carries the sections its shards
-			// encoded, so the edit goes into a decoded copy.
+	checkpointRun(t, spec, every, func(cp *locman.Checkpoint) {
+		if planted != nil {
+			return
+		}
+		// A delivered checkpoint carries the sections its shards
+		// encoded, so the edit goes into a decoded copy.
+		data, err := locman.EncodeCheckpoint(cp)
+		if err != nil {
+			t.Error(err)
+		}
+		edited, err := locman.DecodeCheckpoint(data)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		edited.Shard[0].Metrics.DelayHist = nil
+		if planted, err = locman.EncodeCheckpoint(edited); err != nil {
+			t.Error(err)
+		}
+	})
+	recoverFromPlanted(t, spec, every, planted)
+}
+
+// TestManagerRetiredCheckpointFallsBack: a checkpoint file in a retired
+// format (PCNCKPT2), as an older binary would leave it for a job in
+// flight across an upgrade, is refused by name and costs only the
+// resume: the job re-runs from slot 0 to a byte-identical result. The
+// planted file is a valid checkpoint of the job under the old magic, so
+// only the format refuses it.
+func TestManagerRetiredCheckpointFallsBack(t *testing.T) {
+	spec := testSpec()
+	const every = 500
+	var planted []byte
+	checkpointRun(t, spec, every, func(cp *locman.Checkpoint) {
+		if planted == nil {
 			data, err := locman.EncodeCheckpoint(cp)
 			if err != nil {
 				t.Error(err)
 			}
-			edited, err := locman.DecodeCheckpoint(data)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			edited.Shard[0].Metrics.DelayHist = nil
-			if planted, err = locman.EncodeCheckpoint(edited); err != nil {
-				t.Error(err)
-			}
-		}); err != nil {
+			planted = append([]byte("PCNCKPT2"), data[len("PCNCKPT3"):]...)
+		}
+	})
+	if _, err := locman.DecodeCheckpoint(planted); !errors.Is(err, sim.ErrRetiredCheckpointFormat) {
+		t.Fatalf("planted file: got %v, want sim.ErrRetiredCheckpointFormat", err)
+	}
+	recoverFromPlanted(t, spec, every, planted)
+}
+
+// checkpointRun runs spec with a checkpoint handed to sink every every
+// slots.
+func checkpointRun(t *testing.T, spec Spec, every int64, sink func(*locman.Checkpoint)) {
+	t.Helper()
+	cfg, err := spec.NetworkConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := locman.SimulateNetworkCheckpointed(context.Background(),
+		cfg, spec.Slots, spec.Shards, every, sink); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoverFromPlanted journals spec as a job that was running when the
+// daemon died, with planted as its checkpoint file, and recovers it. The
+// file must not resume: the job must finish from a clean run with the
+// engine reference's bytes, counted as one checkpoint fallback.
+func recoverFromPlanted(t *testing.T, spec Spec, every int64, planted []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	const id = "j000001"

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
+	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"sync"
 
@@ -46,14 +48,11 @@ type Checkpoint struct {
 	// Engine records which engine took the checkpoint. The reference
 	// engine (EngineDES) keeps one scheduler per shard, the columnar
 	// engine one per terminal, so a checkpoint resumes only on the engine
-	// that took it. Checkpoints of the retired fast engine carry the
-	// columnar engine's tag and layout and resume on it unchanged.
+	// that took it.
 	Engine Engine
 	// Scheme and SchemeParam record the update scheme the run uses
 	// (SchemeNames / UpdateScheme.Param); resuming under a different
-	// trigger would replay a different mechanism entirely. Checkpoints
-	// written before schemes existed decode with an empty Scheme, which
-	// validateResume reads as "distance".
+	// trigger would replay a different mechanism entirely.
 	Scheme      string
 	SchemeParam int64
 	// Shard holds the per-shard state, indexed by shard.
@@ -120,7 +119,7 @@ type TermCheckpoint struct {
 	RNG         [4]uint64
 	// Moves and LastContact are the movement and timer schemes' trigger
 	// state (terminal.moves / terminal.lastContact); zero in distance
-	// runs and in checkpoints written before schemes existed.
+	// runs.
 	Moves       int64
 	LastContact int64
 }
@@ -132,19 +131,14 @@ type HLRCheckpoint struct {
 	Threshold int
 }
 
-// MetricsCheckpoint is the serializable mid-run state of a shard's
-// Metrics: the counters, the delay/recovery moments, the latency
-// histograms, the threshold-usage map and the per-terminal counters.
-// Run-shape fields (Slots, Terminals, ids) and the derived aggregates are
-// rebuilt on resume.
-type MetricsCheckpoint = metricsState[map[int]int64]
-
-// metricsState is a shard's serializable Metrics state with the
-// threshold-usage counts in form T. Checkpoints keep the map they have
-// always carried (MetricsCheckpoint), so PCNCKPT1/PCNCKPT2 files still
-// decode through gob; partials carry a slice sorted by threshold
-// (partialMetrics). On the wire both travel as that sorted slice.
-type metricsState[T any] struct {
+// MetricsCheckpoint is the serializable state of a shard's Metrics,
+// mid-run in a checkpoint and final in a partial: the counters, the
+// delay/recovery moments, the latency histograms, the threshold-usage
+// counts and the per-terminal counters. Run-shape fields (Slots,
+// Terminals, ids) and the derived aggregates are rebuilt on restore.
+// The threshold-usage counts are held as the wire carries them, sorted
+// by threshold without repeats, so equal states encode to equal bytes.
+type MetricsCheckpoint struct {
 	Updates, Calls, PolledCells         int64
 	UpdateBytes, PollBytes, ReplyBytes  int64
 	NotFound                            int64
@@ -155,8 +149,35 @@ type metricsState[T any] struct {
 	OutageDeferred                      int64
 	Delay, Recovery                     stats.Moments
 	DelayHist, RecoveryHist             *telemetry.Hist
-	ThresholdSlots                      T
+	ThresholdSlots                      []ThresholdCount
 	PerTerminal                         []TermStatsCheckpoint
+}
+
+// ThresholdCount is one Metrics.ThresholdSlots entry in a
+// MetricsCheckpoint.
+type ThresholdCount struct {
+	D     int
+	Slots int64
+}
+
+// exportThresholds converts the threshold-usage map to its wire form,
+// sorted by threshold so equal states encode to equal bytes.
+func exportThresholds(m map[int]int64) []ThresholdCount {
+	out := make([]ThresholdCount, 0, len(m))
+	for d, c := range m {
+		out = append(out, ThresholdCount{D: d, Slots: c})
+	}
+	slices.SortFunc(out, func(a, b ThresholdCount) int { return cmp.Compare(a.D, b.D) })
+	return out
+}
+
+// restoreThresholds rebuilds the threshold-usage map from its wire form.
+func restoreThresholds(tcs []ThresholdCount) map[int]int64 {
+	m := make(map[int]int64, len(tcs))
+	for _, tc := range tcs {
+		m[tc.D] = tc.Slots
+	}
+	return m
 }
 
 // TermStatsCheckpoint is one terminal's measurement state (the id is its
@@ -182,11 +203,6 @@ type DESCheckpoint struct {
 	Sched        SchedCheckpoint
 	SlotEventSeq uint64
 }
-
-// legacyColsTag is the Engine value checkpoints written before the fast
-// engine was retired carry for the columnar engine (the fast engine held
-// tag 0, EngineCols' tag today). DecodeCheckpoint folds it to EngineCols.
-const legacyColsTag Engine = 2
 
 // ackTag packs an ack-timer's identity — shard-local terminal index and
 // update sequence number — into a des event tag. Update sequence numbers
@@ -250,18 +266,18 @@ func captureShardCore(n *network, terms []terminal, rngs []stats.RNG,
 		sc.HLR[i] = HLRCheckpoint{Center: rec.center, Seq: rec.seq, Threshold: rec.threshold}
 	}
 
-	sc.Metrics = exportMetrics(n.metrics, maps.Clone[map[int]int64])
+	sc.Metrics = exportMetrics(n.metrics)
 	sc.Snapshots = slices.Clone(frames)
 	return sc
 }
 
 // exportMetrics converts a shard's live Metrics into the serializable
 // form, deep-copying every reference type (the live run may keep
-// mutating them after the export returns); thresholds converts the
-// threshold-usage map. Shared by checkpoint capture and the
+// mutating them after the export returns) and sorting the
+// threshold-usage counts. Shared by checkpoint capture and the
 // partial-result wire path (RunPartial).
-func exportMetrics[T any](m *Metrics, thresholds func(map[int]int64) T) metricsState[T] {
-	mc := metricsState[T]{
+func exportMetrics(m *Metrics) MetricsCheckpoint {
+	mc := MetricsCheckpoint{
 		Updates: m.Updates, Calls: m.Calls, PolledCells: m.PolledCells,
 		UpdateBytes: m.UpdateBytes, PollBytes: m.PollBytes, ReplyBytes: m.ReplyBytes,
 		NotFound:    m.NotFound,
@@ -274,7 +290,7 @@ func exportMetrics[T any](m *Metrics, thresholds func(map[int]int64) T) metricsS
 		Recovery:       m.Recovery,
 		DelayHist:      m.DelayHist.Clone(),
 		RecoveryHist:   m.RecoveryHist.Clone(),
-		ThresholdSlots: thresholds(m.ThresholdSlots),
+		ThresholdSlots: exportThresholds(m.ThresholdSlots),
 		PerTerminal:    make([]TermStatsCheckpoint, len(m.PerTerminal)),
 	}
 	for i := range m.PerTerminal {
@@ -312,25 +328,16 @@ func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardC
 	}
 	n.callSeq = sc.CallSeq
 
-	sc.Metrics.restoreInto(n.metrics, cloneThresholds)
-}
-
-// cloneThresholds copies a checkpoint's threshold-usage map; never nil,
-// since the engines increment it (a columnar checkpoint taken before any
-// threshold change holds no entries and decodes as a nil map).
-func cloneThresholds(m map[int]int64) map[int]int64 {
-	out := make(map[int]int64, len(m))
-	maps.Copy(out, m)
-	return out
+	sc.Metrics.restoreInto(n.metrics)
 }
 
 // restoreInto overlays the measurement state onto m, whose PerTerminal
 // records must already be sized to the shard: the counters, copies of
-// the moments and histograms, the threshold-usage counts rebuilt by
-// thresholds, and each terminal's counters, bit for bit. The
-// inverse of exportMetrics, shared by checkpoint resume and the partial
-// merge.
-func (mc *metricsState[T]) restoreInto(m *Metrics, thresholds func(T) map[int]int64) {
+// the moments and histograms, the threshold-usage map (never nil, since
+// the engines increment it) and each terminal's counters, bit for bit.
+// The inverse of exportMetrics, shared by checkpoint resume and the
+// partial merge.
+func (mc *MetricsCheckpoint) restoreInto(m *Metrics) {
 	m.Updates, m.Calls, m.PolledCells = mc.Updates, mc.Calls, mc.PolledCells
 	m.UpdateBytes, m.PollBytes, m.ReplyBytes = mc.UpdateBytes, mc.PollBytes, mc.ReplyBytes
 	m.NotFound = mc.NotFound
@@ -342,7 +349,7 @@ func (mc *metricsState[T]) restoreInto(m *Metrics, thresholds func(T) map[int]in
 	m.Delay, m.Recovery = mc.Delay, mc.Recovery
 	m.DelayHist = mc.DelayHist.Clone()
 	m.RecoveryHist = mc.RecoveryHist.Clone()
-	m.ThresholdSlots = thresholds(mc.ThresholdSlots)
+	m.ThresholdSlots = restoreThresholds(mc.ThresholdSlots)
 	for i := range mc.PerTerminal {
 		tsc := &mc.PerTerminal[i]
 		ts := &m.PerTerminal[i]
@@ -351,14 +358,18 @@ func (mc *metricsState[T]) restoreInto(m *Metrics, thresholds func(T) map[int]in
 }
 
 // ckptMagic versions the checkpoint wire format (codec.go). The gob
-// formats before it still decode, read-only (checkpoint_legacy.go):
-// ckptMagicV2 files directly, and ckptMagicV1 files, whose metrics and
-// telemetry frames held per-terminal Welford states, by conversion.
+// formats before it, PCNCKPT1 and PCNCKPT2, are refused by name
+// (ErrRetiredCheckpointFormat): a checkpoint lives only while its job is
+// in flight, so an old one costs a clean re-run, never a wrong byte.
 var (
-	ckptMagic   = []byte("PCNCKPT3")
-	ckptMagicV2 = []byte("PCNCKPT2")
-	ckptMagicV1 = []byte("PCNCKPT1")
+	ckptMagic        = []byte("PCNCKPT3")
+	retiredCkptMagic = [][]byte{[]byte("PCNCKPT1"), []byte("PCNCKPT2")}
 )
+
+// ErrRetiredCheckpointFormat rejects a checkpoint written in a format no
+// longer read (PCNCKPT1 or PCNCKPT2). Its run can only start again from
+// slot 0, which yields the same bytes a resume would have.
+var ErrRetiredCheckpointFormat = errors.New("sim: retired checkpoint format")
 
 // EncodeCheckpoint serializes a checkpoint to a self-checking byte
 // format: a magic header, the columnar payload (codec.go) and a CRC32
@@ -396,27 +407,20 @@ func (f *CheckpointFrame) WriteTo(w io.Writer) (int64, error) {
 	return writeFramed(w, ckptMagic, f.pieces)
 }
 
-// DecodeCheckpoint parses bytes produced by EncodeCheckpoint, or by the
-// PCNCKPT1/PCNCKPT2 encoders before it, rejecting unknown formats,
-// corrupted payloads (checksum mismatch) and, for the current format,
-// payloads that do not parse (ErrMalformedPayload). Decoding a current
-// checkpoint allocates memory proportional to its length.
+// DecodeCheckpoint parses bytes produced by EncodeCheckpoint, rejecting
+// the retired formats by their magic alone (ErrRetiredCheckpointFormat),
+// unknown formats, corrupted payloads (checksum mismatch) and payloads
+// that do not parse (ErrMalformedPayload). It allocates memory
+// proportional to data's length.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+	for _, magic := range retiredCkptMagic {
+		if bytes.HasPrefix(data, magic) {
+			return nil, fmt.Errorf("%w %s", ErrRetiredCheckpointFormat, magic)
+		}
+	}
 	cp := &Checkpoint{}
-	var err error
-	switch {
-	case bytes.HasPrefix(data, ckptMagicV1):
-		err = decodeCheckpointV1(data, cp)
-	case bytes.HasPrefix(data, ckptMagicV2):
-		err = decodeGob(ckptMagicV2, "checkpoint", data, cp)
-	default:
-		err = decodeFramed(ckptMagic, "checkpoint", getCheckpoint, data, cp)
-	}
-	if err != nil {
+	if err := decodeFramed(ckptMagic, "checkpoint", getCheckpoint, data, cp); err != nil {
 		return nil, err
-	}
-	if cp.Engine == legacyColsTag {
-		cp.Engine = EngineCols
 	}
 	return cp, nil
 }

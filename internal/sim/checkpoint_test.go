@@ -3,8 +3,6 @@ package sim
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
-	"errors"
 	"slices"
 	"testing"
 
@@ -229,38 +227,4 @@ func hasPending(cp *Checkpoint) bool {
 		}
 	}
 	return false
-}
-
-// TestDecodeCheckpointV1RejectsInexactMoments: a PCNCKPT1 file whose
-// per-terminal Welford state cannot come from integer samples fails to
-// decode with ErrInexactLegacyMoments rather than resuming with made-up
-// sums. Gob matches fields by name, so a document holding just the
-// legacy per-terminal state stands in for a whole old checkpoint.
-func TestDecodeCheckpointV1RejectsInexactMoments(t *testing.T) {
-	type term struct{ Delay, Recovery stats.AccumulatorState }
-	type metrics struct{ PerTerminal []term }
-	type shard struct{ Metrics metrics }
-	legacy := func(delay stats.AccumulatorState) []byte {
-		var buf bytes.Buffer
-		doc := struct{ Shard []shard }{[]shard{{metrics{[]term{{Delay: delay}}}}}}
-		if err := gob.NewEncoder(&buf).Encode(doc); err != nil {
-			t.Fatal(err)
-		}
-		return framed(ckptMagicV1, buf.Bytes())
-	}
-	// Two samples of 1 and 2 cycles: Σx = 3, Σx² = 5.
-	cp, err := DecodeCheckpoint(legacy(stats.AccumulatorState{N: 2, Mean: 1.5, M2: 0.5, Min: 1, Max: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := stats.Moments{}
-	want.Add(1)
-	want.Add(2)
-	if got := cp.Shard[0].Metrics.Delay; got != want || cp.Shard[0].Metrics.Recovery.Unit() != SlotTicks {
-		t.Errorf("converted delay %+v (recovery unit %d), want %+v", got, cp.Shard[0].Metrics.Recovery.Unit(), want)
-	}
-	// A mean of 1.25 over two samples is no pair of integers.
-	if _, err := DecodeCheckpoint(legacy(stats.AccumulatorState{N: 2, Mean: 1.25, M2: 0.125, Min: 1, Max: 1.5})); !errors.Is(err, ErrInexactLegacyMoments) {
-		t.Errorf("got %v, want ErrInexactLegacyMoments", err)
-	}
 }

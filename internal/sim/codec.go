@@ -537,25 +537,16 @@ func writeFramed(w io.Writer, magic []byte, pieces [][]byte) (int64, error) {
 	return total, write(binary.BigEndian.AppendUint32(nil, crc))
 }
 
-// unframe checks the header and trailer encodeFramed wrote and returns
-// the payload; what names the format in errors.
-func unframe(magic []byte, what string, data []byte) ([]byte, error) {
+// decodeFramed checks the header and trailer encodeFramed wrote and
+// decodes the whole payload into v with get; what names the format in
+// errors.
+func decodeFramed[T any](magic []byte, what string, get func(*decoder, *T), data []byte, v *T) error {
 	if len(data) < len(magic)+4 || string(data[:len(magic)]) != string(magic) {
-		return nil, fmt.Errorf("sim: not a %s (bad magic)", what)
+		return fmt.Errorf("sim: not a %s (bad magic)", what)
 	}
 	payload := data[len(magic) : len(data)-4]
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[len(data)-4:]) {
-		return nil, fmt.Errorf("sim: %s checksum mismatch", what)
-	}
-	return payload, nil
-}
-
-// decodeFramed checks data's frame and decodes the whole payload into v
-// with get.
-func decodeFramed[T any](magic []byte, what string, get func(*decoder, *T), data []byte, v *T) error {
-	payload, err := unframe(magic, what, data)
-	if err != nil {
-		return err
+		return fmt.Errorf("sim: %s checksum mismatch", what)
 	}
 	d := &decoder{buf: payload}
 	get(d, v)

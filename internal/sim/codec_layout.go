@@ -172,7 +172,7 @@ func getHist(d *decoder) *telemetry.Hist {
 }
 
 // counters lists a shard's counters in wire order.
-func (mc *metricsState[T]) counters() [17]*int64 {
+func (mc *MetricsCheckpoint) counters() [17]*int64 {
 	return [...]*int64{
 		&mc.Updates, &mc.Calls, &mc.PolledCells,
 		&mc.UpdateBytes, &mc.PollBytes, &mc.ReplyBytes,
@@ -185,9 +185,8 @@ func (mc *metricsState[T]) counters() [17]*int64 {
 	}
 }
 
-// putMetrics writes a shard's measurement state, its threshold-usage
-// counts given as a slice sorted by threshold.
-func putMetrics[T any](e *encoder, mc *metricsState[T], thresholds []ThresholdCount) {
+// putMetrics writes a shard's measurement state.
+func putMetrics(e *encoder, mc *MetricsCheckpoint) {
 	for _, c := range mc.counters() {
 		e.varint(*c)
 	}
@@ -195,14 +194,13 @@ func putMetrics[T any](e *encoder, mc *metricsState[T], thresholds []ThresholdCo
 	e.moments(&mc.Recovery)
 	putHist(e, mc.DelayHist)
 	putHist(e, mc.RecoveryHist)
-	putTable(e, thresholds, thresholdLayout)
+	putTable(e, mc.ThresholdSlots, thresholdLayout)
 	putTable(e, mc.PerTerminal, termStatsLayout)
 }
 
-// getMetrics reads what putMetrics wrote into mc and returns the
-// threshold-usage counts, which must be sorted by threshold without
-// repeats.
-func getMetrics[T any](d *decoder, mc *metricsState[T]) []ThresholdCount {
+// getMetrics reads what putMetrics wrote into mc. The threshold-usage
+// counts must be sorted by threshold without repeats.
+func getMetrics(d *decoder, mc *MetricsCheckpoint) {
 	for _, c := range mc.counters() {
 		*c = d.varint()
 	}
@@ -210,14 +208,13 @@ func getMetrics[T any](d *decoder, mc *metricsState[T]) []ThresholdCount {
 	d.moments(&mc.Recovery)
 	mc.DelayHist = getHist(d)
 	mc.RecoveryHist = getHist(d)
-	thresholds := getTable(d, "threshold count", thresholdLayout)
-	for i := 1; i < len(thresholds); i++ {
-		if thresholds[i].D <= thresholds[i-1].D {
+	mc.ThresholdSlots = getTable(d, "threshold count", thresholdLayout)
+	for i := 1; i < len(mc.ThresholdSlots); i++ {
+		if mc.ThresholdSlots[i].D <= mc.ThresholdSlots[i-1].D {
 			d.fail("threshold counts not sorted by threshold")
 		}
 	}
 	mc.PerTerminal = getTable(d, "terminal stats", termStatsLayout)
-	return thresholds
 }
 
 func putFrame(e *encoder, f *telemetry.ShardFrame) {
@@ -318,7 +315,7 @@ func putShardCheckpoint(e *encoder, sc *ShardCheckpoint) {
 	e.uvarint(sc.SubEvents)
 	putTable(e, sc.Terms, termLayout)
 	putTable(e, sc.HLR, hlrLayout)
-	putMetrics(e, &sc.Metrics, exportThresholds(sc.Metrics.ThresholdSlots))
+	putMetrics(e, &sc.Metrics)
 	putFrames(e, sc.Snapshots)
 	putScheds(e, sc.Scheds)
 	putTable(e, sc.PreSweep, uint64Layout)
@@ -343,9 +340,7 @@ func getShardCheckpoint(d *decoder, sc *ShardCheckpoint) {
 	sc.SubEvents = d.uvarint()
 	sc.Terms = getTable(d, "terminal", termLayout)
 	sc.HLR = getTable(d, "registry", hlrLayout)
-	if thresholds := getMetrics(d, &sc.Metrics); len(thresholds) > 0 {
-		sc.Metrics.ThresholdSlots = restoreThresholds(thresholds)
-	}
+	getMetrics(d, &sc.Metrics)
 	sc.Snapshots = getFrames(d)
 	sc.Scheds = getScheds(d)
 	sc.PreSweep = getTable(d, "pre-sweep mark", uint64Layout)
@@ -397,7 +392,7 @@ func putShardPartial(e *encoder, sp *ShardPartial) {
 	e.varint(int64(sp.Lo))
 	e.varint(int64(sp.Hi))
 	e.uvarint(sp.SubEvents)
-	putMetrics(e, &sp.Metrics, sp.Metrics.ThresholdSlots)
+	putMetrics(e, &sp.Metrics)
 	putTable(e, sp.TotalCost, float64Layout)
 	putTable(e, sp.FinalThreshold, intLayout)
 	putFrames(e, sp.Snapshots)
@@ -408,7 +403,7 @@ func getShardPartial(d *decoder, sp *ShardPartial) {
 	sp.Lo = d.int()
 	sp.Hi = d.int()
 	sp.SubEvents = d.uvarint()
-	sp.Metrics.ThresholdSlots = getMetrics(d, &sp.Metrics)
+	getMetrics(d, &sp.Metrics)
 	sp.TotalCost = getTable(d, "total cost", float64Layout)
 	sp.FinalThreshold = getTable(d, "final threshold", intLayout)
 	sp.Snapshots = getFrames(d)

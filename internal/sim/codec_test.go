@@ -120,8 +120,8 @@ func (r codecRand) thresholds() []ThresholdCount {
 	return out
 }
 
-func randMetrics[T any](r codecRand, thresholds T, width int) metricsState[T] {
-	mc := metricsState[T]{Delay: r.moments(), Recovery: r.moments(),
+func randMetrics(r codecRand, thresholds []ThresholdCount, width int) MetricsCheckpoint {
+	mc := MetricsCheckpoint{Delay: r.moments(), Recovery: r.moments(),
 		DelayHist: r.hist(), RecoveryHist: r.hist(), ThresholdSlots: thresholds}
 	for _, c := range mc.counters() {
 		*c = r.i64()
@@ -141,9 +141,9 @@ func (r codecRand) sched() SchedCheckpoint {
 }
 
 // randCheckpoint draws a structurally valid checkpoint of engine: any
-// field values, empty slices and maps as nil (as the decoder returns
-// them), and the columnar engine's per-terminal schedulers or the
-// reference engine's shard scheduler.
+// field values, empty slices as nil (as the decoder returns them), and
+// the columnar engine's per-terminal schedulers or the reference
+// engine's shard scheduler.
 func randCheckpoint(r codecRand, engine Engine) *Checkpoint {
 	cp := &Checkpoint{Slot: r.i64(), Slots: r.i64(), Shards: int(r.i64()), StartD: int(r.i64()),
 		Seed: r.u64(), Engine: engine, SchemeParam: r.i64()}
@@ -152,10 +152,7 @@ func randCheckpoint(r codecRand, engine Engine) *Checkpoint {
 	}
 	for range 1 + r.Intn(3) {
 		width := r.n(300)
-		var thresholds map[int]int64
-		if tcs := r.thresholds(); len(tcs) > 0 {
-			thresholds = restoreThresholds(tcs)
-		}
+		thresholds := r.thresholds()
 		sc := ShardCheckpoint{Slot: r.i64(), Lo: int(r.i64()), Hi: int(r.i64()), CallSeq: uint32(r.u64()),
 			SubEvents: r.u64(), Metrics: randMetrics(r, thresholds, r.n(300)), Snapshots: r.frames()}
 		for range width {
@@ -293,9 +290,8 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 // checkDecodeBounded fails t when decoding data allocated more than a
-// constant multiple of its length. Gob trusted lengths in the input; the
-// codec sizes nothing from a length before checking it against the
-// bytes present.
+// constant multiple of its length: the codec sizes nothing from a
+// length before checking it against the bytes present.
 func checkDecodeBounded(t *testing.T, data []byte, decode func([]byte) error) {
 	t.Helper()
 	var err error
@@ -308,9 +304,13 @@ func checkDecodeBounded(t *testing.T, data []byte, decode func([]byte) error) {
 // FuzzDecodeCheckpoint feeds arbitrary payloads, re-framed with a valid
 // checksum, to DecodeCheckpoint. It must return a checkpoint or an
 // error, never panic, and allocate at most a constant multiple of the
-// input. The seeds are FuzzResumeCheckpoint's runs' checkpoints of both
-// engines, which hold pending timers.
+// input. A payload that itself begins with a retired magic must, decoded
+// as a whole file, fail with ErrRetiredCheckpointFormat. The seeds are
+// FuzzResumeCheckpoint's runs' checkpoints of both engines, which hold
+// pending timers, then the first of them framed as a PCNCKPT1 and as a
+// PCNCKPT2 file.
 func FuzzDecodeCheckpoint(f *testing.F) {
+	var first []byte
 	for _, engine := range []Engine{EngineCols, EngineDES} {
 		cfg := partialConfig(engine)
 		cfg.Faults.AckTimeout = 50 * SlotTicks
@@ -318,17 +318,31 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			CheckpointEvery: 150,
 			CheckpointSink: func(cp *Checkpoint) {
 				data, _ := EncodeCheckpoint(cp)
-				f.Add(data[len(ckptMagic) : len(data)-4])
+				payload := data[len(ckptMagic) : len(data)-4]
+				if first == nil {
+					first = payload
+				}
+				f.Add(payload)
 			},
 		}); err != nil {
 			f.Fatal(err)
 		}
+	}
+	for _, magic := range retiredCkptMagic {
+		f.Add(framed(magic, first))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkDecodeBounded(t, framed(ckptMagic, payload), func(data []byte) error {
 			_, err := DecodeCheckpoint(data)
 			return err
 		})
+		for _, magic := range retiredCkptMagic {
+			if bytes.HasPrefix(payload, magic) {
+				if _, err := DecodeCheckpoint(payload); !errors.Is(err, ErrRetiredCheckpointFormat) {
+					t.Fatalf("%s file: got %v, want ErrRetiredCheckpointFormat", magic, err)
+				}
+			}
+		}
 	})
 }
 

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -47,9 +45,8 @@ type ShardPartial struct {
 	// SubEvents is the shard's sub-slot event count (the slot-sweep chain
 	// is added back once by MergePartials, like RunSharded's merge).
 	SubEvents uint64
-	// Metrics is the shard's measurement state in checkpoint form, its
-	// threshold-usage counts as a slice sorted by threshold.
-	Metrics partialMetrics
+	// Metrics is the shard's final measurement state in checkpoint form.
+	Metrics MetricsCheckpoint
 	// TotalCost and FinalThreshold carry finishShard's per-terminal tail
 	// fields (indexed by terminal position within the shard); shipping
 	// the computed float64 bit patterns keeps the merge arithmetic-free.
@@ -107,7 +104,7 @@ func (p *runPlan) exportShardPartial(shard int, r shardResult) ShardPartial {
 	sp := ShardPartial{
 		Shard:          shard,
 		SubEvents:      m.Events,
-		Metrics:        exportMetrics(m, exportThresholds),
+		Metrics:        exportMetrics(m),
 		TotalCost:      make([]float64, len(m.PerTerminal)),
 		FinalThreshold: make([]int, len(m.PerTerminal)),
 		Snapshots:      r.frames,
@@ -118,36 +115,6 @@ func (p *runPlan) exportShardPartial(shard int, r shardResult) ShardPartial {
 		sp.FinalThreshold[i] = m.PerTerminal[i].FinalThreshold
 	}
 	return sp
-}
-
-// partialMetrics is a shard's measurement state on the partial wire (see
-// metricsState for why the threshold-usage counts travel as a slice).
-type partialMetrics = metricsState[[]ThresholdCount]
-
-// ThresholdCount is one Metrics.ThresholdSlots entry on the partial wire.
-type ThresholdCount struct {
-	D     int
-	Slots int64
-}
-
-// exportThresholds converts the threshold-usage map to its wire form,
-// sorted by threshold so equal partials encode to equal bytes.
-func exportThresholds(m map[int]int64) []ThresholdCount {
-	out := make([]ThresholdCount, 0, len(m))
-	for d, c := range m {
-		out = append(out, ThresholdCount{D: d, Slots: c})
-	}
-	slices.SortFunc(out, func(a, b ThresholdCount) int { return cmp.Compare(a.D, b.D) })
-	return out
-}
-
-// restoreThresholds rebuilds the threshold-usage map from its wire form.
-func restoreThresholds(tcs []ThresholdCount) map[int]int64 {
-	m := make(map[int]int64, len(tcs))
-	for _, tc := range tcs {
-		m[tc.D] = tc.Slots
-	}
-	return m
 }
 
 // PartialMismatchError reports a partial that does not describe the run
@@ -284,7 +251,7 @@ func MergePartials(cfg Config, slots int64, shards int, parts []*Partial) (*Metr
 // but would panic in the histogram or moments merge. MergePartials and
 // validateResume both gate on it; the Field is "hist", "moments" or
 // "frames".
-func (mc *metricsState[T]) checkShape(shard int, frames []telemetry.ShardFrame, through, every int64) *PartialMismatchError {
+func (mc *MetricsCheckpoint) checkShape(shard int, frames []telemetry.ShardFrame, through, every int64) *PartialMismatchError {
 	for _, h := range []struct {
 		hist    *telemetry.Hist
 		width   float64
@@ -354,7 +321,7 @@ func (p *runPlan) restorePartialMetrics(sp *ShardPartial) *Metrics {
 		PerTerminal: make([]TerminalStats, width),
 		costs:       p.cfg.Core.Costs,
 	}
-	sp.Metrics.restoreInto(m, restoreThresholds)
+	sp.Metrics.restoreInto(m)
 	for i := range m.PerTerminal {
 		ts := &m.PerTerminal[i]
 		ts.ID = sp.Lo + i

@@ -120,9 +120,8 @@ func TestPerTerminalInvalidRejected(t *testing.T) {
 }
 
 // TestResumeSchemeIdentity checks checkpoints carry the update scheme:
-// resuming under a different scheme or parameter is rejected, and a
-// legacy checkpoint with no scheme field (pre-scheme gob payloads decode
-// it as "") folds to distance.
+// resuming under a different scheme or parameter is rejected, and so is
+// a checkpoint with no scheme name, even under the distance scheme.
 func TestResumeSchemeIdentity(t *testing.T) {
 	cfg := baseConfig(chain.TwoDimExact, 0.15, 0.03, 2, 2)
 	cfg.Terminals = 4
@@ -159,8 +158,8 @@ func TestResumeSchemeIdentity(t *testing.T) {
 		t.Errorf("scheme drift accepted: %v", err)
 	}
 
-	// Legacy compatibility: distance checkpoints written before the
-	// scheme field decode with Scheme == "", which must read as distance.
+	// Every writer records the scheme name; an empty one is not read
+	// as distance.
 	dcfg := cfg
 	dcfg.Scheme = nil
 	var dcp *Checkpoint
@@ -170,19 +169,12 @@ func TestResumeSchemeIdentity(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := resume(DistanceScheme{}, dcp); err != nil {
+		t.Errorf("distance resume failed: %v", err)
+	}
 	dcp.Scheme = ""
-	rcfg := dcfg
-	want, err := RunSharded(dcfg, slots, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg.Scheme = DistanceScheme{}
-	got, err := RunShardedOpts(context.Background(), rcfg, slots, 2, RunOpts{Resume: dcp})
-	if err != nil {
-		t.Fatalf("legacy scheme-less checkpoint rejected: %v", err)
-	}
-	if got.TotalCost != want.TotalCost || got.Updates != want.Updates {
-		t.Errorf("legacy resume diverged: %v/%d vs %v/%d",
-			got.TotalCost, got.Updates, want.TotalCost, want.Updates)
+	if err := resume(DistanceScheme{}, dcp); err == nil ||
+		!strings.Contains(err.Error(), "checkpoint is for update scheme (0), run wants distance(0)") {
+		t.Errorf("scheme-less checkpoint accepted: %v", err)
 	}
 }

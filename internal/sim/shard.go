@@ -299,15 +299,9 @@ func (p *runPlan) validateResume(cp *Checkpoint) error {
 		return fmt.Errorf("sim: checkpoint start threshold %d does not match run's %d", cp.StartD, p.startD)
 	}
 	upd, _ := resolveScheme(cfg.Scheme) // validated by newRunPlan
-	cpScheme := cp.Scheme
-	if cpScheme == "" {
-		// Checkpoints written before the scheme field existed are all
-		// distance-scheme runs; gob decodes their missing field as "".
-		cpScheme = schemeDistance.String()
-	}
-	if cpScheme != upd.kind.String() || cp.SchemeParam != upd.param {
+	if cp.Scheme != upd.kind.String() || cp.SchemeParam != upd.param {
 		return fmt.Errorf("sim: checkpoint is for update scheme %s(%d), run wants %s(%d)",
-			cpScheme, cp.SchemeParam, upd.kind, upd.param)
+			cp.Scheme, cp.SchemeParam, upd.kind, upd.param)
 	}
 	if cp.Engine != cfg.Engine {
 		return fmt.Errorf("sim: %s-engine checkpoint cannot resume on engine %s",

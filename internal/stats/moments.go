@@ -174,7 +174,8 @@ func cmpMidSq(x, y float64, v *big.Rat) int {
 const MomentsBinaryLen = 7 * 8
 
 // MarshalBinary encodes the exact state as seven little-endian 64-bit
-// words: unit, n, Σx, Σx² (high, low), min, max.
+// words: unit, n, Σx, Σx² (high, low), min, max. The checkpoint and
+// partial codecs write moments in this form.
 func (a Moments) MarshalBinary() ([]byte, error) {
 	out := make([]byte, 0, MomentsBinaryLen)
 	for _, w := range [...]uint64{uint64(a.Unit()), uint64(a.n), uint64(a.sum), a.sqHi, a.sqLo, uint64(a.min), uint64(a.max)} {
@@ -199,43 +200,4 @@ func (a *Moments) UnmarshalBinary(data []byte) error {
 	*a = Moments{unit: canonicalUnit(int64(w[0])), n: int64(w[1]), sum: int64(w[2]), sqHi: w[3], sqLo: w[4],
 		min: int64(w[5]), max: int64(w[6])}
 	return nil
-}
-
-// AddWelford folds in the samples summarized by a Welford state whose
-// values are in reported units, recovering their integer sums: Σx =
-// round(n·mean·unit) and Σx² = round((M2 + n·mean²)·unit²). It returns
-// the largest distance between a recovered integer and the float it was
-// rounded from — for a state of integer samples, rounding noise only —
-// or +Inf when a sum reaches 2^53, past which a float64 cannot tell
-// neighbouring integers apart.
-func (a *Moments) AddWelford(st AccumulatorState) float64 {
-	if st.N == 0 {
-		return 0
-	}
-	if st.N < 0 {
-		return math.Inf(1)
-	}
-	u := float64(a.Unit())
-	vals := [...]float64{
-		float64(st.N) * st.Mean * u,
-		(st.M2 + float64(st.N)*st.Mean*st.Mean) * u * u,
-		st.Min * u,
-		st.Max * u,
-	}
-	var ints [len(vals)]int64
-	residual := 0.0
-	for i, v := range vals {
-		r := math.Round(v)
-		if math.Abs(r) >= 1<<53 || math.IsNaN(r) {
-			return math.Inf(1)
-		}
-		ints[i] = int64(r)
-		residual = max(residual, math.Abs(v-r))
-	}
-	if ints[1] < 0 {
-		return math.Inf(1)
-	}
-	b := Moments{unit: a.unit, n: st.N, sum: ints[0], sqLo: uint64(ints[1]), min: ints[2], max: ints[3]}
-	a.Merge(&b)
-	return residual
 }

@@ -211,40 +211,3 @@ func TestMomentsBinaryRoundTrip(t *testing.T) {
 		t.Error("short encoding accepted")
 	}
 }
-
-// TestMomentsAddWelford converts Welford states of integer streams — in
-// reported units, as old checkpoints stored them — back into the exact
-// sums, with a residual of rounding noise only. The streams are sized
-// like the per-terminal states old checkpoints held: a few dozen paging
-// delays of a few cycles, a handful of recovery latencies of a few slots.
-func TestMomentsAddWelford(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, c := range []struct{ unit, span, samples int64 }{{1, 8, 40}, {2048, 4 * 2048, 8}} {
-		unit := c.unit
-		want, got := NewMoments(unit), NewMoments(unit)
-		for term := 0; term < 50; term++ {
-			var acc Accumulator
-			for i := rng.Int63n(c.samples); i > 0; i-- {
-				x := rng.Int63n(c.span)
-				want.Add(x)
-				acc.Add(float64(x) / float64(unit))
-			}
-			if r := got.AddWelford(acc.State()); r > 1e-6 {
-				t.Fatalf("unit %d: residual %v", unit, r)
-			}
-		}
-		if got != want {
-			t.Errorf("unit %d: converted %+v, want %+v", unit, got, want)
-		}
-	}
-	var m Moments
-	if r := m.AddWelford(AccumulatorState{N: 2, Mean: 1.25, M2: 0.125, Min: 1, Max: 1.5}); r < 0.1 {
-		t.Errorf("non-integer samples gave residual %v", r)
-	}
-	if r := m.AddWelford(AccumulatorState{N: 1 << 40, Mean: 1 << 20}); !math.IsInf(r, 1) {
-		t.Errorf("sum past 2^53 gave residual %v, want +Inf", r)
-	}
-	if r := m.AddWelford(AccumulatorState{N: -1, Mean: 1, Min: 1, Max: 1}); !math.IsInf(r, 1) {
-		t.Errorf("negative count gave residual %v, want +Inf", r)
-	}
-}

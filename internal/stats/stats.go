@@ -79,20 +79,6 @@ func (a *Accumulator) String() string {
 	return fmt.Sprintf("%.6g ± %.2g (n=%d)", a.Mean(), a.CI(0.95), a.n)
 }
 
-// AccumulatorState is the exported, serializable form of an Accumulator's
-// Welford state. Older simulation checkpoints stored one per terminal;
-// Moments.AddWelford recovers the exact integer sums from it.
-type AccumulatorState struct {
-	N        int64
-	Mean, M2 float64
-	Min, Max float64
-}
-
-// State exports the accumulator's exact internal state.
-func (a *Accumulator) State() AccumulatorState {
-	return AccumulatorState{N: a.n, Mean: a.mean, M2: a.m2, Min: a.min, Max: a.max}
-}
-
 // Merge folds another accumulator into a (parallel reduction).
 func (a *Accumulator) Merge(b *Accumulator) {
 	if b.n == 0 {

@@ -24,9 +24,9 @@ type CheckpointFrame = sim.CheckpointFrame
 // FrameCheckpoint frames cp; its WriteTo writes EncodeCheckpoint's bytes.
 func FrameCheckpoint(cp *Checkpoint) *CheckpointFrame { return sim.FrameCheckpoint(cp) }
 
-// DecodeCheckpoint parses bytes produced by EncodeCheckpoint, or by an
-// older binary's gob encoder, rejecting unknown formats and corrupted
-// payloads.
+// DecodeCheckpoint parses bytes produced by EncodeCheckpoint, rejecting
+// unknown formats, corrupted payloads and the retired gob formats, the
+// last with sim.ErrRetiredCheckpointFormat.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return sim.DecodeCheckpoint(data) }
 
 // SimulateNetworkCheckpointed is SimulateNetworkShardedCtx with periodic

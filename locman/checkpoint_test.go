@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -135,75 +137,64 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 }
 
 // TestCheckpointCrossEngineResume checks the engine contract of
-// checkpoints written by older binaries. The fixtures are all the
-// 3-shard, slot-611 checkpoints of checkpointConfig. The PCNCKPT1 pair
-// was written before the fast engine was retired, by the fast and the
-// columnar engine (the two differ only in their engine tag); the
-// PCNCKPT2 pair was written by the columnar and the reference engine
-// before the columnar codec replaced gob. Each must resume on its
-// engine with the uninterrupted run's exact bytes, and each must be
-// rejected by the other engine, whose checkpoint representation is its
-// own, rather than silently diverging.
+// checkpoint files. The legacy fixtures are 3-shard, slot-611
+// checkpoints of checkpointConfig written by older binaries: the
+// PCNCKPT1 pair by the fast and the columnar engine, the PCNCKPT2 pair
+// by the columnar and the reference engine. Their gob formats are
+// retired, so each must be refused by name, which a job service answers
+// with a clean run. Each engine's checkpoint representation is its own,
+// so resuming across engines must fail rather than silently diverge:
+// the current-format testdata/v3-cols.ckpt must be refused by the
+// reference engine, and by the columnar engine too once it carries
+// tag 2 (the columnar engine's tag before the fast engine was retired),
+// and an in-memory reference-engine checkpoint by the columnar engine.
 func TestCheckpointCrossEngineResume(t *testing.T) {
 	const every = 611
 	const shards = 3
-	report := func(t *testing.T, m *NetworkMetrics) []byte {
-		t.Helper()
-		b, err := json.MarshalIndent(NewReport(m), "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	colsCfg := checkpointConfig(EngineCols)
-	desCfg := checkpointConfig(EngineDES)
-	clean, err := SimulateNetworkSharded(colsCfg, checkpointSlots, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := report(t, clean)
-
-	for _, fx := range []struct {
-		file       string
-		engine     Engine
-		own, other NetworkConfig
-	}{
-		{"legacy-fast.ckpt", EngineCols, colsCfg, desCfg},
-		{"legacy-cols.ckpt", EngineCols, colsCfg, desCfg},
-		{"legacy-v2-cols.ckpt", EngineCols, colsCfg, desCfg},
-		{"legacy-v2-des.ckpt", EngineDES, desCfg, colsCfg},
-	} {
-		t.Run(fx.file, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join("testdata", fx.file))
+	for _, file := range []string{"legacy-fast.ckpt", "legacy-cols.ckpt", "legacy-v2-cols.ckpt", "legacy-v2-des.ckpt"} {
+		t.Run(file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", file))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cp, err := DecodeCheckpoint(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cp.Engine != fx.engine || cp.Slot != every || cp.Shards != shards {
-				t.Fatalf("fixture decodes as engine %s at slot %d over %d shards, want %s at %d over %d",
-					cp.Engine, cp.Slot, cp.Shards, fx.engine, every, shards)
-			}
-			resumed, err := ResumeNetworkCheckpointed(context.Background(),
-				fx.own, checkpointSlots, shards, cp, 0, nil)
-			if err != nil {
-				t.Fatalf("%s resume: %v", fx.engine, err)
-			}
-			if got := report(t, resumed); !bytes.Equal(got, want) {
-				t.Errorf("%s resume of %s diverged:\n%s\nreference:\n%s", fx.engine, fx.file, got, want)
-			}
-			if _, err := ResumeNetworkCheckpointed(context.Background(),
-				fx.other, checkpointSlots, shards, cp, 0, nil); err == nil {
-				t.Errorf("resuming a %s checkpoint on the other engine should fail", fx.engine)
+			if _, err := DecodeCheckpoint(data); !errors.Is(err, sim.ErrRetiredCheckpointFormat) {
+				t.Errorf("got %v, want sim.ErrRetiredCheckpointFormat", err)
 			}
 		})
 	}
 
+	t.Run("v3-cols.ckpt", func(t *testing.T) {
+		data, err := os.ReadFile(filepath.Join("testdata", "v3-cols.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ResumeNetworkCheckpointed(context.Background(),
+			checkpointConfig(EngineDES), checkpointSlots, cp.Shards, cp, 0, nil); err == nil ||
+			!strings.Contains(err.Error(), "cols-engine checkpoint cannot resume on engine des") {
+			t.Errorf("reference-engine resume of a columnar checkpoint: got %v", err)
+		}
+		cp.Engine = 2
+		retagged, err := EncodeCheckpoint(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp, err = DecodeCheckpoint(retagged); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ResumeNetworkCheckpointed(context.Background(),
+			checkpointConfig(EngineCols), checkpointSlots, cp.Shards, cp, 0, nil); err == nil ||
+			!strings.Contains(err.Error(), "Engine(2)-engine checkpoint cannot resume on engine cols") {
+			t.Errorf("columnar resume of a tag-2 checkpoint: got %v", err)
+		}
+	})
+
 	var desCP *Checkpoint
 	if _, err := SimulateNetworkCheckpointed(context.Background(),
-		desCfg, checkpointSlots, shards, every, func(c *Checkpoint) {
+		checkpointConfig(EngineDES), checkpointSlots, shards, every, func(c *Checkpoint) {
 			if desCP == nil {
 				desCP = c
 			}
@@ -211,7 +202,7 @@ func TestCheckpointCrossEngineResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ResumeNetworkCheckpointed(context.Background(),
-		colsCfg, checkpointSlots, shards, desCP, 0, nil); err == nil {
+		checkpointConfig(EngineCols), checkpointSlots, shards, desCP, 0, nil); err == nil {
 		t.Error("resuming a reference-engine checkpoint on the columnar engine should fail")
 	}
 }
