@@ -5,9 +5,10 @@
 package des
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Time is a virtual timestamp. Its unit is defined by the simulation that
@@ -107,25 +108,25 @@ type PendingEvent struct {
 
 // Checkpoint exports the scheduler's complete state: the clock, the
 // insertion-stamp counter, the dispatched-event count, and every pending
-// event sorted by (time, stamp). Every pending event must have been
-// scheduled with AfterTag — an untagged pending event has no serializable
-// identity, so its presence is a checkpoint-placement bug and panics.
-func (s *Scheduler) Checkpoint() (now Time, seq, ran uint64, pending []PendingEvent) {
-	if len(s.q) > 0 {
-		pending = make([]PendingEvent, len(s.q))
-		for i, e := range s.q {
-			if e.tag == 0 {
-				panic(fmt.Sprintf("des: checkpoint with untagged pending event at %d", e.at))
-			}
-			pending[i] = PendingEvent{At: e.at, Seq: e.seq, Tag: e.tag}
+// event, appended to pending in (time, stamp) order; the extended slice
+// is returned, so a caller that exports many schedulers can reuse one
+// buffer. Every pending event must have been scheduled with AfterTag —
+// an untagged pending event has no serializable identity, so its
+// presence is a checkpoint-placement bug and panics.
+func (s *Scheduler) Checkpoint(pending []PendingEvent) (now Time, seq, ran uint64, _ []PendingEvent) {
+	first := len(pending)
+	for _, e := range s.q {
+		if e.tag == 0 {
+			panic(fmt.Sprintf("des: checkpoint with untagged pending event at %d", e.at))
 		}
-		sort.Slice(pending, func(i, j int) bool {
-			if pending[i].At != pending[j].At {
-				return pending[i].At < pending[j].At
-			}
-			return pending[i].Seq < pending[j].Seq
-		})
+		pending = append(pending, PendingEvent{At: e.at, Seq: e.seq, Tag: e.tag})
 	}
+	slices.SortFunc(pending[first:], func(a, b PendingEvent) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	})
 	return s.now, s.seq, s.ran, pending
 }
 

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -238,7 +240,7 @@ func TestCheckpointRestoreReplaysTies(t *testing.T) {
 	var order []uint64
 	s.AfterTag(5, 1, func() { order = append(order, 1) })
 	s.AfterTag(5, 2, func() { order = append(order, 2) })
-	now, seq, ran, pending := s.Checkpoint()
+	now, seq, ran, pending := s.Checkpoint(nil)
 	if len(pending) != 2 || pending[0].Tag != 1 || pending[1].Tag != 2 {
 		t.Fatalf("pending = %+v", pending)
 	}
@@ -256,6 +258,44 @@ func TestCheckpointRestoreReplaysTies(t *testing.T) {
 	}
 }
 
+// TestCheckpointPendingOrder pins the export order: pending events in
+// (time, stamp) order whatever the heap holds, with ties on the time
+// broken by insertion stamp. The export appends after what the caller's
+// buffer already holds, leaves that prefix alone, and allocates nothing
+// when the buffer has room.
+func TestCheckpointPendingOrder(t *testing.T) {
+	var s Scheduler
+	s.At(0, func() {})
+	s.Step() // advance the stamp counter past an untagged, dispatched event
+	ats := []Time{9, 4, 9, 2, 4, 4, 7, 2, 9}
+	for i, at := range ats {
+		s.AfterTag(at, uint64(100+i), func() {})
+	}
+	prefix := PendingEvent{At: 1, Seq: 1, Tag: 1}
+	buf := make([]PendingEvent, 1, 1+len(ats))
+	buf[0] = prefix
+	now, seq, ran, got := s.Checkpoint(buf)
+	if now != 0 || seq != uint64(1+len(ats)) || ran != 1 {
+		t.Errorf("now, seq, ran = %d, %d, %d", now, seq, ran)
+	}
+	if len(got) != 1+len(ats) || got[0] != prefix || &got[0] != &buf[0] {
+		t.Fatalf("export did not append in place after the prefix: %+v", got)
+	}
+	// The reference order: by due time, ties by insertion stamp. Event
+	// i was stamped 1+i.
+	want := make([]PendingEvent, len(ats))
+	for i, at := range ats {
+		want[i] = PendingEvent{At: at, Seq: uint64(1 + i), Tag: uint64(100 + i)}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
+	if !slices.Equal(got[1:], want) {
+		t.Errorf("pending = %+v\nwant      %+v", got[1:], want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _, _, buf = s.Checkpoint(buf[:0]) }); allocs != 0 {
+		t.Errorf("export into a buffer with room allocated %v times", allocs)
+	}
+}
+
 func TestCheckpointPanicsOnUntaggedPending(t *testing.T) {
 	var s Scheduler
 	s.After(1, func() {})
@@ -264,7 +304,7 @@ func TestCheckpointPanicsOnUntaggedPending(t *testing.T) {
 			t.Error("checkpoint with an untagged pending event should panic")
 		}
 	}()
-	s.Checkpoint()
+	s.Checkpoint(nil)
 }
 
 func TestAfterTagRejectsZeroTag(t *testing.T) {

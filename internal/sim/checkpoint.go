@@ -30,10 +30,12 @@ import (
 // bit-for-bit, which the RNG positions and EWMA estimators require.
 //
 // A checkpoint a run hands its sink (RunOpts.CheckpointSink) carries
-// each shard's encoded section, written by the shard when it captured
-// its state; EncodeCheckpoint and FrameCheckpoint reuse those bytes
-// rather than encode the fields again. Such a checkpoint is therefore
-// read-only: to encode an edited one, edit a decoded copy.
+// its head fields and each shard's encoded section, which the shard
+// wrote straight from its live state at the boundary; its Shard is nil.
+// EncodeCheckpoint and FrameCheckpoint frame those sections as they
+// are, and resuming from it decodes them. Code that wants the per-shard
+// fields decodes the checkpoint (DecodeCheckpoint of its encoding); a
+// decoded checkpoint may be edited and encoded again.
 type Checkpoint struct {
 	// Slot is the boundary the checkpoint was taken at: the number of
 	// completed slots, 0 < Slot < Slots.
@@ -55,11 +57,21 @@ type Checkpoint struct {
 	// trigger would replay a different mechanism entirely.
 	Scheme      string
 	SchemeParam int64
-	// Shard holds the per-shard state, indexed by shard.
+	// Shard holds the per-shard state, indexed by shard, of a decoded or
+	// built checkpoint; nil in one a run delivered.
 	Shard []ShardCheckpoint
+
+	// sections holds each shard's PCNCKPT3 section, indexed by shard, as
+	// the shard encoded it (putLiveShard) in a checkpoint a run
+	// delivered; nil otherwise.
+	sections [][]byte
 }
 
-// ShardCheckpoint is one shard's share of a Checkpoint.
+// ShardCheckpoint is one shard's share of a Checkpoint, in field form:
+// what DecodeCheckpoint returns, Resume reads and EncodeCheckpoint
+// writes (putShardCheckpoint) for a checkpoint built or edited in
+// memory. A run never builds one: its shards encode the same bytes
+// straight from their live state (putLiveShard).
 type ShardCheckpoint struct {
 	// Slot echoes Checkpoint.Slot; Lo and Hi are the shard's global
 	// terminal range [Lo, Hi).
@@ -90,20 +102,6 @@ type ShardCheckpoint struct {
 	// DES is the reference engine's single shard scheduler; nil for the
 	// columnar engine.
 	DES *DESCheckpoint
-
-	// encoded is the shard's PCNCKPT3 section (putShardCheckpoint) as
-	// the shard encoded it at capture; nil for a checkpoint decoded or
-	// built any other way, whose section is encoded when it is written.
-	encoded []byte
-}
-
-// section returns the shard's PCNCKPT3 section: the bytes encoded at
-// capture, or a fresh encoding.
-func (sc *ShardCheckpoint) section() []byte {
-	if sc.encoded != nil {
-		return sc.encoded
-	}
-	return encodePayload(nil, 0, putShardCheckpoint, sc)
 }
 
 // TermCheckpoint is one terminal's mobile-side state.
@@ -223,61 +221,43 @@ func ackBind(n *network, terms []terminal) func(tag uint64) func() {
 	}
 }
 
-// schedCheckpoint exports one scheduler's state.
-func schedCheckpoint(s *des.Scheduler) SchedCheckpoint {
-	now, seq, ran, pending := s.Checkpoint()
-	return SchedCheckpoint{Now: uint64(now), Seq: seq, Ran: ran, Pending: pending}
+// liveShard is a shard's live state at a checkpoint boundary, as
+// putLiveShard walks it into the shard's section. The engine builds it
+// once and updates the per-boundary fields (slot, frames, subEvents,
+// slotStamp) before each encode; the terminal structs must be current
+// (the columnar engine syncs them from its columns first).
+type liveShard struct {
+	slot      int64
+	lo, hi    int
+	n         *network
+	terms     []terminal
+	rngs      []stats.RNG
+	frames    []telemetry.ShardFrame
+	subEvents uint64
+	// cols is the columnar engine's state, whose per-terminal schedulers
+	// are scheds; nil for the reference engine, whose one shard scheduler
+	// is scheds[0] and whose running slot event was stamped slotStamp.
+	cols      *colsState
+	scheds    []des.Scheduler
+	slotStamp uint64
+
+	// pending gathers the schedulers' pending events and enc is the
+	// section encoder; both keep their buffers across boundaries.
+	pending []des.PendingEvent
+	enc     encoder
 }
 
-// captureShardCore snapshots the state every engine shares: terminals,
-// registry, metrics and the telemetry series. The caller adds its
-// engine-class scheduler state. All reference types (slices, maps,
-// histograms) are deep-copied: the live run keeps mutating them after
-// the capture returns.
-func captureShardCore(n *network, terms []terminal, rngs []stats.RNG,
-	boundary int64, lo, hi int, frames []telemetry.ShardFrame) ShardCheckpoint {
-	sc := ShardCheckpoint{
-		Slot:    boundary,
-		Lo:      lo,
-		Hi:      hi,
-		CallSeq: n.callSeq,
-		Terms:   make([]TermCheckpoint, len(terms)),
-		HLR:     make([]HLRCheckpoint, len(n.hlr)),
-	}
-	for i := range terms {
-		t := &terms[i]
-		sc.Terms[i] = TermCheckpoint{
-			Pos:         t.pos,
-			Center:      t.center,
-			Threshold:   t.threshold,
-			Seq:         t.seq,
-			AckedSeq:    t.ackedSeq,
-			Retries:     t.retries,
-			Desynced:    t.desynced,
-			DesyncedAt:  uint64(t.desyncedAt),
-			EstQ:        t.est.q,
-			EstC:        t.est.c,
-			RNG:         rngs[i].State(),
-			Moves:       t.moves,
-			LastContact: t.lastContact,
-		}
-	}
-	for i, rec := range n.hlr {
-		sc.HLR[i] = HLRCheckpoint{Center: rec.center, Seq: rec.seq, Threshold: rec.threshold}
-	}
-
-	sc.Metrics = exportMetrics(n.metrics)
-	sc.Snapshots = slices.Clone(frames)
-	return sc
+// encode returns the shard's PCNCKPT3 section at the current boundary:
+// the bytes putShardCheckpoint writes for a ShardCheckpoint of the same
+// state.
+func (s *liveShard) encode() []byte {
+	return encodePayload(&s.enc, putLiveShard, s)
 }
 
-// exportMetrics converts a shard's live Metrics into the serializable
-// form, deep-copying every reference type (the live run may keep
-// mutating them after the export returns) and sorting the
-// threshold-usage counts. Shared by checkpoint capture and the
-// partial-result wire path (RunPartial).
-func exportMetrics(m *Metrics) MetricsCheckpoint {
-	mc := MetricsCheckpoint{
+// metricsHead returns m's counters, moments and histograms in
+// serializable form, the histograms shared with m, and no tables.
+func metricsHead(m *Metrics) MetricsCheckpoint {
+	return MetricsCheckpoint{
 		Updates: m.Updates, Calls: m.Calls, PolledCells: m.PolledCells,
 		UpdateBytes: m.UpdateBytes, PollBytes: m.PollBytes, ReplyBytes: m.ReplyBytes,
 		NotFound:    m.NotFound,
@@ -288,11 +268,20 @@ func exportMetrics(m *Metrics) MetricsCheckpoint {
 		OutageDeferred: m.OutageDeferred,
 		Delay:          m.Delay,
 		Recovery:       m.Recovery,
-		DelayHist:      m.DelayHist.Clone(),
-		RecoveryHist:   m.RecoveryHist.Clone(),
-		ThresholdSlots: exportThresholds(m.ThresholdSlots),
-		PerTerminal:    make([]TermStatsCheckpoint, len(m.PerTerminal)),
+		DelayHist:      m.DelayHist,
+		RecoveryHist:   m.RecoveryHist,
 	}
+}
+
+// exportMetrics converts a shard's final Metrics into the serializable
+// form of a partial (RunPartial), deep-copying every reference type and
+// sorting the threshold-usage counts.
+func exportMetrics(m *Metrics) MetricsCheckpoint {
+	mc := metricsHead(m)
+	mc.DelayHist = m.DelayHist.Clone()
+	mc.RecoveryHist = m.RecoveryHist.Clone()
+	mc.ThresholdSlots = exportThresholds(m.ThresholdSlots)
+	mc.PerTerminal = make([]TermStatsCheckpoint, len(m.PerTerminal))
 	for i := range m.PerTerminal {
 		ts := &m.PerTerminal[i]
 		mc.PerTerminal[i] = TermStatsCheckpoint{Updates: ts.Updates, Calls: ts.Calls, PolledCells: ts.PolledCells}
@@ -375,9 +364,18 @@ var ErrRetiredCheckpointFormat = errors.New("sim: retired checkpoint format")
 // format: a magic header, the columnar payload (codec.go) and a CRC32
 // trailer. Float64 values travel as their bit patterns, so decoding
 // reproduces every RNG position and estimator exactly, and equal
-// checkpoints encode to equal bytes. The error is always nil.
+// checkpoints encode to equal bytes. The bytes are its frame's
+// (FrameCheckpoint), assembled in one buffer of the exact size. The
+// error is always nil.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
-	return encodeFramed(ckptMagic, putCheckpoint, cp), nil
+	f := FrameCheckpoint(cp)
+	size := len(ckptMagic) + 4
+	for _, p := range f.pieces {
+		size += len(p)
+	}
+	b := bytes.NewBuffer(make([]byte, 0, size))
+	f.WriteTo(b) // a bytes.Buffer write never fails
+	return b.Bytes(), nil
 }
 
 // CheckpointFrame is a checkpoint's encoding held in pieces: the head of
@@ -391,13 +389,16 @@ type CheckpointFrame struct {
 	pieces [][]byte
 }
 
-// FrameCheckpoint frames cp, reusing the sections its shards encoded at
-// capture and encoding the others.
+// FrameCheckpoint frames cp: the head, then the sections a run
+// delivered as they are, or every shard's fields encoded afresh
+// (putShardCheckpoint).
 func FrameCheckpoint(cp *Checkpoint) *CheckpointFrame {
-	f := &CheckpointFrame{Slot: cp.Slot, pieces: make([][]byte, 0, 1+len(cp.Shard))}
-	f.pieces = append(f.pieces, encodePayload(nil, 0, putCheckpointHead, cp))
+	f := &CheckpointFrame{Slot: cp.Slot, pieces: make([][]byte, 0, 1+len(cp.Shard)+len(cp.sections))}
+	e := &encoder{}
+	f.pieces = append(f.pieces, encodePayload(e, putCheckpointHead, cp))
+	f.pieces = append(f.pieces, cp.sections...)
 	for i := range cp.Shard {
-		f.pieces = append(f.pieces, cp.Shard[i].section())
+		f.pieces = append(f.pieces, encodePayload(e, putShardCheckpoint, &cp.Shard[i]))
 	}
 	return f
 }
@@ -425,21 +426,21 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// ckptAggregator assembles per-shard captures into whole Checkpoints. A
+// ckptAggregator assembles per-shard sections into whole Checkpoints. A
 // consistent checkpoint needs every shard at the same boundary, but the
-// shards run freely — nothing blocks at a boundary — so captures for a
+// shards run freely — nothing blocks at a boundary — so sections for a
 // boundary accumulate until the last shard delivers, at which point the
 // assembled checkpoint is handed to the sink. Each shard encodes its own
-// section as it delivers, so the shards encode in parallel and the sink
-// gets a checkpoint that only needs framing. Because each shard delivers
-// its boundaries in order, boundary B's checkpoint always completes
-// before B+every's, so the sink observes checkpoints in increasing slot
-// order; the sink runs under the aggregator's lock, so a sink that
-// blocks holds back every shard's next delivery.
+// section before it delivers, so the shards encode in parallel and the
+// sink gets a checkpoint that only needs framing. Because each shard
+// delivers its boundaries in order, boundary B's checkpoint always
+// completes before B+every's, so the sink observes checkpoints in
+// increasing slot order; the sink runs under the aggregator's lock, so a
+// sink that blocks holds back every shard's next delivery.
 type ckptAggregator struct {
 	mu      sync.Mutex
-	shape   Checkpoint // Slot/Shard unset; the shared header fields
-	pending map[int64][]ShardCheckpoint
+	shape   Checkpoint // Slot/sections unset; the shared header fields
+	pending map[int64][][]byte
 	count   map[int64]int
 	sink    func(*Checkpoint)
 }
@@ -447,32 +448,30 @@ type ckptAggregator struct {
 func newCkptAggregator(shape Checkpoint, sink func(*Checkpoint)) *ckptAggregator {
 	return &ckptAggregator{
 		shape:   shape,
-		pending: make(map[int64][]ShardCheckpoint),
+		pending: make(map[int64][][]byte),
 		count:   make(map[int64]int),
 		sink:    sink,
 	}
 }
 
-// add encodes one shard's capture for a boundary, on the delivering
-// shard's goroutine, and delivers it; the completing delivery assembles
-// the checkpoint and invokes the sink synchronously (on that goroutine).
-func (a *ckptAggregator) add(shard int, sc ShardCheckpoint) {
-	sc.encoded = sc.section()
+// add delivers one shard's section for boundary slot; the completing
+// delivery assembles the checkpoint and invokes the sink synchronously
+// (on that shard's goroutine).
+func (a *ckptAggregator) add(shard int, slot int64, section []byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b := sc.Slot
-	if a.pending[b] == nil {
-		a.pending[b] = make([]ShardCheckpoint, a.shape.Shards)
+	if a.pending[slot] == nil {
+		a.pending[slot] = make([][]byte, a.shape.Shards)
 	}
-	a.pending[b][shard] = sc
-	a.count[b]++
-	if a.count[b] < a.shape.Shards {
+	a.pending[slot][shard] = section
+	a.count[slot]++
+	if a.count[slot] < a.shape.Shards {
 		return
 	}
 	cp := a.shape
-	cp.Slot = b
-	cp.Shard = a.pending[b]
-	delete(a.pending, b)
-	delete(a.count, b)
+	cp.Slot = slot
+	cp.sections = a.pending[slot]
+	delete(a.pending, slot)
+	delete(a.count, slot)
 	a.sink(&cp)
 }

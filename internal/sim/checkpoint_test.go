@@ -3,9 +3,10 @@ package sim
 import (
 	"bytes"
 	"context"
-	"slices"
+	"fmt"
 	"testing"
 
+	"repro/internal/chain"
 	"repro/internal/des"
 	"repro/internal/stats"
 )
@@ -153,13 +154,13 @@ func FuzzResumeCheckpoint(f *testing.F) {
 }
 
 // TestCheckpointFrameIdentity: a delivered checkpoint's encoding, built
-// from the sections its shards encoded at capture, equals the encoding
-// of the same checkpoint with no sections, which encodes every field
-// afresh, and so does its streamed frame (FrameCheckpoint). For both
-// engines, 1, 2, 3 and 7 shards, with and without faults and telemetry.
-// The fresh encodings are taken after the run has finished, so a capture
-// that shared state with the live run, which kept changing it, would
-// show as a difference.
+// from the sections its shards encoded from their live state, equals
+// its streamed frame (FrameCheckpoint) and the encoding of its decoded
+// fields, which encodes every field afresh (putShardCheckpoint). For
+// both engines, 1, 2, 3 and 7 shards, with and without faults and
+// telemetry. The delivered checkpoints are encoded again after the run
+// has finished, so a section that shared a buffer with the live run,
+// which kept changing it, would show as a difference.
 func TestCheckpointFrameIdentity(t *testing.T) {
 	const slots, every = 400, 97
 	for _, engine := range []Engine{EngineCols, EngineDES} {
@@ -194,18 +195,19 @@ func TestCheckpointFrameIdentity(t *testing.T) {
 						t.Fatalf("%s/%d shards: %d checkpoints delivered", engine, shards, len(cps))
 					}
 					for i, cp := range cps {
-						bare := *cp
-						bare.Shard = slices.Clone(cp.Shard)
-						for s := range bare.Shard {
-							if bare.Shard[s].encoded == nil {
-								t.Fatalf("%s/%d shards: shard %d delivered without its section", engine, shards, s)
-							}
-							bare.Shard[s].encoded = nil
+						if cp.Shard != nil || len(cp.sections) != shards {
+							t.Fatalf("%s/%d shards: slot %d delivered %d field shards and %d sections",
+								engine, shards, cp.Slot, len(cp.Shard), len(cp.sections))
 						}
-						want, _ := EncodeCheckpoint(&bare)
-						if !bytes.Equal(frames[i], want) {
-							t.Errorf("%s/%d shards/faults %v/telemetry %v: slot-%d frame differs from a fresh encoding",
-								engine, shards, faults, telemetry, cp.Slot)
+						decoded, err := DecodeCheckpoint(frames[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						fresh, _ := EncodeCheckpoint(decoded)
+						again, _ := EncodeCheckpoint(cp)
+						if !bytes.Equal(frames[i], fresh) || !bytes.Equal(frames[i], again) {
+							t.Errorf("%s/%d shards/faults %v/telemetry %v: slot-%d frame differs from a fresh encoding (%v) or from itself after the run (%v)",
+								engine, shards, faults, telemetry, cp.Slot, !bytes.Equal(frames[i], fresh), !bytes.Equal(frames[i], again))
 						}
 					}
 				}
@@ -227,4 +229,121 @@ func hasPending(cp *Checkpoint) bool {
 		}
 	}
 	return false
+}
+
+// TestCheckpointResumeFrames is the byte oracle of the sections shards
+// encode from their live state: a run resumed from any of its
+// checkpoints, at the same cadence, must deliver every later checkpoint
+// byte for byte as the uninterrupted run did. Each section records the
+// whole shard state, so a field the encoder dropped or misplaced would
+// either fail to decode or make the resumed run write different
+// sections from then on. For both engines, 1, 3 and 7 shards, faults
+// on (with a retransmission timeout long enough that ack timers are
+// pending at the boundaries) and off, telemetry on and off, and the
+// distance, movement and timer schemes.
+func TestCheckpointResumeFrames(t *testing.T) {
+	const slots, every = 400, 61
+	run := func(t *testing.T, cfg Config, shards int, resume *Checkpoint) map[int64][]byte {
+		t.Helper()
+		frames := make(map[int64][]byte)
+		if _, err := RunShardedOpts(context.Background(), cfg, slots, shards, RunOpts{
+			Resume:          resume,
+			CheckpointEvery: every,
+			CheckpointSink: func(cp *Checkpoint) {
+				frames[cp.Slot], _ = EncodeCheckpoint(cp)
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return frames
+	}
+	schemes := []UpdateScheme{DistanceScheme{}, MovementScheme{Count: 3}, TimerScheme{Every: 40}}
+	for _, engine := range []Engine{EngineCols, EngineDES} {
+		for _, shards := range []int{1, 3, 7} {
+			for _, faults := range []bool{false, true} {
+				for _, telemetry := range []bool{false, true} {
+					for _, scheme := range schemes {
+						name := fmt.Sprintf("%s/%dshards/faults=%v/telemetry=%v/%s",
+							engine, shards, faults, telemetry, scheme.Name())
+						t.Run(name, func(t *testing.T) {
+							cfg := partialConfig(engine)
+							cfg.Scheme = scheme
+							cfg.Dynamic = scheme.Name() == "distance"
+							cfg.Faults.AckTimeout = 50 * SlotTicks
+							if !faults {
+								cfg.Faults = FaultPlan{}
+							}
+							if !telemetry {
+								cfg.Telemetry.SnapshotEvery = 0
+							}
+							want := run(t, cfg, shards, nil)
+							if len(want) != (slots-1)/every {
+								t.Fatalf("%d checkpoints delivered", len(want))
+							}
+							pending := false
+							for slot, data := range want {
+								cp, err := DecodeCheckpoint(data)
+								if err != nil {
+									t.Fatal(err)
+								}
+								pending = pending || hasPending(cp)
+								got := run(t, cfg, shards, cp)
+								if len(got) != int((slots-1)/every-slot/every) {
+									t.Errorf("resumed from slot %d: %d checkpoints delivered", slot, len(got))
+								}
+								for s, frame := range got {
+									if !bytes.Equal(frame, want[s]) {
+										t.Errorf("resumed from slot %d: slot-%d checkpoint differs from the uninterrupted run's", slot, s)
+									}
+								}
+							}
+							if faults && !pending {
+								t.Error("no checkpoint holds a pending ack timer")
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCheckpointBoundaryAllocs bounds what a checkpoint boundary
+// allocates beyond the sections it delivers: a 20k-terminal columnar
+// run checkpointed every 64 slots may allocate at most 1.5 times its
+// delivered section bytes more than the same run unobserved. A shard
+// that copied its state before encoding it would allocate that copy on
+// top, several times the section's size.
+func TestCheckpointBoundaryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	const slots, shards, every = 256, 2, 64
+	cfg := baseConfig(chain.TwoDimExact, 0.05, 0.01, 3, 3)
+	cfg.Terminals = 20_000
+	var sections int
+	sink := func(cp *Checkpoint) {
+		for _, sec := range cp.sections {
+			sections += len(sec)
+		}
+	}
+	run := func(opts RunOpts) {
+		if _, err := RunShardedOpts(context.Background(), cfg, slots, shards, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(RunOpts{CheckpointEvery: every, CheckpointSink: sink}) // warm up
+	plain := allocated(func() { run(RunOpts{}) })
+	sections = 0
+	observed := allocated(func() { run(RunOpts{CheckpointEvery: every, CheckpointSink: sink}) })
+	if sections == 0 {
+		t.Fatal("no section delivered")
+	}
+	extra := int64(observed) - int64(plain)
+	t.Logf("checkpointed run allocated %d bytes more than a plain one, for %d section bytes (%.2fx)",
+		extra, sections, float64(extra)/float64(sections))
+	if limit := int64(sections) * 3 / 2; extra > limit {
+		t.Errorf("checkpoint boundaries allocated %d bytes beyond a plain run, over 1.5x the %d section bytes delivered",
+			extra, sections)
+	}
 }

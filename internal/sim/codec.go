@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -27,37 +27,57 @@ import (
 // out of its field's range, a non-canonical encoding or trailing bytes.
 var ErrMalformedPayload = errors.New("sim: malformed payload")
 
-// encoder writes a payload in two passes over the same value. The first,
-// with sizing set, only counts the bytes (n) and records every table
-// column's byte length (sizes); the second appends the bytes to buf,
-// allocated once at the exact size, reading the lengths back in order
-// (next).
+// encoder writes a payload in one pass and assembles it at the end
+// (bytes) in one buffer of the exact size. Everything but the table
+// columns is appended to buf. A table is staged a block of rows at a
+// time in block (allocated by the first table), and each block is
+// appended column by column to that column's own buffer in cols, which
+// stay apart until the assembly; tables records, per table, where its
+// columns go in buf and how many there are. An encoder may be reused:
+// its buffers keep their capacity, so one that writes payloads of one
+// shape over and over (a shard's sections, liveShard) grows them only
+// once and then allocates just the assembled bytes.
 type encoder struct {
-	sizing bool
-	n      int
-	sizes  []int
-	next   int
 	buf    []byte
-	cols   cols
+	cols   [][]byte
+	ncols  int // columns of cols in use
+	tables []tableMark
+	block  *cols
 }
 
-func (e *encoder) uvarint(v uint64) {
-	if e.sizing {
-		e.n += uvarintLen(v)
-		return
-	}
-	e.buf = binary.AppendUvarint(e.buf, v)
+// tableMark places a table's ncols columns, the next ones in
+// encoder.cols, at offset at of encoder.buf.
+type tableMark struct{ at, ncols int }
+
+// reset readies e for a new payload, keeping its buffers.
+func (e *encoder) reset() {
+	e.buf, e.ncols, e.tables = e.buf[:0], 0, e.tables[:0]
 }
+
+// bytes assembles the payload after prefix, in a new buffer with room
+// for extra more bytes.
+func (e *encoder) bytes(prefix []byte, extra int) []byte {
+	size := len(prefix) + len(e.buf) + extra
+	for _, col := range e.cols[:e.ncols] {
+		size += len(col)
+	}
+	out := append(make([]byte, 0, size), prefix...)
+	prev, c := 0, 0
+	for _, t := range e.tables {
+		out = append(out, e.buf[prev:t.at]...)
+		for _, col := range e.cols[c : c+t.ncols] {
+			out = append(out, col...)
+		}
+		prev, c = t.at, c+t.ncols
+	}
+	return append(out, e.buf[prev:]...)
+}
+
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
 func (e *encoder) varint(v int64) { e.uvarint(zigzag(v)) }
 
-func (e *encoder) word(v uint64) {
-	if e.sizing {
-		e.n += 8
-		return
-	}
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
+func (e *encoder) word(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
 func (e *encoder) flag(b bool) { e.uvarint(uint64(b2i(b))) }
 
@@ -65,27 +85,10 @@ func (e *encoder) count(n int) { e.uvarint(uint64(n)) }
 
 func (e *encoder) str(s string) {
 	e.count(len(s))
-	if e.sizing {
-		e.n += len(s)
-		return
-	}
 	e.buf = append(e.buf, s...)
 }
 
-// raw writes bytes an encoder wrote before.
-func (e *encoder) raw(b []byte) {
-	if e.sizing {
-		e.n += len(b)
-		return
-	}
-	e.buf = append(e.buf, b...)
-}
-
 func (e *encoder) moments(m *stats.Moments) {
-	if e.sizing {
-		e.n += stats.MomentsBinaryLen
-		return
-	}
 	b, _ := m.MarshalBinary() // never fails
 	e.buf = append(e.buf, b...)
 }
@@ -93,8 +96,6 @@ func (e *encoder) moments(m *stats.Moments) {
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
-
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func b2i(b bool) int {
 	if b {
@@ -332,78 +333,66 @@ func (l layout[T]) minRow() int {
 // The lengths let the decoder walk every column a block at a time and
 // check each against the bytes left before it allocates.
 
-// putTable writes rows as a table. The sizing pass records each
-// column's byte length in e.sizes; the writing pass replays them to
-// place every column at its final offset, then fills the columns a
-// block of rows at a time.
+// putTable writes rows as a table.
 func putTable[T any](e *encoder, rows []T, l layout[T]) {
-	n := len(rows)
+	e.table(len(rows), l.kinds, func(lo, hi int, c *cols) { l.wire(rows[lo:hi], c) })
+}
+
+// table writes n rows as a table of columns of the given kinds; wire
+// fills c.vals with rows [lo, hi), at most colBlock of them. Whether the
+// rows are a record slice (putTable) or live state the caller walks
+// (putLiveShard), this one writer lays them out. Each column buffer is
+// first grown to the column's smallest size, n bytes or 8n for words,
+// which is its exact size for most columns.
+func (e *encoder) table(n int, kinds string, wire func(lo, hi int, c *cols)) {
 	e.count(n)
 	if n == 0 {
 		return
 	}
-	c := &e.cols
+	if e.block == nil {
+		e.block = new(cols)
+	}
+	c := e.block
 	c.decoding = false
-	ncols := len(l.kinds)
-	if e.sizing {
-		first := len(e.sizes)
-		e.sizes = append(e.sizes, make([]int, ncols)...)
-		sizes := e.sizes[first:]
-		for lo := 0; lo < n; lo += colBlock {
-			hi := min(lo+colBlock, n)
-			l.wire(rows[lo:hi], c)
-			for k := range sizes {
-				size := 8 * (hi - lo)
-				if l.kinds[k] == 'v' {
-					size = 0
-					for _, v := range c.vals[k][:hi-lo] {
-						size += uvarintLen(v)
-					}
-				}
-				sizes[k] += size
-			}
-		}
-		for _, size := range sizes {
-			e.uvarint(uint64(size))
-			e.n += size
-		}
-		return
+	first := e.ncols
+	e.ncols += len(kinds)
+	for len(e.cols) < e.ncols {
+		e.cols = append(e.cols, nil)
 	}
-	sizes := e.sizes[e.next : e.next+ncols]
-	e.next += ncols
-	for _, size := range sizes {
-		e.uvarint(uint64(size))
+	bufs := e.cols[first:e.ncols]
+	for k := range bufs {
+		bufs[k] = slices.Grow(bufs[k][:0], n+7*n*b2i(kinds[k] == 'w'))
 	}
-	var offs [maxCols]int
-	end := len(e.buf)
-	for k, size := range sizes {
-		offs[k] = end
-		end += size
-	}
-	e.buf = e.buf[:end]
 	for lo := 0; lo < n; lo += colBlock {
 		hi := min(lo+colBlock, n)
-		l.wire(rows[lo:hi], c)
-		for k := range sizes {
-			off := offs[k]
-			if l.kinds[k] == 'w' {
-				for _, v := range c.vals[k][:hi-lo] {
-					binary.LittleEndian.PutUint64(e.buf[off:], v)
-					off += 8
-				}
-			} else {
-				for _, v := range c.vals[k][:hi-lo] {
-					if v < 0x80 {
-						e.buf[off] = byte(v)
-						off++
-						continue
-					}
-					off += binary.PutUvarint(e.buf[off:], v)
-				}
-			}
-			offs[k] = off
+		wire(lo, hi, c)
+		for k := range bufs {
+			bufs[k] = appendColumn(bufs[k], kinds[k], c.vals[k][:hi-lo])
 		}
 	}
+	for _, b := range bufs {
+		e.uvarint(uint64(len(b)))
+	}
+	e.tables = append(e.tables, tableMark{at: len(e.buf), ncols: len(kinds)})
+}
+
+// appendColumn appends a block of one column's wire values to b, as
+// 8-byte words for kind 'w' and as uvarints for kind 'v'.
+func appendColumn(b []byte, kind byte, vs []uint64) []byte {
+	if kind == 'w' {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
+	for _, v := range vs {
+		if v < 0x80 {
+			b = append(b, byte(v))
+			continue
+		}
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
 }
 
 // getTable reads a table putTable wrote; empty decodes as nil. Before it
@@ -484,33 +473,27 @@ func getTable[T any](d *decoder, what string, l layout[T]) []T {
 // sectionSize returns the encoded size of v under put; applied to a
 // zero value, it is the smallest encoding of a record, for count checks.
 func sectionSize[T any](put func(*encoder, *T), v *T) int {
-	e := &encoder{sizing: true}
-	put(e, v)
-	return e.n
+	return len(encodePayload(nil, put, v))
 }
 
-// encodePayload returns prefix followed by the payload put writes for
-// v, in a buffer with room for extra more bytes. put runs twice: first
-// to size the payload, which is then allocated once, and then to fill
-// it.
-func encodePayload[T any](prefix []byte, extra int, put func(*encoder, *T), v *T) []byte {
-	e := &encoder{sizing: true}
-	put(e, v)
-	size := len(prefix) + e.n
-	e.sizing, e.buf = false, make([]byte, 0, size+extra)
-	e.buf = append(e.buf, prefix...)
-	put(e, v)
-	if len(e.buf) != size || e.next != len(e.sizes) {
-		panic(fmt.Sprintf("sim: encoder sized %d bytes, wrote %d", size, len(e.buf)))
+// encodePayload returns the payload put writes for v, in a buffer of its
+// own. e may be nil, or an encoder to reuse.
+func encodePayload[T any](e *encoder, put func(*encoder, *T), v *T) []byte {
+	if e == nil {
+		e = &encoder{}
 	}
-	return e.buf
+	e.reset()
+	put(e, v)
+	return e.bytes(nil, 0)
 }
 
 // encodeFramed is the wire frame checkpoints and partials share: the
 // format's magic/version header, the payload put writes, and a
 // big-endian CRC32 trailer over the payload.
 func encodeFramed[T any](magic []byte, put func(*encoder, *T), v *T) []byte {
-	b := encodePayload(magic, 4, put, v)
+	e := &encoder{}
+	put(e, v)
+	b := e.bytes(magic, 4)
 	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(magic):]))
 }
 

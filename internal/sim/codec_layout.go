@@ -86,6 +86,13 @@ var (
 			int64Col(c, 0, uint8(i), &rows[i])
 		}
 	}}
+	// int32Layout writes an int32 slice to the bytes int64Layout writes
+	// for the same values widened, which is how it decodes.
+	int32Layout = layout[int32]{"v", func(rows []int32, c *cols) {
+		for i := range rows {
+			int32Col(c, 0, uint8(i), &rows[i])
+		}
+	}}
 	intLayout = layout[int]{"v", func(rows []int, c *cols) {
 		for i := range rows {
 			intCol(c, 0, uint8(i), &rows[i])
@@ -120,10 +127,14 @@ func getScheds(d *decoder) []SchedCheckpoint {
 	return scheds
 }
 
+// schedKinds is the scheduler table's column kinds: the clock, the
+// stamp counter, the dispatched count and the pending-event count.
+const schedKinds = "vvvv"
+
 // schedLayout is the scheduler layout. Decoding, each scheduler takes
 // its count of events off the front of *pending.
 func schedLayout(pending *[]des.PendingEvent) layout[SchedCheckpoint] {
-	return layout[SchedCheckpoint]{"vvvv", func(rows []SchedCheckpoint, c *cols) {
+	return layout[SchedCheckpoint]{schedKinds, func(rows []SchedCheckpoint, c *cols) {
 		for i := range rows {
 			s, j := &rows[i], uint8(i)
 			uint64Col(c, 0, j, &s.Now)
@@ -187,6 +198,14 @@ func (mc *MetricsCheckpoint) counters() [17]*int64 {
 
 // putMetrics writes a shard's measurement state.
 func putMetrics(e *encoder, mc *MetricsCheckpoint) {
+	putMetricsHead(e, mc)
+	putTable(e, mc.ThresholdSlots, thresholdLayout)
+	putTable(e, mc.PerTerminal, termStatsLayout)
+}
+
+// putMetricsHead writes what precedes a shard's measurement tables: the
+// counters, the moments and the histograms.
+func putMetricsHead(e *encoder, mc *MetricsCheckpoint) {
 	for _, c := range mc.counters() {
 		e.varint(*c)
 	}
@@ -194,8 +213,6 @@ func putMetrics(e *encoder, mc *MetricsCheckpoint) {
 	e.moments(&mc.Recovery)
 	putHist(e, mc.DelayHist)
 	putHist(e, mc.RecoveryHist)
-	putTable(e, mc.ThresholdSlots, thresholdLayout)
-	putTable(e, mc.PerTerminal, termStatsLayout)
 }
 
 // getMetrics reads what putMetrics wrote into mc. The threshold-usage
@@ -260,22 +277,10 @@ func getFrames(d *decoder) []telemetry.ShardFrame {
 	return frames
 }
 
-// putCheckpoint writes a Checkpoint's PCNCKPT3 payload: the head, then
-// one self-contained section per shard (putShardCheckpoint), taken as
-// the shard encoded it at capture when it did (ShardCheckpoint.encoded).
-func putCheckpoint(e *encoder, cp *Checkpoint) {
-	putCheckpointHead(e, cp)
-	for i := range cp.Shard {
-		if sc := &cp.Shard[i]; sc.encoded != nil {
-			e.raw(sc.encoded)
-		} else {
-			putShardCheckpoint(e, sc)
-		}
-	}
-}
-
-// putCheckpointHead writes the head of a Checkpoint's payload: the run
-// shape and the shard count.
+// putCheckpointHead writes the head of a Checkpoint's PCNCKPT3 payload:
+// the run shape and the shard count. One self-contained section per
+// shard follows (FrameCheckpoint): putLiveShard's as a shard encoded it
+// at the boundary, or putShardCheckpoint's for the field form.
 func putCheckpointHead(e *encoder, cp *Checkpoint) {
 	e.varint(cp.Slot)
 	e.varint(cp.Slots)
@@ -285,7 +290,7 @@ func putCheckpointHead(e *encoder, cp *Checkpoint) {
 	e.varint(int64(cp.Engine))
 	e.str(cp.Scheme)
 	e.varint(cp.SchemeParam)
-	e.count(len(cp.Shard))
+	e.count(len(cp.Shard) + len(cp.sections))
 }
 
 func getCheckpoint(d *decoder, cp *Checkpoint) {
@@ -357,6 +362,113 @@ func getShardCheckpoint(d *decoder, sc *ShardCheckpoint) {
 }
 
 var minShardCheckpointSize = sectionSize(putShardCheckpoint, &ShardCheckpoint{})
+
+// putLiveShard writes a shard's section from its live state: the bytes
+// putShardCheckpoint writes for a ShardCheckpoint of the same state,
+// field for field, without building one. Each table's wire function
+// reads the live record straight into the columns, with the column
+// helpers and numbers of the layout the table decodes with.
+func putLiveShard(e *encoder, s *liveShard) {
+	n := s.n
+	e.varint(s.slot)
+	e.varint(int64(s.lo))
+	e.varint(int64(s.hi))
+	e.uvarint(uint64(n.callSeq))
+	e.uvarint(s.subEvents)
+	terms, rngs := s.terms, s.rngs
+	e.table(len(terms), termLayout.kinds, func(lo, hi int, c *cols) {
+		for i := lo; i < hi; i++ {
+			t, j := &terms[i], uint8(i-lo)
+			int32Col(c, 0, j, &t.pos.Q)
+			int32Col(c, 1, j, &t.pos.R)
+			int32Col(c, 2, j, &t.center.Q)
+			int32Col(c, 3, j, &t.center.R)
+			intCol(c, 4, j, &t.threshold)
+			uint32Col(c, 5, j, &t.seq)
+			uint32Col(c, 6, j, &t.ackedSeq)
+			intCol(c, 7, j, &t.retries)
+			boolCol(c, 8, j, &t.desynced)
+			uint64Col(c, 9, j, (*uint64)(&t.desyncedAt))
+			float64Col(c, 10, j, &t.est.q)
+			float64Col(c, 11, j, &t.est.c)
+			rng := rngs[i].State()
+			uint64Col(c, 12, j, &rng[0])
+			uint64Col(c, 13, j, &rng[1])
+			uint64Col(c, 14, j, &rng[2])
+			uint64Col(c, 15, j, &rng[3])
+			int64Col(c, 16, j, &t.moves)
+			int64Col(c, 17, j, &t.lastContact)
+		}
+	})
+	hlr := n.hlr
+	e.table(len(hlr), hlrLayout.kinds, func(lo, hi int, c *cols) {
+		for i := lo; i < hi; i++ {
+			h, j := &hlr[i], uint8(i-lo)
+			int32Col(c, 0, j, &h.center.Q)
+			int32Col(c, 1, j, &h.center.R)
+			uint32Col(c, 2, j, &h.seq)
+			intCol(c, 3, j, &h.threshold)
+		}
+	})
+	head := metricsHead(n.metrics)
+	putMetricsHead(e, &head)
+	putTable(e, exportThresholds(n.metrics.ThresholdSlots), thresholdLayout)
+	per := n.metrics.PerTerminal
+	e.table(len(per), termStatsLayout.kinds, func(lo, hi int, c *cols) {
+		for i := lo; i < hi; i++ {
+			ts, j := &per[i], uint8(i-lo)
+			int64Col(c, 0, j, &ts.Updates)
+			int64Col(c, 1, j, &ts.Calls)
+			int64Col(c, 2, j, &ts.PolledCells)
+		}
+	})
+	putFrames(e, s.frames)
+	if c := s.cols; c != nil {
+		// The columnar engine: one scheduler per terminal.
+		putLiveScheds(e, c.sched, &s.pending, 0)
+		putTable(e, c.preSweep, uint64Layout)
+		putTable(e, c.curD, int32Layout)
+		putTable(e, c.runLen, int64Layout)
+		e.flag(false)
+		return
+	}
+	// The reference engine: the five per-terminal tables empty (pending
+	// events, schedulers, pre-sweep marks, thresholds in use, run
+	// lengths), then its one scheduler, whose running slot event
+	// re-dispatches on resume.
+	for range 5 {
+		e.count(0)
+	}
+	e.flag(true)
+	putLiveScheds(e, s.scheds, &s.pending, 1)
+	e.uvarint(s.slotStamp)
+}
+
+// putLiveScheds writes scheds as putScheds writes their exports
+// (des.Scheduler.Checkpoint), each Ran less the running events still
+// being dispatched. Their pending events are gathered, scheduler by
+// scheduler and each in (time, stamp) order, in *pending, a buffer the
+// caller keeps across boundaries. The scheduler columns are uint64s,
+// which travel as they are.
+func putLiveScheds(e *encoder, scheds []des.Scheduler, pending *[]des.PendingEvent, running uint64) {
+	p := (*pending)[:0]
+	for i := range scheds {
+		if scheds[i].Pending() > 0 {
+			_, _, _, p = scheds[i].Checkpoint(p)
+		}
+	}
+	*pending = p
+	putTable(e, p, pendingLayout)
+	e.table(len(scheds), schedKinds, func(lo, hi int, c *cols) {
+		for i := lo; i < hi; i++ {
+			s, j := &scheds[i], i-lo
+			c.vals[0][j] = uint64(s.Now())
+			c.vals[1][j] = s.SeqMark()
+			c.vals[2][j] = s.Processed() - running
+			c.vals[3][j] = uint64(s.Pending())
+		}
+	})
+}
 
 // putPartial writes a Partial's PCNPART4 payload.
 func putPartial(e *encoder, p *Partial) {

@@ -255,7 +255,7 @@ func TestDecodeBoundsHostileLength(t *testing.T) {
 		{"2^40 shards", func(e *encoder) { e.count(1 << 40) }},
 	} {
 		e := &encoder{buf: []byte{}}
-		putCheckpoint(e, &Checkpoint{Slot: 1, Slots: 2, Shards: 1, Seed: 7})
+		putCheckpointHead(e, &Checkpoint{Slot: 1, Slots: 2, Shards: 1, Seed: 7})
 		e.buf = e.buf[:len(e.buf)-1] // drop the empty shard section
 		tc.claim(e)
 		payload := append(e.buf, make([]byte, 100-len(e.buf))...)

@@ -93,11 +93,12 @@ import (
 // capture at that boundary. Checkpoint boundaries also bound the
 // batches; subdividing a batch is harmless (contract note 2, and each
 // terminal's per-slot work is identical wherever the batch edges fall).
-// A checkpoint captures each terminal's scheduler verbatim (clock, stamp
+// A checkpoint records each terminal's scheduler verbatim (clock, stamp
 // counter, pending retransmission timers by tag) plus the preSweep mark
 // and the batched threshold-usage accumulator — exactly the state the
-// engine carries across a batch edge — and resume re-enters the loop at
-// the boundary.
+// engine carries across a batch edge — encoded straight from the columns
+// into the shard's section (putLiveShard), and resume re-enters the loop
+// at the boundary.
 
 // colsCohortTerminals is the cohort width: terminals are advanced
 // through each slot batch in blocks of this many. The hot columns of a
@@ -247,6 +248,9 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 		}
 	}
 
+	// ls walks the shard's live state into its section at each
+	// checkpoint boundary.
+	ls := &liveShard{lo: r.lo, hi: r.hi, n: n, terms: terms, rngs: rngs, cols: c, scheds: c.sched}
 	for cur := start; cur < slots; {
 		next := slots
 		if every > 0 {
@@ -504,24 +508,13 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 		}
 		if r.every > 0 && cur%r.every == 0 && !last {
 			// The struct mirrors may be stale (columns are authoritative
-			// between cold calls); refresh them so the capture sees the
-			// current positions, centers and thresholds.
+			// between cold calls); refresh them so the section records
+			// the current positions, centers and thresholds.
 			for i := range terms {
 				c.syncTerminal(&terms[i], i)
 			}
-			sc := captureShardCore(n, terms, rngs, cur, r.lo, r.hi, frames)
-			sc.SubEvents = subEvents
-			sc.Scheds = make([]SchedCheckpoint, len(terms))
-			sc.PreSweep = make([]uint64, len(terms))
-			sc.CurD = make([]int64, len(terms))
-			sc.RunLen = make([]int64, len(terms))
-			for i := range terms {
-				sc.Scheds[i] = schedCheckpoint(&c.sched[i])
-				sc.PreSweep[i] = c.preSweep[i]
-				sc.CurD[i] = int64(c.curD[i])
-				sc.RunLen[i] = c.runLen[i]
-			}
-			r.emit(sc)
+			ls.slot, ls.frames, ls.subEvents = cur, frames, subEvents
+			r.emit(cur, ls.encode())
 		}
 	}
 

@@ -64,7 +64,7 @@ func RunShardedCtx(ctx context.Context, cfg Config, slots int64, shards int) (*M
 }
 
 // RunOpts carries the durability extensions to a sharded run: periodic
-// checkpoint capture and resumption from a prior checkpoint. The zero
+// checkpoints and resumption from a prior checkpoint. The zero
 // value reproduces RunShardedCtx exactly.
 type RunOpts struct {
 	// Resume, when non-nil, continues the run recorded in the checkpoint
@@ -73,20 +73,21 @@ type RunOpts struct {
 	// threshold, engine class); the final Metrics are then bit-identical
 	// to an uninterrupted run.
 	Resume *Checkpoint
-	// CheckpointEvery > 0 captures a consistent whole-run checkpoint at
+	// CheckpointEvery > 0 takes a consistent whole-run checkpoint at
 	// every interior multiple of that many slots and hands it to
-	// CheckpointSink. Each shard captures its state and encodes its
-	// section of the checkpoint on its own goroutine; the sink is called
-	// on the last shard to reach the boundary, in increasing slot order,
-	// and no shard delivers its next boundary until the sink returns. The
-	// checkpoint is the sink's to keep (the run holds no reference to it)
-	// but read-only: EncodeCheckpoint writes the sections encoded at
-	// capture.
+	// CheckpointSink. Each shard encodes its section of the checkpoint
+	// straight from its live state on its own goroutine; the sink is
+	// called on the last shard to reach the boundary, in increasing slot
+	// order, and no shard delivers its next boundary until the sink
+	// returns. The checkpoint is the sink's to keep (the run holds no
+	// reference to it) and carries its head fields and sections only:
+	// EncodeCheckpoint frames the sections, and code that wants the
+	// per-shard fields decodes them.
 	CheckpointEvery int64
 	CheckpointSink  func(*Checkpoint)
 }
 
-// RunShardedOpts is RunShardedCtx with checkpoint capture and resume.
+// RunShardedOpts is RunShardedCtx with periodic checkpoints and resume.
 // Checkpointing does not perturb results: a run observed through its
 // sink checkpoints, or resumed from any of them, still produces
 // bit-identical Metrics for every shard count and engine.
@@ -117,7 +118,17 @@ func RunShardedOpts(ctx context.Context, cfg Config, slots int64, shards int, op
 	if opts.CheckpointEvery > 0 && opts.CheckpointSink == nil {
 		return nil, errors.New("sim: checkpoint cadence without a sink")
 	}
-	if opts.Resume != nil {
+	if cp := opts.Resume; cp != nil {
+		if cp.sections != nil {
+			// A checkpoint a run delivered carries its sections only;
+			// resume reads their fields.
+			data, _ := EncodeCheckpoint(cp)
+			decoded, err := DecodeCheckpoint(data)
+			if err != nil {
+				return nil, err
+			}
+			opts.Resume = decoded
+		}
 		if err := p.validateResume(opts.Resume); err != nil {
 			return nil, err
 		}
@@ -225,7 +236,7 @@ func (p *runPlan) run(ctx context.Context, lo, hi int, opts RunOpts) ([]shardRes
 			r.resume = &opts.Resume.Shard[s]
 		}
 		if agg != nil {
-			r.emit = func(sc ShardCheckpoint) { agg.add(s, sc) }
+			r.emit = func(slot int64, section []byte) { agg.add(s, slot, section) }
 		}
 		return engine(ctx, r)
 	})
@@ -266,7 +277,7 @@ type shardResult struct {
 
 // shardRun is everything one engine invocation needs: the run plan, the
 // shard's slice of the population, and the checkpoint plumbing (resume
-// source and capture cadence/sink), both inactive in a plain run.
+// source and checkpoint cadence/sink), both inactive in a plain run.
 type shardRun struct {
 	*runPlan
 	shard  int
@@ -274,10 +285,10 @@ type shardRun struct {
 	// resume, when non-nil, is this shard's slice of the checkpoint the
 	// run continues from (already validated against the run shape).
 	resume *ShardCheckpoint
-	// every > 0 asks the engine to capture a shard checkpoint at every
-	// interior multiple of every slots and hand it to emit.
+	// every > 0 asks the engine to encode its section of a checkpoint at
+	// every interior multiple of every slots and hand it to emit.
 	every int64
-	emit  func(ShardCheckpoint)
+	emit  func(slot int64, section []byte)
 }
 
 // validateResume rejects checkpoints that do not describe the offered
@@ -505,9 +516,10 @@ func finishShard(n *network, terms []terminal, slots int64) *Metrics {
 // run at the next slot boundary (in-flight sub-slot events still drain)
 // and returns ctx.Err().
 //
-// Checkpoints are captured at the top of a boundary slot's sweep event —
-// after the telemetry frame, before the sweeps — so boundary B means "B
-// slots completed" and the checkpoint embeds the boundary frame. The
+// Checkpoint sections are encoded at the top of a boundary slot's sweep
+// event — after the telemetry frame, before the sweeps — so boundary B
+// means "B slots completed" and the checkpoint embeds the boundary
+// frame. The
 // scheduler state is stored as if the boundary sweep event had not yet
 // been dispatched (Ran excludes it, SlotEventSeq preserves its insertion
 // stamp): resume re-creates that event with its original (time, stamp)
@@ -522,8 +534,13 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 		return shardResult{}, err
 	}
 
-	var sched des.Scheduler
-	n.sched = &sched
+	// The shard's one scheduler, held in a one-element slice so a
+	// checkpoint boundary can write it as the columnar engine writes its
+	// per-terminal ones.
+	scheds := make([]des.Scheduler, 1)
+	sched := &scheds[0]
+	n.sched = sched
+	ls := &liveShard{lo: r.lo, hi: r.hi, n: n, terms: terms, rngs: rngs, scheds: scheds}
 
 	// Telemetry: frames capture the shard's cumulative state at slot
 	// boundaries. Capturing at the top of the slot event — before the
@@ -569,10 +586,8 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 			capture(cur, uint64(cur)+1)
 		}
 		if r.every > 0 && cur > start && cur%r.every == 0 {
-			sc := captureShardCore(n, terms, rngs, cur, r.lo, r.hi, frames)
-			sc.DES = &DESCheckpoint{Sched: schedCheckpoint(&sched), SlotEventSeq: slotStamp}
-			sc.DES.Sched.Ran-- // the running slot event re-dispatches on resume
-			r.emit(sc)
+			ls.slot, ls.frames, ls.slotStamp = cur, frames, slotStamp
+			r.emit(cur, ls.encode())
 		}
 		for i := range terms {
 			t := &terms[i]

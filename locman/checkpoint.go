@@ -30,15 +30,17 @@ func FrameCheckpoint(cp *Checkpoint) *CheckpointFrame { return sim.FrameCheckpoi
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return sim.DecodeCheckpoint(data) }
 
 // SimulateNetworkCheckpointed is SimulateNetworkShardedCtx with periodic
-// checkpoint capture: every multiple of every slots (interior boundaries
-// only), a consistent whole-run Checkpoint is handed to sink, in
-// increasing slot order, from a shard goroutine; the shards wait for the
-// sink to return before delivering the next one. Each shard encodes its
-// part of the checkpoint as it captures it, so EncodeCheckpoint on a
-// delivered checkpoint only frames those bytes, and the checkpoint must
-// not be edited before it is encoded. Checkpointing never perturbs the
-// simulation: the returned metrics are bit-identical to an unobserved
-// run.
+// checkpoints: every multiple of every slots (interior boundaries only),
+// a consistent whole-run Checkpoint is handed to sink, in increasing
+// slot order, from a shard goroutine; the shards wait for the sink to
+// return before delivering the next one. Each shard encodes its section
+// of the checkpoint straight from its live state, and the delivered
+// checkpoint carries its head fields (Slot, Shards, Seed, ...) and those
+// sections only: EncodeCheckpoint and FrameCheckpoint frame them,
+// ResumeNetworkCheckpointed accepts it as it is, and a sink that wants
+// the per-shard fields (Checkpoint.Shard) decodes its encoding.
+// Checkpointing never perturbs the simulation: the returned metrics are
+// bit-identical to an unobserved run.
 func SimulateNetworkCheckpointed(ctx context.Context, cfg NetworkConfig, slots int64, shards int, every int64, sink func(*Checkpoint)) (*NetworkMetrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

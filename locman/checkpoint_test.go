@@ -408,12 +408,17 @@ func TestCheckpointResumeRejectsHostileState(t *testing.T) {
 		var raw []byte
 		if _, err := SimulateNetworkCheckpointed(context.Background(),
 			cfg, checkpointSlots, shards, every, func(cp *Checkpoint) {
-				if raw != nil || cp.Slot < cfg.SnapshotEvery || sched(cp) == nil {
+				if raw != nil || cp.Slot < cfg.SnapshotEvery {
 					return
 				}
 				data, err := EncodeCheckpoint(cp)
 				if err != nil {
 					t.Error(err)
+					return
+				}
+				// A delivered checkpoint carries encoded sections; its
+				// schedulers are read from a decode.
+				if decoded, err := DecodeCheckpoint(data); err != nil || sched(decoded) == nil {
 					return
 				}
 				raw = data

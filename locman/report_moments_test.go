@@ -124,7 +124,15 @@ func TestReportMomentsCorrectlyRounded(t *testing.T) {
 		delays[s], recoveries[s] = newSampleLog(), newSampleLog()
 	}
 	m, err := SimulateNetworkCheckpointed(context.Background(), cfg, slots, shards, 1, func(cp *Checkpoint) {
-		for s, sc := range cp.Shard {
+		// A delivered checkpoint carries encoded sections; its fields
+		// are read from a decode.
+		data, _ := EncodeCheckpoint(cp)
+		decoded, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for s, sc := range decoded.Shard {
 			delays[s].observe(t, sc.Metrics.Delay)
 			recoveries[s].observe(t, sc.Metrics.Recovery)
 		}
