@@ -431,7 +431,9 @@ func (m *Manager) appendRecord(rec Record) {
 // Submit validates the spec and enqueues a new job, returning its view.
 // The queue is the backpressure boundary: a full queue rejects with
 // ErrQueueFull immediately rather than blocking the caller or growing
-// without bound.
+// without bound. A submission refused for a journal error still spends
+// its id, so ids may skip; its record may have reached the file, in
+// which case the job reappears, queued, after a restart.
 func (m *Manager) Submit(spec Spec) (View, error) {
 	if err := spec.Validate(); err != nil {
 		return View{}, err
@@ -461,7 +463,9 @@ func (m *Manager) Submit(spec Spec) (View, error) {
 		return View{}, ErrQueueFull
 	}
 	if err := m.appendLocked(Record{Kind: KindSubmit, Job: j.id, Spec: &spec}); err != nil {
-		m.seq--
+		// The id stays spent: the record may have reached the file
+		// with only its fsync failing, and a reused id would let this
+		// refused spec replay in place of the next accepted job's.
 		return View{}, fmt.Errorf("jobs: journaling submission: %w", err)
 	}
 	m.queue <- j

@@ -88,17 +88,21 @@ import (
 // function inlined into EventGap, and `go build -gcflags=-m
 // ./internal/sim` must not report lr moved to the heap.
 //
-// Slots are processed in batches bounded by the telemetry cadence, so
-// each snapshot observes exactly the state the reference engine would
-// capture at that boundary. Checkpoint boundaries also bound the
-// batches; subdividing a batch is harmless (contract note 2, and each
-// terminal's per-slot work is identical wherever the batch edges fall).
-// A checkpoint records each terminal's scheduler verbatim (clock, stamp
-// counter, pending retransmission timers by tag) plus the preSweep mark
-// and the batched threshold-usage accumulator — exactly the state the
-// engine carries across a batch edge — encoded straight from the columns
-// into the shard's section (putLiveShard), and resume re-enters the loop
-// at the boundary.
+// Slots are processed in batches bounded by the checkpoint cadence, the
+// run end and colsBatchIntervals telemetry intervals; subdividing a
+// batch is harmless (contract note 2, and each terminal's per-slot work
+// is identical wherever the batch edges fall). The telemetry cadence
+// does not cut batches: the network counts the frame fields into one
+// accumulator per interval (frameWindows), and the batch end folds them
+// in slot order, so each frame holds exactly the state the reference
+// engine captures at its boundary (contract note 2 again: a frame is a
+// set of exact integer sums over terminals). A checkpoint records each
+// terminal's scheduler verbatim (clock, stamp counter, pending
+// retransmission timers by tag) plus the preSweep mark and the batched
+// threshold-usage accumulator — exactly the state the engine carries
+// across a batch edge — encoded straight from the columns into the
+// shard's section (putLiveShard), and resume re-enters the loop at the
+// boundary.
 
 // colsCohortTerminals is the cohort width: terminals are advanced
 // through each slot batch in blocks of this many. The hot columns of a
@@ -191,14 +195,91 @@ func (c *colsState) flushThreshold(i int, m *Metrics) {
 	}
 }
 
+// colsBatchIntervals caps the telemetry intervals one slot batch spans,
+// so a fine cadence over a long run counts into a small reused buffer
+// of per-interval accumulators.
+const colsBatchIntervals = 256
+
+// frameWindows counts a slot batch's frame fields per telemetry interval
+// (frameCounts): interval k holds slots [k·every, (k+1)·every). The
+// engine points the network at the interval of the slot it runs cold
+// code for, so terminals may run through the whole batch one after the
+// other, and fold adds the intervals to the shard's Metrics in slot
+// order at the batch end, taking each frame exactly where the reference
+// engine captures it. With frames off (every 0) there is no buffer and
+// the network counts into its own accumulator.
+type frameWindows struct {
+	every int64
+	first int64 // the interval wins[0] holds: the one of the batch's first slot
+	wins  []frameCounts
+}
+
+func newFrameWindows(every, start, slots int64) frameWindows {
+	if every == 0 {
+		return frameWindows{}
+	}
+	wins := make([]frameCounts, min((slots-1)/every+1, colsBatchIntervals))
+	for i := range wins {
+		wins[i] = newFrameCounts()
+	}
+	return frameWindows{every: every, first: start / every, wins: wins}
+}
+
+// batchEnd is where a batch starting at cur ends unless a checkpoint
+// comes first: the run end, or the start of the colsBatchIntervals-th
+// interval from cur's.
+func (w *frameWindows) batchEnd(cur, slots int64) int64 {
+	if w.every > 0 {
+		if k := cur/w.every + colsBatchIntervals; k <= (slots-1)/w.every {
+			return k * w.every
+		}
+	}
+	return slots
+}
+
+// point directs the network's frame counts at the interval holding slot
+// and returns its accumulator.
+func (w *frameWindows) point(n *network, slot int64) *frameCounts {
+	if w.wins != nil {
+		n.win = &w.wins[slot/w.every-w.first]
+	}
+	return n.win
+}
+
+// fold adds the batch ending at next to the shard's Metrics, interval by
+// interval in slot order, and appends the frame of every interval that
+// has ended — the final one, cut short at slots, once next is the run
+// end. An interval a checkpoint cuts keeps counting into its emptied
+// accumulator in the next batch.
+func (w *frameWindows) fold(n *network, frames []telemetry.ShardFrame, next, slots int64) []telemetry.ShardFrame {
+	if w.wins == nil {
+		n.metrics.fold(&n.acc)
+		return frames
+	}
+	last := (slots - 1) / w.every
+	for k := w.first; k <= (next-1)/w.every; k++ {
+		n.metrics.fold(&w.wins[k-w.first])
+		end := slots
+		if k < last {
+			end = (k + 1) * w.every
+		}
+		if end <= next {
+			frames = append(frames, n.snapshot(end, n.metrics.Events))
+		}
+	}
+	w.first = next / w.every
+	return frames
+}
+
 // runShardCols simulates terminals [lo, hi) with the columnar cohort
 // engine, bit-identical to runShard for every configuration: same
 // Metrics, same telemetry frame series, same histograms. Slot batches
-// are bounded by the telemetry and checkpoint cadences, frames are
-// captured at the boundaries, and late timers drain after the last
-// batch; within a batch, terminals advance in cohorts, and within a
-// terminal, event-free stretches collapse into EventGap scans, which
-// keep the generator state in registers.
+// are bounded by the checkpoint cadence, the run end and the interval
+// cap, frames are folded from per-interval counts at each batch end,
+// and late timers drain after the last batch into the final interval;
+// within a batch, terminals advance in cohorts, and within a terminal,
+// event-free stretches collapse into EventGap scans, which keep the
+// generator state in registers.
 //
 // A cancellable ctx is polled between per-terminal slot chunks, with
 // pure stretches additionally capped at ctxCheckSlots slots, so the
@@ -224,20 +305,20 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	}
 	c := newColsState(terms, rngs, r.startD)
 
-	every := cfg.Telemetry.SnapshotEvery
 	prog := cfg.Telemetry.Progress
 	dyn := cfg.Dynamic
 	kind, param := n.upd.kind, n.upd.param
 	done := ctx.Done()
 	width := int64(r.hi - r.lo)
 	var frames []telemetry.ShardFrame
-	// subEvents counts dispatched sub-slot events across all terminals —
-	// the engine schedules no sweep events, so this is directly the
-	// reference engine's Processed() minus its slot sweeps.
-	var subEvents uint64
+	// The network counts the frame fields per telemetry interval (win).
+	// The dispatched sub-slot events among them fold into
+	// n.metrics.Events: the engine schedules no sweep events, so that is
+	// directly the reference engine's Processed() minus its slot sweeps.
+	win := newFrameWindows(cfg.Telemetry.SnapshotEvery, start, slots)
 	if r.resume != nil {
 		frames = slices.Clone(r.resume.Snapshots)
-		subEvents = r.resume.SubEvents
+		n.metrics.Events = r.resume.SubEvents
 		bind := ackBind(n, terms)
 		for i := range terms {
 			sc := &r.resume.Scheds[i]
@@ -252,12 +333,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	// checkpoint boundary.
 	ls := &liveShard{lo: r.lo, hi: r.hi, n: n, terms: terms, rngs: rngs, cols: c, scheds: c.sched}
 	for cur := start; cur < slots; {
-		next := slots
-		if every > 0 {
-			if b := (cur/every + 1) * every; b < next {
-				next = b
-			}
-		}
+		next := win.batchEnd(cur, slots)
 		if r.every > 0 {
 			if b := (cur/r.every + 1) * r.every; b < next {
 				next = b
@@ -290,7 +366,11 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 						c.syncTerminal(t, i)
 						base := des.Time(s) * SlotTicks
 						if sched.Pending() > 0 {
-							subEvents += sched.RunBefore(base, c.preSweep[i])
+							// Due before this slot's sweep: the window
+							// ending at s. (At a batch's first slot
+							// nothing is: the previous slot's closing
+							// RunBefore ran to the same point.)
+							win.point(n, max(s-1, cur)).Events += sched.RunBefore(base, c.preSweep[i])
 						}
 						sched.AdvanceTo(base)
 						if int32(t.threshold) == c.curD[i] {
@@ -300,13 +380,14 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							c.curD[i] = int32(t.threshold)
 							c.runLen[i] = 1
 						}
+						win.point(n, s)
 						n.sweepSlot(t, s)
 						if dyn && s > 0 && s%cfg.ReoptimizeEvery == 0 {
 							n.reoptimize(t)
 						}
 						c.preSweep[i] = sched.SeqMark()
 						if sched.Pending() > 0 {
-							subEvents += sched.RunBefore(base+SlotTicks, c.preSweep[i])
+							n.win.Events += sched.RunBefore(base+SlotTicks, c.preSweep[i])
 						}
 						c.syncColumns(t, i)
 						s++
@@ -372,7 +453,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							if lr.BernoulliT(callT) {
 								rngs[i] = lr
 								t.pos, t.center, t.threshold = pos, ctr, thr
-								subEvents += n.pageInline(t, des.Time(s)*SlotTicks)
+								win.point(n, s).Events += n.pageInline(t, des.Time(s)*SlotTicks)
 								ctr = t.center
 								lr = rngs[i]
 								s++
@@ -390,12 +471,14 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							sched.AdvanceTo(des.Time(s) * SlotTicks)
 							ctr = pos
 							t.pos, t.center, t.threshold = pos, ctr, thr
+							win.point(n, s)
 							n.sendUpdate(t)
 							lr = rngs[i]
 							s++
 							c.preSweep[i] = sched.SeqMark()
 							if sched.Pending() > 0 {
-								subEvents += sched.RunBefore(des.Time(s)*SlotTicks, c.preSweep[i])
+								// The window ending at s is the update's.
+								n.win.Events += sched.RunBefore(des.Time(s)*SlotTicks, c.preSweep[i])
 								lr = rngs[i]
 								pos, ctr = t.pos, t.center
 								break
@@ -409,7 +492,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							// column and may re-center the terminal).
 							rngs[i] = lr
 							t.pos, t.center, t.threshold = pos, ctr, thr
-							subEvents += n.pageInline(t, des.Time(s)*SlotTicks)
+							win.point(n, s).Events += n.pageInline(t, des.Time(s)*SlotTicks)
 							ctr = t.center
 							lr = rngs[i]
 							if dyn {
@@ -447,6 +530,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							sched.AdvanceTo(des.Time(s) * SlotTicks)
 							ctr = pos
 							t.pos, t.center, t.threshold = pos, ctr, thr
+							win.point(n, s)
 							n.sendUpdate(t)
 							lr = rngs[i]
 							touched = true
@@ -458,7 +542,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 						if touched {
 							c.preSweep[i] = sched.SeqMark()
 							if sched.Pending() > 0 {
-								subEvents += sched.RunBefore(des.Time(s)*SlotTicks, c.preSweep[i])
+								n.win.Events += sched.RunBefore(des.Time(s)*SlotTicks, c.preSweep[i])
 								// Dispatched retransmissions consume RNG
 								// draws and may re-center; reload before
 								// falling back to the per-slot path.
@@ -482,30 +566,27 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 				}
 				if last {
 					// Late timers resolve against the current mirror,
-					// exactly as the reference engine's final drain.
+					// exactly as the reference engine's final drain,
+					// and count in the final interval, as its final
+					// frame covers them.
 					c.syncTerminal(t, i)
-					subEvents += sched.Drain()
+					win.point(n, slots-1).Events += sched.Drain()
 					c.syncColumns(t, i)
 					c.flushThreshold(i, n.metrics)
 				}
 			}
 			if endT < len(terms) {
 				// Cohort-granular progress: slot stays at the batch
-				// floor while completed work and events advance, so
-				// pollers watch a run move through a deep batch instead
-				// of seeing it jump at the boundary.
-				prog.Set(r.shard, cur, cur*width+int64(endT)*(next-cur), uint64(cur)+subEvents)
+				// floor while completed work advances, so pollers watch
+				// a run move through a deep batch instead of seeing it
+				// jump at the boundary. Events are folded in at batch
+				// ends only.
+				prog.Set(r.shard, cur, cur*width+int64(endT)*(next-cur), uint64(cur)+n.metrics.Events)
 			}
 		}
+		frames = win.fold(n, frames, next, slots)
 		cur = next
-		prog.Set(r.shard, cur, cur*width, uint64(cur)+subEvents)
-		if every > 0 && (cur%every == 0 || last) {
-			// Telemetry-cadence boundaries and the final run boundary get
-			// frames (checkpoint-only boundaries do not — the reference
-			// engine captures no frame there); the final frame covers the
-			// whole run including the drained late timers.
-			frames = append(frames, n.snapshot(cur, subEvents))
-		}
+		prog.Set(r.shard, cur, cur*width, uint64(cur)+n.metrics.Events)
 		if r.every > 0 && cur%r.every == 0 && !last {
 			// The struct mirrors may be stale (columns are authoritative
 			// between cold calls); refresh them so the section records
@@ -513,11 +594,10 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 			for i := range terms {
 				c.syncTerminal(&terms[i], i)
 			}
-			ls.slot, ls.frames, ls.subEvents = cur, frames, subEvents
+			ls.slot, ls.frames, ls.subEvents = cur, frames, n.metrics.Events
 			r.emit(cur, ls.encode())
 		}
 	}
 
-	n.metrics.Events = subEvents
 	return shardResult{metrics: finishShard(n, terms, slots), frames: frames}, nil
 }

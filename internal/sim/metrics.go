@@ -191,3 +191,37 @@ func (m *Metrics) recompute() {
 	m.PagingCost = float64(m.PolledCells) * m.costs.Poll / denom
 	m.TotalCost = m.UpdateCost + m.PagingCost
 }
+
+// frameCounts holds the Metrics fields a telemetry frame reads (see
+// network.snapshot) for one telemetry interval: the seven frame
+// counters, the dispatched sub-slot events and the delay and recovery
+// moments. The network writes those fields through network.win, never
+// into Metrics directly, so an engine can count each interval apart
+// while its terminals run ahead of one another; Metrics.fold adds an
+// interval to the running totals. Every field is an exact integer sum,
+// so folding the intervals in slot order reproduces the totals — and
+// every frame — of counting straight into Metrics.
+type frameCounts struct {
+	telemetry.Counters
+	Delay    stats.Moments
+	Recovery stats.Moments // in ticks, like Metrics.Recovery
+}
+
+func newFrameCounts() frameCounts {
+	return frameCounts{Recovery: stats.NewMoments(SlotTicks)}
+}
+
+// fold adds w to m's frame fields and Events, and empties w.
+func (m *Metrics) fold(w *frameCounts) {
+	m.Updates += w.Updates
+	m.LostUpdates += w.LostUpdates
+	m.Retransmissions += w.Retransmissions
+	m.Calls += w.Calls
+	m.PolledCells += w.PolledCells
+	m.DroppedCalls += w.DroppedCalls
+	m.RePolls += w.RePolls
+	m.Events += w.Events
+	m.Delay.Merge(&w.Delay)
+	m.Recovery.Merge(&w.Recovery)
+	*w = newFrameCounts()
+}

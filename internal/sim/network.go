@@ -44,6 +44,13 @@ type network struct {
 	first    uint32 // global id of the shard's first terminal
 	callSeq  uint32
 	scratch  []byte // reused encode buffer for byte accounting
+	// win receives the frame fields (frameCounts) in place of metrics;
+	// the engines fold it into metrics before anything reads them. It
+	// points at acc unless the columnar engine counts telemetry
+	// intervals apart, when it points at the interval of the slot the
+	// network code is running for.
+	win *frameCounts
+	acc frameCounts
 }
 
 func (n *network) term(id uint32) *TerminalStats {
@@ -132,7 +139,7 @@ func (n *network) markSyncedAt(t *terminal, now des.Time) {
 	if t.desynced {
 		t.desynced = false
 		ticks := now - t.desyncedAt
-		n.metrics.Recovery.Add(int64(ticks))
+		n.win.Recovery.Add(int64(ticks))
 		n.metrics.RecoveryHist.Add(float64(ticks) / SlotTicks)
 	}
 }
@@ -164,13 +171,13 @@ func (n *network) transmitUpdate(t *terminal) {
 	t.moves = 0
 	t.lastContact = int64(n.sched.Now() / SlotTicks)
 	n.scratch = u.Encode(n.scratch[:0])
-	n.metrics.Updates++
+	n.win.Updates++
 	n.term(u.Terminal).Updates++
 	n.metrics.UpdateBytes += int64(len(n.scratch))
 
 	applied := false
 	if n.cfg.Faults.UpdateLoss > 0 && t.rng.Bernoulli(n.cfg.Faults.UpdateLoss) {
-		n.metrics.LostUpdates++
+		n.win.LostUpdates++
 	} else if n.inOutage() {
 		// Delivered, but the HLR is down for maintenance: the
 		// registration is not applied and no ack is produced.
@@ -227,7 +234,7 @@ func (n *network) ackTimeout(t *terminal, seq uint32) {
 		return // budget exhausted: desynced until the next page re-centers
 	}
 	t.retries++
-	n.metrics.Retransmissions++
+	n.win.Retransmissions++
 	n.transmitUpdate(t)
 }
 
@@ -283,7 +290,7 @@ func (n *network) pageSuccessAt(t *terminal, cycles int, now des.Time) {
 	t.center = t.pos
 	t.moves = 0
 	t.lastContact = int64(now / SlotTicks)
-	n.metrics.Delay.Add(int64(cycles))
+	n.win.Delay.Add(int64(cycles))
 	n.metrics.DelayHist.Add(float64(cycles))
 	n.markSyncedAt(t, now)
 }
@@ -319,7 +326,7 @@ func (n *network) page(t *terminal) {
 	call := n.callSeq
 	info := n.partitionFor(rec.threshold)
 	ring := n.loc.dist(t.pos, rec.center)
-	n.metrics.Calls++
+	n.win.Calls++
 	n.term(t.id).Calls++
 
 	// target is the subarea whose polls reach the terminal, or −1 when
@@ -337,10 +344,10 @@ func (n *network) page(t *terminal) {
 	var round func(r int)
 	round = func(r int) {
 		if r > n.cfg.Faults.PageRetries {
-			n.metrics.DroppedCalls++
+			n.win.DroppedCalls++
 			return
 		}
-		n.metrics.RePolls++
+		n.win.RePolls++
 		radius := rec.threshold + r
 		cells := n.diskCells(radius)
 		cyc := uint8(255)
@@ -349,7 +356,7 @@ func (n *network) page(t *terminal) {
 		}
 		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
 		n.scratch = poll.Encode(n.scratch[:0])
-		n.metrics.PolledCells += int64(cells)
+		n.win.PolledCells += int64(cells)
 		n.term(t.id).PolledCells += int64(cells)
 		n.metrics.PollBytes += int64(cells * len(n.scratch))
 		if ring <= radius && n.pollHeard(t) {
@@ -382,7 +389,7 @@ func (n *network) page(t *terminal) {
 		}
 		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
 		n.scratch = poll.Encode(n.scratch[:0])
-		n.metrics.PolledCells += int64(sub.Cells)
+		n.win.PolledCells += int64(sub.Cells)
 		n.term(t.id).PolledCells += int64(sub.Cells)
 		n.metrics.PollBytes += int64(sub.Cells * len(n.scratch))
 		if j == target && n.pollHeard(t) {
@@ -420,7 +427,7 @@ func (n *network) pageInline(t *terminal, base des.Time) uint64 {
 	call := n.callSeq
 	info := n.partitionFor(rec.threshold)
 	ring := n.loc.dist(t.pos, rec.center)
-	n.metrics.Calls++
+	n.win.Calls++
 	n.term(t.id).Calls++
 
 	// See page(): the subarea whose polls reach the terminal, or −1 when
@@ -441,7 +448,7 @@ func (n *network) pageInline(t *terminal, base des.Time) uint64 {
 		}
 		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
 		n.scratch = poll.Encode(n.scratch[:0])
-		n.metrics.PolledCells += int64(sub.Cells)
+		n.win.PolledCells += int64(sub.Cells)
 		n.term(t.id).PolledCells += int64(sub.Cells)
 		n.metrics.PollBytes += int64(sub.Cells * len(n.scratch))
 		if j == target && n.pollHeard(t) {
@@ -456,10 +463,10 @@ func (n *network) pageInline(t *terminal, base des.Time) uint64 {
 	}
 	for r := 1; ; r++ {
 		if r > n.cfg.Faults.PageRetries {
-			n.metrics.DroppedCalls++
+			n.win.DroppedCalls++
 			return events
 		}
-		n.metrics.RePolls++
+		n.win.RePolls++
 		radius := rec.threshold + r
 		cells := n.diskCells(radius)
 		cyc := uint8(255)
@@ -468,7 +475,7 @@ func (n *network) pageInline(t *terminal, base des.Time) uint64 {
 		}
 		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
 		n.scratch = poll.Encode(n.scratch[:0])
-		n.metrics.PolledCells += int64(cells)
+		n.win.PolledCells += int64(cells)
 		n.term(t.id).PolledCells += int64(cells)
 		n.metrics.PollBytes += int64(cells * len(n.scratch))
 		if ring <= radius && n.pollHeard(t) {

@@ -461,7 +461,9 @@ func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (
 			costs:          cfg.Core.Costs,
 		},
 		parts: make(map[int]partInfo),
+		acc:   newFrameCounts(),
 	}
+	n.win = &n.acc
 
 	terms := make([]terminal, hi-lo)
 	rngs := make([]stats.RNG, hi-lo)
@@ -553,6 +555,7 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 	prog := cfg.Telemetry.Progress
 	var frames []telemetry.ShardFrame
 	capture := func(boundary int64, slotEvents uint64) {
+		n.metrics.fold(&n.acc)
 		frames = append(frames, n.snapshot(boundary, sched.Processed()-slotEvents))
 	}
 
@@ -586,6 +589,7 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 			capture(cur, uint64(cur)+1)
 		}
 		if r.every > 0 && cur > start && cur%r.every == 0 {
+			n.metrics.fold(&n.acc)
 			ls.slot, ls.frames, ls.slotStamp = cur, frames, slotStamp
 			r.emit(cur, ls.encode())
 		}
@@ -631,13 +635,15 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 	}
 	prog.Set(r.shard, slots, slots*int64(len(terms)), sched.Processed())
 
+	n.metrics.fold(&n.acc)
 	n.metrics.Events = sched.Processed() - uint64(slots)
 	return shardResult{metrics: finishShard(n, terms, slots), frames: frames}, nil
 }
 
 // snapshot captures one telemetry frame of the shard's cumulative state:
-// the counters and the delay/recovery moments. events must already
-// exclude this shard's slot sweeps.
+// the counters and the delay/recovery moments. Every frame count up to
+// boundary must already be folded into the metrics (frameCounts), and
+// events must exclude this shard's slot sweeps.
 func (n *network) snapshot(boundary int64, events uint64) telemetry.ShardFrame {
 	m := n.metrics
 	return telemetry.ShardFrame{

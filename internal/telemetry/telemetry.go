@@ -34,11 +34,11 @@ type Config struct {
 	// over atomic counters; poll Progress.Snapshot from another goroutine
 	// (e.g. an expvar handler) while the run is in flight. Update
 	// granularity is engine-dependent: the reference engine publishes
-	// after every slot, the columnar engine once per slot batch (the
-	// telemetry cadence, or the whole run when SnapshotEvery is zero)
-	// and additionally work/events after every finished cohort inside a
-	// batch. The engines agree at every batch boundary, so polled values
-	// are always a prefix of the same trajectory.
+	// after every slot, the columnar engine once per slot batch (cut by
+	// checkpoints, the run end and every 256 telemetry intervals, never
+	// by the cadence itself) and additionally work after every finished
+	// cohort inside a batch. The engines agree at every batch boundary,
+	// so polled values are always a prefix of the same trajectory.
 	Progress *Progress
 }
 
