@@ -224,8 +224,7 @@ func ackBind(n *network, terms []terminal) func(tag uint64) func() {
 // liveShard is a shard's live state at a checkpoint boundary, as
 // putLiveShard walks it into the shard's section. The engine builds it
 // once and updates the per-boundary fields (slot, frames, subEvents,
-// slotStamp) before each encode; the terminal structs must be current
-// (the columnar engine syncs them from its columns first).
+// slotStamp) before each encode.
 type liveShard struct {
 	slot      int64
 	lo, hi    int
@@ -290,17 +289,16 @@ func exportMetrics(m *Metrics) MetricsCheckpoint {
 }
 
 // restoreShardCore overlays a shard checkpoint onto freshly-built shard
-// state (newShardNetwork output): terminal structs, RNG positions,
-// registry records, the network's counters and the metrics state. The
-// engine restores its own scheduler state afterwards. The checkpoint
-// passed validateResume, so its vectors are sized to the shard.
+// state (newShardNetwork output): terminal structs and columns, RNG
+// positions, registry records, the network's counters and the metrics
+// state. The engine restores its own scheduler state afterwards. The
+// checkpoint passed validateResume, so its vectors are sized to the
+// shard.
 func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardCheckpoint) {
 	for i := range terms {
 		t := &terms[i]
 		tc := &sc.Terms[i]
-		t.pos = tc.Pos
-		t.center = tc.Center
-		t.threshold = tc.Threshold
+		n.pos[i], n.ctr[i], n.thr[i] = tc.Pos, tc.Center, int32(tc.Threshold)
 		t.seq = tc.Seq
 		t.ackedSeq = tc.AckedSeq
 		t.retries = tc.Retries

@@ -7,7 +7,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The PCNCKPT3 checkpoint and PCNPART4 partial payloads, in the codec of
+// The PCNCKPT3 checkpoint and PCNPART5 partial payloads, in the codec of
 // codec.go. A layout's kinds string and its wire function's column
 // numbers must agree; the column numbers run from 0 without gaps.
 
@@ -96,11 +96,6 @@ var (
 	intLayout = layout[int]{"v", func(rows []int, c *cols) {
 		for i := range rows {
 			intCol(c, 0, uint8(i), &rows[i])
-		}
-	}}
-	float64Layout = layout[float64]{"w", func(rows []float64, c *cols) {
-		for i := range rows {
-			float64Col(c, 0, uint8(i), &rows[i])
 		}
 	}}
 )
@@ -367,7 +362,9 @@ var minShardCheckpointSize = sectionSize(putShardCheckpoint, &ShardCheckpoint{})
 // putShardCheckpoint writes for a ShardCheckpoint of the same state,
 // field for field, without building one. Each table's wire function
 // reads the live record straight into the columns, with the column
-// helpers and numbers of the layout the table decodes with.
+// numbers of the layout the table decodes with, and with its column
+// helpers, except that an int32 field goes through int32Col, which
+// writes the bytes intCol writes for the value widened.
 func putLiveShard(e *encoder, s *liveShard) {
 	n := s.n
 	e.varint(s.slot)
@@ -379,11 +376,11 @@ func putLiveShard(e *encoder, s *liveShard) {
 	e.table(len(terms), termLayout.kinds, func(lo, hi int, c *cols) {
 		for i := lo; i < hi; i++ {
 			t, j := &terms[i], uint8(i-lo)
-			int32Col(c, 0, j, &t.pos.Q)
-			int32Col(c, 1, j, &t.pos.R)
-			int32Col(c, 2, j, &t.center.Q)
-			int32Col(c, 3, j, &t.center.R)
-			intCol(c, 4, j, &t.threshold)
+			int32Col(c, 0, j, &n.pos[i].Q)
+			int32Col(c, 1, j, &n.pos[i].R)
+			int32Col(c, 2, j, &n.ctr[i].Q)
+			int32Col(c, 3, j, &n.ctr[i].R)
+			int32Col(c, 4, j, &n.thr[i])
 			uint32Col(c, 5, j, &t.seq)
 			uint32Col(c, 6, j, &t.ackedSeq)
 			intCol(c, 7, j, &t.retries)
@@ -470,7 +467,7 @@ func putLiveScheds(e *encoder, scheds []des.Scheduler, pending *[]des.PendingEve
 	})
 }
 
-// putPartial writes a Partial's PCNPART4 payload.
+// putPartial writes a Partial's PCNPART5 payload.
 func putPartial(e *encoder, p *Partial) {
 	e.varint(p.Slots)
 	e.varint(int64(p.Shards))
@@ -505,7 +502,6 @@ func putShardPartial(e *encoder, sp *ShardPartial) {
 	e.varint(int64(sp.Hi))
 	e.uvarint(sp.SubEvents)
 	putMetrics(e, &sp.Metrics)
-	putTable(e, sp.TotalCost, float64Layout)
 	putTable(e, sp.FinalThreshold, intLayout)
 	putFrames(e, sp.Snapshots)
 }
@@ -516,7 +512,6 @@ func getShardPartial(d *decoder, sp *ShardPartial) {
 	sp.Hi = d.int()
 	sp.SubEvents = d.uvarint()
 	getMetrics(d, &sp.Metrics)
-	sp.TotalCost = getTable(d, "total cost", float64Layout)
 	sp.FinalThreshold = getTable(d, "final threshold", intLayout)
 	sp.Snapshots = getFrames(d)
 }

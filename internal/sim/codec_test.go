@@ -186,7 +186,6 @@ func randPartial(r codecRand) *Partial {
 		sp := ShardPartial{Shard: int(r.i64()), Lo: int(r.i64()), Hi: int(r.i64()), SubEvents: r.u64(),
 			Metrics: randMetrics(r, r.thresholds(), width), Snapshots: r.frames()}
 		for range width {
-			sp.TotalCost = append(sp.TotalCost, r.float())
 			sp.FinalThreshold = append(sp.FinalThreshold, int(r.i64()))
 		}
 		p.Shard = append(p.Shard, sp)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/grid"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -57,16 +56,19 @@ import (
 //     counter would.
 //
 // The engine also splits the state by temperature. The few words the
-// per-slot decision actually needs — position, center, threshold, the
-// precomputed call/move thresholds, the RNG state and the scheduler
-// bookkeeping — live in flat parallel slices (one cache-dense column
-// each), while the terminal structs are kept as a cold mirror that only
-// event handling touches: scheduled closures (ack timers) capture
-// *terminal, so those pointers must stay stable and the struct fields
-// must be current whenever network code runs. The engine walks terminals
-// in cohorts of colsCohortTerminals per slot batch, which bounds how
-// stale the cohort-granular progress accounting can get and gives
-// cancellation a natural check boundary.
+// per-slot decision actually needs live in flat parallel slices, one
+// cache-dense column each: position, center, threshold and the
+// precomputed call/move thresholds in the network's columns, which
+// both engines read and write and which hold those values nowhere
+// else, the RNG state in newShardNetwork's flat slice, and the
+// scheduler bookkeeping in colsState. The terminal structs hold only
+// what event handling touches (update sequence and ack state, the
+// desync stamp, the movement/timer trigger state and the estimator):
+// scheduled closures (ack timers) capture *terminal, so those pointers
+// must stay stable. The engine walks terminals in cohorts of
+// colsCohortTerminals per slot batch, which bounds how stale the
+// cohort-granular progress accounting can get and gives cancellation a
+// natural check boundary.
 //
 // Inside a terminal's event-free stretch the engine stops asking "did
 // anything happen this slot?" and instead asks "how many slots until
@@ -79,12 +81,13 @@ import (
 // copies the four generator words into locals, steps them in registers
 // for the whole scan and stores them back once. Around it, the stretch
 // loop keeps the terminal's RNG copy, position and center in locals
-// (lr, pos, ctr) and publishes them to the columns only when it crosses
-// into cold code. Cell geometry is inlined on a concrete
-// grid.Hex/grid.Line branch rather than called through the locator
-// interface: an interface call would force the local RNG copy to escape
-// to the heap, and the hot loop must not allocate at any population
-// size. `go build -gcflags=-m ./internal/stats` must report the step
+// (lr, pos, ctr), publishes them to the columns only when it crosses
+// into cold code and reloads what cold code may have moved (the RNG
+// position and the center) when it returns. Cell geometry is inlined
+// on a concrete grid.Hex/grid.Line branch rather than called through
+// the locator interface: an interface call would force the local RNG
+// copy to escape to the heap, and the hot loop must not allocate at any
+// population size. `go build -gcflags=-m ./internal/stats` must report the step
 // function inlined into EventGap, and `go build -gcflags=-m
 // ./internal/sim` must not report lr moved to the heap.
 //
@@ -110,80 +113,37 @@ import (
 // granularity of progress publication.
 const colsCohortTerminals = 4096
 
-// colsState holds the hot columns, indexed by terminal position within
-// the shard. The RNG column is the flat slice newShardNetwork seeds —
-// terminal i's rng pointer aliases element i, so the cold paths and the
-// columnar kernel consume one and the same stream.
+// colsState holds the columnar engine's own per-terminal columns,
+// indexed by terminal position within the shard; the terminal's
+// position, center, threshold and draw thresholds are the network's
+// columns, shared with the reference engine. sched is the terminal's
+// own scheduler and preSweep the SeqMark where the reference engine's
+// next slot-sweep event would sit in its insertion order (contract note
+// 3): a queued event on a slot boundary runs before the boundary's
+// sweep (and before any telemetry capture) exactly when its stamp is
+// below the mark. curD and runLen batch the per-slot threshold-usage
+// accounting: runLen consecutive slots spent at threshold curD, flushed
+// to Metrics.ThresholdSlots only when the threshold changes or the run
+// ends — the reference engine's per-terminal-slot map increment is the
+// single largest cost it pays.
 type colsState struct {
-	rngs []stats.RNG
-	// pos and ctr mirror terminal.pos and terminal.center; thr mirrors
-	// terminal.threshold. The columns are authoritative between cold
-	// calls; syncTerminal/syncColumns move the values across.
-	pos []wire.Cell
-	ctr []wire.Cell
-	thr []int32
-	// callT and moveT are the precomputed integer Bernoulli thresholds
-	// for the per-slot call and movement draws (stats.BernoulliThreshold
-	// of params.C and moveProb; both are fixed for the whole run).
-	callT []uint64
-	moveT []uint64
-	// sched is the terminal's own scheduler and preSweep the SeqMark
-	// where the reference engine's next slot-sweep event would sit in its
-	// insertion order (contract note 3): a queued event on a slot
-	// boundary runs before the boundary's sweep (and before any telemetry
-	// capture) exactly when its stamp is below the mark. curD and runLen
-	// batch the per-slot threshold-usage accounting: runLen consecutive
-	// slots spent at threshold curD, flushed to Metrics.ThresholdSlots
-	// only when the threshold changes or the run ends — the reference
-	// engine's per-terminal-slot map increment is the single largest cost
-	// it pays.
 	sched    []des.Scheduler
 	preSweep []uint64
 	curD     []int32
 	runLen   []int64
 }
 
-func newColsState(terms []terminal, rngs []stats.RNG, startD int) *colsState {
-	n := len(terms)
+func newColsState(n, startD int) *colsState {
 	c := &colsState{
-		rngs:     rngs,
-		pos:      make([]wire.Cell, n),
-		ctr:      make([]wire.Cell, n),
-		thr:      make([]int32, n),
-		callT:    make([]uint64, n),
-		moveT:    make([]uint64, n),
 		sched:    make([]des.Scheduler, n),
 		preSweep: make([]uint64, n),
 		curD:     make([]int32, n),
 		runLen:   make([]int64, n),
 	}
-	for i := range terms {
-		t := &terms[i]
-		c.pos[i] = t.pos
-		c.ctr[i] = t.center
-		c.thr[i] = int32(t.threshold)
-		c.callT[i] = stats.BernoulliThreshold(t.params.C)
-		c.moveT[i] = stats.BernoulliThreshold(t.moveProb)
+	for i := range c.curD {
 		c.curD[i] = int32(startD)
 	}
 	return c
-}
-
-// syncTerminal refreshes the cold struct mirror from the columns, so
-// network code (sweeps, paging, update exchanges, queued timers) sees
-// the terminal's current state.
-func (c *colsState) syncTerminal(t *terminal, i int) {
-	t.pos = c.pos[i]
-	t.center = c.ctr[i]
-	t.threshold = int(c.thr[i])
-}
-
-// syncColumns writes the struct mirror back to the columns after cold
-// code may have changed it.
-func (c *colsState) syncColumns(t *terminal, i int) {
-	c.pos[i] = t.pos
-	c.ctr[i] = t.center
-	c.thr[i] = int32(t.threshold)
 }
 
 // flushThreshold credits terminal i's batched threshold-usage run.
@@ -294,16 +254,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 		return shardResult{}, err
 	}
 	_, isHex := r.loc.(hexLocator)
-	// Resume restores the struct mirrors (and RNG columns) first, so
-	// newColsState seeds the hot columns from the checkpointed state; the
-	// scheduler/preSweep/threshold-accounting columns are then overlaid
-	// from the checkpoint directly.
-	start := int64(0)
-	if r.resume != nil {
-		restoreShardCore(n, terms, rngs, r.resume)
-		start = r.resume.Slot
-	}
-	c := newColsState(terms, rngs, r.startD)
+	c := newColsState(len(terms), r.startD)
 
 	prog := cfg.Telemetry.Progress
 	dyn := cfg.Dynamic
@@ -311,12 +262,12 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	done := ctx.Done()
 	width := int64(r.hi - r.lo)
 	var frames []telemetry.ShardFrame
-	// The network counts the frame fields per telemetry interval (win).
-	// The dispatched sub-slot events among them fold into
-	// n.metrics.Events: the engine schedules no sweep events, so that is
-	// directly the reference engine's Processed() minus its slot sweeps.
-	win := newFrameWindows(cfg.Telemetry.SnapshotEvery, start, slots)
+	start := int64(0)
 	if r.resume != nil {
+		// Resume overlays the checkpoint on the fresh shard: terminals,
+		// columns, registry and metrics, then the engine's own columns.
+		restoreShardCore(n, terms, rngs, r.resume)
+		start = r.resume.Slot
 		frames = slices.Clone(r.resume.Snapshots)
 		n.metrics.Events = r.resume.SubEvents
 		bind := ackBind(n, terms)
@@ -328,6 +279,11 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 			c.runLen[i] = r.resume.RunLen[i]
 		}
 	}
+	// The network counts the frame fields per telemetry interval (win).
+	// The dispatched sub-slot events among them fold into
+	// n.metrics.Events: the engine schedules no sweep events, so that is
+	// directly the reference engine's Processed() minus its slot sweeps.
+	win := newFrameWindows(cfg.Telemetry.SnapshotEvery, start, slots)
 
 	// ls walks the shard's live state into its section at each
 	// checkpoint boundary.
@@ -359,11 +315,8 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 					}
 					if sched.Pending() > 0 || (dyn && s > 0 && s%cfg.ReoptimizeEvery == 0) {
 						// Slow slot: run the reference two-phase event
-						// path on the struct mirror. The mirror must be
-						// current before any queued event dispatches
-						// (retransmissions read t.pos), and the columns
-						// are refreshed after the sweep.
-						c.syncTerminal(t, i)
+						// path, which reads and writes the columns
+						// itself.
 						base := des.Time(s) * SlotTicks
 						if sched.Pending() > 0 {
 							// Due before this slot's sweep: the window
@@ -373,11 +326,11 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							win.point(n, max(s-1, cur)).Events += sched.RunBefore(base, c.preSweep[i])
 						}
 						sched.AdvanceTo(base)
-						if int32(t.threshold) == c.curD[i] {
+						if n.thr[i] == c.curD[i] {
 							c.runLen[i]++
 						} else {
 							c.flushThreshold(i, n.metrics)
-							c.curD[i] = int32(t.threshold)
+							c.curD[i] = n.thr[i]
 							c.runLen[i] = 1
 						}
 						win.point(n, s)
@@ -389,7 +342,6 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 						if sched.Pending() > 0 {
 							n.win.Events += sched.RunBefore(base+SlotTicks, c.preSweep[i])
 						}
-						c.syncColumns(t, i)
 						s++
 						continue
 					}
@@ -407,9 +359,9 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 					}
 					start := s
 					lr := rngs[i]
-					pos, ctr := c.pos[i], c.ctr[i]
-					thr := int(c.thr[i])
-					callT, moveT := c.callT[i], c.moveT[i]
+					pos, ctr := n.pos[i], n.ctr[i]
+					thr := int(n.thr[i])
+					callT, moveT := n.callT[i], n.moveT[i]
 					for s < stop {
 						limit := stop - s
 						deadlined := false
@@ -452,9 +404,9 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							// in timer mode — then fire the timer update.
 							if lr.BernoulliT(callT) {
 								rngs[i] = lr
-								t.pos, t.center, t.threshold = pos, ctr, thr
+								n.pos[i], n.ctr[i] = pos, ctr
 								win.point(n, s).Events += n.pageInline(t, des.Time(s)*SlotTicks)
-								ctr = t.center
+								ctr = n.ctr[i]
 								lr = rngs[i]
 								s++
 								continue
@@ -470,7 +422,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							rngs[i] = lr
 							sched.AdvanceTo(des.Time(s) * SlotTicks)
 							ctr = pos
-							t.pos, t.center, t.threshold = pos, ctr, thr
+							n.pos[i] = pos
 							win.point(n, s)
 							n.sendUpdate(t)
 							lr = rngs[i]
@@ -480,7 +432,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 								// The window ending at s is the update's.
 								n.win.Events += sched.RunBefore(des.Time(s)*SlotTicks, c.preSweep[i])
 								lr = rngs[i]
-								pos, ctr = t.pos, t.center
+								ctr = n.ctr[i]
 								break
 							}
 							continue
@@ -491,9 +443,9 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							// chain draws losses from the shared RNG
 							// column and may re-center the terminal).
 							rngs[i] = lr
-							t.pos, t.center, t.threshold = pos, ctr, thr
+							n.pos[i], n.ctr[i] = pos, ctr
 							win.point(n, s).Events += n.pageInline(t, des.Time(s)*SlotTicks)
-							ctr = t.center
+							ctr = n.ctr[i]
 							lr = rngs[i]
 							if dyn {
 								t.est.observe(false, true)
@@ -529,7 +481,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							rngs[i] = lr
 							sched.AdvanceTo(des.Time(s) * SlotTicks)
 							ctr = pos
-							t.pos, t.center, t.threshold = pos, ctr, thr
+							n.pos[i] = pos
 							win.point(n, s)
 							n.sendUpdate(t)
 							lr = rngs[i]
@@ -547,13 +499,13 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 								// draws and may re-center; reload before
 								// falling back to the per-slot path.
 								lr = rngs[i]
-								pos, ctr = t.pos, t.center
+								ctr = n.ctr[i]
 								break
 							}
 						}
 					}
 					rngs[i] = lr
-					c.pos[i], c.ctr[i] = pos, ctr
+					n.pos[i], n.ctr[i] = pos, ctr
 					// The whole stretch ran at one threshold (only
 					// reoptimize moves it, never inside a stretch).
 					if int32(thr) == c.curD[i] {
@@ -565,13 +517,10 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 					}
 				}
 				if last {
-					// Late timers resolve against the current mirror,
-					// exactly as the reference engine's final drain,
-					// and count in the final interval, as its final
-					// frame covers them.
-					c.syncTerminal(t, i)
+					// Late timers resolve exactly as in the reference
+					// engine's final drain, and count in the final
+					// interval, as its final frame covers them.
 					win.point(n, slots-1).Events += sched.Drain()
-					c.syncColumns(t, i)
 					c.flushThreshold(i, n.metrics)
 				}
 			}
@@ -588,16 +537,10 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 		cur = next
 		prog.Set(r.shard, cur, cur*width, uint64(cur)+n.metrics.Events)
 		if r.every > 0 && cur%r.every == 0 && !last {
-			// The struct mirrors may be stale (columns are authoritative
-			// between cold calls); refresh them so the section records
-			// the current positions, centers and thresholds.
-			for i := range terms {
-				c.syncTerminal(&terms[i], i)
-			}
 			ls.slot, ls.frames, ls.subEvents = cur, frames, n.metrics.Events
 			r.emit(cur, ls.encode())
 		}
 	}
 
-	return shardResult{metrics: finishShard(n, terms, slots), frames: frames}, nil
+	return shardResult{metrics: finishShard(n, slots), frames: frames}, nil
 }

@@ -33,9 +33,20 @@ type network struct {
 	// terminal ids are dense within a shard, so the registry is a flat
 	// slice rather than a map. Every slot is provisioned at construction
 	// time (newShardNetwork), so lookups never miss.
-	hlr     []hlrRecord
-	metrics *Metrics
-	parts   map[int]partInfo
+	hlr []hlrRecord
+	// pos, ctr and thr are each terminal's cell and its own view of its
+	// center and threshold d; callT and moveT are its call and movement
+	// draws' integer Bernoulli thresholds (stats.BernoulliThreshold of c
+	// and q/(1−c), fixed for the run). Indexed by id − first like hlr,
+	// they are the only home of these values: both engines' sweeps and
+	// exchanges read and write them here, and the columnar engine walks
+	// them in memory order. ctr matches the HLR record's center unless an
+	// update was lost in transit or deferred by an outage (Config.Faults).
+	pos, ctr     []wire.Cell
+	thr          []int32
+	callT, moveT []uint64
+	metrics      *Metrics
+	parts        map[int]partInfo
 	// lastD/lastPart memoize the most recent partitionFor answer: paging
 	// plans are keyed by threshold, and runs overwhelmingly page at one
 	// (or very few) thresholds, so the map is rarely consulted twice.
@@ -61,6 +72,14 @@ func (n *network) term(id uint32) *TerminalStats {
 // shard are a bug and fail loudly on the slice bounds check.
 func (n *network) hlrAt(id uint32) *hlrRecord {
 	return &n.hlr[id-n.first]
+}
+
+// makeUpdate builds t's next location update: its current cell and
+// threshold under a fresh sequence number.
+func (n *network) makeUpdate(t *terminal) wire.Update {
+	i := t.id - n.first
+	t.seq++
+	return wire.Update{Terminal: t.id, Cell: n.pos[i], Seq: t.seq, Threshold: uint16(n.thr[i])}
 }
 
 // partitionFor returns (building and caching on demand) the paging plan for
@@ -161,13 +180,13 @@ func (n *network) sendUpdate(t *terminal) {
 // it, and is applied unless a scheduled outage window is open. Stale
 // sequence numbers are discarded on delivery.
 func (n *network) transmitUpdate(t *terminal) {
-	u := t.makeUpdate()
+	u := n.makeUpdate(t)
 	// Sending an update (re)centers the terminal's own view on the
 	// reported cell, whatever becomes of the message in transit — and
 	// counts as contact: the movement counter and the timer scheme's
 	// reference slot reset in every scheme (the extra writes take no
 	// draws, so distance results are untouched).
-	t.center = t.pos
+	n.ctr[u.Terminal-n.first] = u.Cell
 	t.moves = 0
 	t.lastContact = int64(n.sched.Now() / SlotTicks)
 	n.scratch = u.Encode(n.scratch[:0])
@@ -259,7 +278,7 @@ func (n *network) pollHeard(t *terminal) bool {
 // unconditionally) and, unless the injected uplink loss drops it, delivers
 // it to the HLR, which re-centers the record on the replied cell.
 func (n *network) replyDelivered(t *terminal, call uint32) bool {
-	reply := wire.Reply{Terminal: t.id, Cell: t.pos, Call: call}
+	reply := wire.Reply{Terminal: t.id, Cell: n.pos[t.id-n.first], Call: call}
 	n.scratch = reply.Encode(n.scratch[:0])
 	n.metrics.ReplyBytes += int64(len(n.scratch))
 	if n.cfg.Faults.ReplyLoss > 0 && t.rng.Bernoulli(n.cfg.Faults.ReplyLoss) {
@@ -287,7 +306,8 @@ func (n *network) pageSuccess(t *terminal, cycles int) {
 func (n *network) pageSuccessAt(t *terminal, cycles int, now des.Time) {
 	// An answered page is contact too: both sides re-center, so the
 	// movement and timer schemes restart from here.
-	t.center = t.pos
+	i := t.id - n.first
+	n.ctr[i] = n.pos[i]
 	t.moves = 0
 	t.lastContact = int64(now / SlotTicks)
 	n.win.Delay.Add(int64(cycles))
@@ -325,7 +345,7 @@ func (n *network) page(t *terminal) {
 	n.callSeq++
 	call := n.callSeq
 	info := n.partitionFor(rec.threshold)
-	ring := n.loc.dist(t.pos, rec.center)
+	ring := n.loc.dist(n.pos[t.id-n.first], rec.center)
 	n.win.Calls++
 	n.term(t.id).Calls++
 
@@ -426,7 +446,7 @@ func (n *network) pageInline(t *terminal, base des.Time) uint64 {
 	n.callSeq++
 	call := n.callSeq
 	info := n.partitionFor(rec.threshold)
-	ring := n.loc.dist(t.pos, rec.center)
+	ring := n.loc.dist(n.pos[t.id-n.first], rec.center)
 	n.win.Calls++
 	n.term(t.id).Calls++
 
@@ -499,10 +519,12 @@ func (n *network) pageInline(t *terminal, base des.Time) uint64 {
 // bit-identity rests on: the reference engine runs this method every
 // slot, the columnar engine replicates the same draws on its pure
 // stretches (runShardCols) and falls back to this method whenever
-// queued events are in play. Note Bernoulli always consumes a draw, even
-// at probability zero, so the sequence is the same whatever the
-// outcomes; the scheme dispatch sits strictly after the draws and takes
-// none of its own. Threshold-usage accounting stays with the callers:
+// queued events are in play. Both draws compare against the integer
+// thresholds of the callT and moveT columns (stats.BernoulliT, exact
+// against Bernoulli), and each always consumes a draw, even at
+// probability zero, so the sequence is the same whatever the outcomes;
+// the scheme dispatch sits strictly after the draws and takes none of
+// its own. Threshold-usage accounting stays with the callers:
 // the reference engine counts every terminal-slot as it sweeps, the
 // columnar engine batches runs of unchanged thresholds.
 //
@@ -511,23 +533,22 @@ func (n *network) pageInline(t *terminal, base des.Time) uint64 {
 // the timer scheme (the scheduler clock is not necessarily advanced on
 // pure slots).
 func (n *network) sweepSlot(t *terminal, slot int64) {
-	called := t.rng.Bernoulli(t.params.C)
+	i := t.id - n.first
+	called := t.rng.BernoulliT(n.callT[i])
 	moved := false
 	if called {
 		n.page(t)
-	} else if t.rng.Bernoulli(t.moveProb) {
+	} else if t.rng.BernoulliT(n.moveT[i]) {
 		moved = true
-		t.pos = n.loc.move(t.pos, t.rng)
+		n.pos[i] = n.loc.move(n.pos[i], t.rng)
 		switch n.upd.kind {
 		case schemeDistance:
-			if n.loc.dist(t.pos, t.center) > t.threshold {
-				t.center = t.pos
+			if n.loc.dist(n.pos[i], n.ctr[i]) > int(n.thr[i]) {
 				n.sendUpdate(t)
 			}
 		case schemeMovement:
 			t.moves++
 			if t.moves >= n.upd.param {
-				t.center = t.pos
 				n.sendUpdate(t)
 			}
 			// schemeTimer: movement never triggers an update.
@@ -538,7 +559,6 @@ func (n *network) sweepSlot(t *terminal, slot int64) {
 		// position. A slot whose call was answered already re-centered;
 		// one whose call was dropped stays overdue and refreshes on the
 		// next call-free slot.
-		t.center = t.pos
 		n.sendUpdate(t)
 	}
 	if n.cfg.Dynamic {
@@ -562,12 +582,11 @@ func (n *network) reoptimize(t *terminal) {
 		return // keep the current threshold on estimation pathologies
 	}
 	d := res.Best.Threshold
-	if d == t.threshold {
-		return
+	if i := t.id - n.first; d != int(n.thr[i]) {
+		// Re-register at the current position (sendUpdate re-centers):
+		// the new residing area must be centered somewhere the network
+		// knows.
+		n.thr[i] = int32(d)
+		n.sendUpdate(t)
 	}
-	t.threshold = d
-	// Re-register at the current position: the new residing area must be
-	// centered somewhere the network knows.
-	t.center = t.pos
-	n.sendUpdate(t)
 }

@@ -18,9 +18,10 @@ import (
 // to RunSharded on one machine — the cross-machine extension of the
 // shard-count-invariance contract.
 //
-// The structure round-trips exactly through EncodePartial/DecodePartial:
-// float64 values travel as bit patterns, which the per-terminal cost
-// rates require.
+// The structure round-trips exactly through EncodePartial/DecodePartial.
+// It ships counts, never a cost: the merge derives each per-terminal
+// cost rate from the shipped counts exactly as finishShard does
+// (costRate), so every machine computes the same bits.
 type Partial struct {
 	// Slots, Shards and Seed echo the run shape the partial belongs to;
 	// MergePartials validates them against the offered configuration
@@ -47,10 +48,9 @@ type ShardPartial struct {
 	SubEvents uint64
 	// Metrics is the shard's final measurement state in checkpoint form.
 	Metrics MetricsCheckpoint
-	// TotalCost and FinalThreshold carry finishShard's per-terminal tail
-	// fields (indexed by terminal position within the shard); shipping
-	// the computed float64 bit patterns keeps the merge arithmetic-free.
-	TotalCost      []float64
+	// FinalThreshold carries each terminal's threshold at the end of the
+	// run (indexed by terminal position within the shard), the one
+	// per-terminal tail field of finishShard the counts do not determine.
 	FinalThreshold []int
 	// Snapshots is the shard's telemetry series; MergePartials
 	// re-assembles the global series with telemetry.MergeFrames exactly
@@ -105,13 +105,11 @@ func (p *runPlan) exportShardPartial(shard int, r shardResult) ShardPartial {
 		Shard:          shard,
 		SubEvents:      m.Events,
 		Metrics:        exportMetrics(m),
-		TotalCost:      make([]float64, len(m.PerTerminal)),
 		FinalThreshold: make([]int, len(m.PerTerminal)),
 		Snapshots:      r.frames,
 	}
 	sp.Lo, sp.Hi = p.span(shard)
 	for i := range m.PerTerminal {
-		sp.TotalCost[i] = m.PerTerminal[i].TotalCost
 		sp.FinalThreshold[i] = m.PerTerminal[i].FinalThreshold
 	}
 	return sp
@@ -165,7 +163,7 @@ func (p *Partial) Validate() error {
 			return fmt.Errorf("sim: partial shard %d covers [%d,%d)", sp.Shard, sp.Lo, sp.Hi)
 		}
 		mc := &sp.Metrics
-		if len(mc.PerTerminal) != width || len(sp.TotalCost) != width || len(sp.FinalThreshold) != width {
+		if len(mc.PerTerminal) != width || len(sp.FinalThreshold) != width {
 			return fmt.Errorf("sim: partial shard %d holds %d terminal record(s), range [%d,%d) needs %d",
 				sp.Shard, len(mc.PerTerminal), sp.Lo, sp.Hi, width)
 		}
@@ -309,9 +307,9 @@ func checkUnits(shard int, where string, delay, recovery *stats.Moments) *Partia
 // restorePartialMetrics rebuilds one shard's Metrics exactly as
 // finishShard left them on the producing machine: the measurement state
 // restored bit-for-bit, global ids re-derived from the shard's terminal
-// range, and the shipped tail fields (TotalCost, FinalThreshold) taken
-// verbatim. The shard's structural consistency was checked by
-// Partial.Validate.
+// range, each cost rate computed from the restored counts by the same
+// costRate, and the shipped FinalThreshold taken verbatim. The shard's
+// structural consistency was checked by Partial.Validate.
 func (p *runPlan) restorePartialMetrics(sp *ShardPartial) *Metrics {
 	width := sp.Hi - sp.Lo
 	m := &Metrics{
@@ -325,7 +323,7 @@ func (p *runPlan) restorePartialMetrics(sp *ShardPartial) *Metrics {
 	for i := range m.PerTerminal {
 		ts := &m.PerTerminal[i]
 		ts.ID = sp.Lo + i
-		ts.TotalCost = sp.TotalCost[i]
+		ts.TotalCost = costRate(ts, p.cfg.Core.Costs, p.slots)
 		ts.FinalThreshold = sp.FinalThreshold[i]
 	}
 	return m
@@ -333,12 +331,12 @@ func (p *runPlan) restorePartialMetrics(sp *ShardPartial) *Metrics {
 
 // partMagic versions the partial wire format. Nothing decodes the gob
 // formats before it: a worker and its coordinator run one binary.
-var partMagic = []byte("PCNPART4")
+var partMagic = []byte("PCNPART5")
 
 // EncodePartial serializes a partial to the same self-checking byte
 // format checkpoints use (codec.go). Float64 values travel as their bit
-// patterns, so decoding on another machine reproduces every cost rate
-// exactly, and equal partials encode to equal bytes. The error is
+// patterns, so decoding on another machine reproduces every histogram
+// bound exactly, and equal partials encode to equal bytes. The error is
 // always nil.
 func EncodePartial(p *Partial) ([]byte, error) {
 	return encodeFramed(partMagic, putPartial, p), nil

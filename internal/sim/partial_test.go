@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/chain"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -32,8 +33,16 @@ func partialConfig(engine Engine) Config {
 // RunSharded Metrics bit for bit, for every engine and slicing.
 func TestPartialMergeMatchesSharded(t *testing.T) {
 	const slots, shards = 400, 5
+	var cfgs []Config
 	for _, engine := range []Engine{EngineCols, EngineDES} {
-		cfg := partialConfig(engine)
+		// Fractional unit costs round in every per-terminal cost rate,
+		// which the merge recomputes from the shipped counts.
+		frac := partialConfig(engine)
+		frac.Core.Costs = core.Costs{Update: 0.7, Poll: 0.3}
+		cfgs = append(cfgs, partialConfig(engine), frac)
+	}
+	for _, cfg := range cfgs {
+		engine := cfg.Engine
 		want, err := RunSharded(cfg, slots, shards)
 		if err != nil {
 			t.Fatalf("%v: RunSharded: %v", engine, err)
@@ -216,7 +225,7 @@ func TestPartialValidate(t *testing.T) {
 		{"shard count drift", func(p *Partial) { p.Shard = p.Shard[:1] }},
 		{"shard out of place", func(p *Partial) { p.Shard[0].Shard = 0 }},
 		{"empty terminal range", func(p *Partial) { p.Shard[1].Hi = p.Shard[1].Lo }},
-		{"terminal vector drift", func(p *Partial) { p.Shard[0].TotalCost = nil }},
+		{"terminal vector drift", func(p *Partial) { p.Shard[0].FinalThreshold = nil }},
 		{"missing histogram", func(p *Partial) { p.Shard[0].Metrics.DelayHist = nil }},
 	} {
 		p := fresh()

@@ -13,6 +13,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Latency histogram shapes: paging delay in polling cycles (unit
@@ -430,14 +431,14 @@ func validate(cfg Config, slots int64) error {
 }
 
 // newShardNetwork builds the starting state the engines share for
-// terminals [lo, hi) of the global population: the network (HLR
-// provisioned with every terminal's initial registration, shard-sized
-// metrics) and the terminal population itself, laid out contiguously so
-// the engines' sweeps walk memory in order. The per-terminal generators
-// live in one flat returned slice — terminal i's rng points at element
-// i — so engines that walk generator state columnarly (runShardCols)
-// share the identical state the terminal structs use, and no engine
-// pays a heap allocation per terminal.
+// terminals [lo, hi) of the global population: the network (its
+// per-terminal columns, the HLR provisioned with every terminal's
+// initial registration, shard-sized metrics) and the terminal population
+// itself, laid out contiguously so the engines' sweeps walk memory in
+// order. The per-terminal generators live in one flat returned slice —
+// terminal i's rng points at element i — so engines that walk generator
+// state columnarly (runShardCols) share the identical state the terminal
+// structs use, and no engine pays a heap allocation per terminal.
 func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (*network, []terminal, []stats.RNG, error) {
 	upd, err := resolveScheme(cfg.Scheme)
 	if err != nil {
@@ -449,6 +450,11 @@ func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (
 		upd:   upd,
 		first: uint32(lo),
 		hlr:   make([]hlrRecord, hi-lo),
+		pos:   make([]wire.Cell, hi-lo),
+		ctr:   make([]wire.Cell, hi-lo),
+		thr:   make([]int32, hi-lo),
+		callT: make([]uint64, hi-lo),
+		moveT: make([]uint64, hi-lo),
 		lastD: -1, // 0 is a valid threshold; the plan memo starts empty
 		metrics: &Metrics{
 			Slots:          slots,
@@ -475,20 +481,21 @@ func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (
 				return nil, nil, nil, fmt.Errorf("sim: terminal %d: %w", g, err)
 			}
 		}
-		t := &terms[g-lo]
+		i := g - lo
+		t := &terms[i]
 		t.id = uint32(g)
-		t.params = p
-		rngs[g-lo].SeedSubStream(cfg.Seed, uint64(g))
-		t.rng = &rngs[g-lo]
+		rngs[i].SeedSubStream(cfg.Seed, uint64(g))
+		t.rng = &rngs[i]
 		t.est = estimator{alpha: cfg.EWMAAlpha}
-		t.threshold = startD
+		n.thr[i] = int32(startD)
+		n.callT[i] = stats.BernoulliThreshold(p.C)
 		if p.Q > 0 {
-			t.moveProb = p.Q / (1 - p.C)
+			n.moveT[i] = stats.BernoulliThreshold(p.Q / (1 - p.C))
 		}
-		n.metrics.PerTerminal[g-lo].ID = g
+		n.metrics.PerTerminal[i].ID = g
 		// Initial registration (subscription-time provisioning, not a
 		// mechanism update, so it is implicitly acknowledged).
-		n.register(t.makeUpdate())
+		n.register(n.makeUpdate(t))
 		t.ackedSeq = t.seq
 	}
 	return n, terms, rngs, nil
@@ -496,16 +503,28 @@ func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (
 
 // finishShard folds the per-terminal tail metrics (mean cost rate, final
 // threshold) and recomputes the shard's aggregates; both engines end here.
-func finishShard(n *network, terms []terminal, slots int64) *Metrics {
+func finishShard(n *network, slots int64) *Metrics {
 	m := n.metrics
 	for i := range m.PerTerminal {
 		ts := &m.PerTerminal[i]
-		ts.TotalCost = (float64(ts.Updates)*n.cfg.Core.Costs.Update +
-			float64(ts.PolledCells)*n.cfg.Core.Costs.Poll) / float64(slots)
-		ts.FinalThreshold = terms[i].threshold
+		ts.TotalCost = costRate(ts, n.cfg.Core.Costs, slots)
+		ts.FinalThreshold = int(n.thr[i])
 	}
 	m.recompute()
 	return m
+}
+
+// costRate is a terminal's per-slot average cost in U/V units: its
+// updates and polled cells at the unit costs, over slots. finishShard
+// computes it on the machine that ran the shard, restorePartialMetrics
+// on the coordinator from the shipped counts, so each product sits in
+// an explicit conversion: Go may fuse x*y + z into one multiply-add
+// with a single rounding on some architectures (arm64, ppc64le, s390x),
+// and the conversion forbids that, so every machine rounds each product
+// and the sum apart, as amd64 does, and computes the same bits.
+func costRate(ts *TerminalStats, costs core.Costs, slots int64) float64 {
+	return (float64(float64(ts.Updates)*costs.Update) +
+		float64(float64(ts.PolledCells)*costs.Poll)) / float64(slots)
 }
 
 // runShard simulates terminals [r.lo, r.hi) of the global population on
@@ -594,9 +613,8 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 			r.emit(cur, ls.encode())
 		}
 		for i := range terms {
-			t := &terms[i]
-			n.metrics.ThresholdSlots[t.threshold]++
-			n.sweepSlot(t, cur)
+			n.metrics.ThresholdSlots[int(n.thr[i])]++
+			n.sweepSlot(&terms[i], cur)
 		}
 		if cfg.Dynamic && cur > 0 && cur%cfg.ReoptimizeEvery == 0 {
 			for i := range terms {
@@ -637,7 +655,7 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 
 	n.metrics.fold(&n.acc)
 	n.metrics.Events = sched.Processed() - uint64(slots)
-	return shardResult{metrics: finishShard(n, terms, slots), frames: frames}, nil
+	return shardResult{metrics: finishShard(n, slots), frames: frames}, nil
 }
 
 // snapshot captures one telemetry frame of the shard's cumulative state:

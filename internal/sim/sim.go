@@ -257,24 +257,17 @@ func (e *estimator) params() chain.Params {
 	return chain.Params{Q: q, C: c}
 }
 
-// terminal is the mobile side of one terminal. Both engines hold one
-// per terminal for the whole run, so the fields are ordered to leave no
-// padding (the 4-byte fields pair up).
+// terminal is the mobile side of one terminal, less the state the
+// sweeps read every slot: its cell, its own view of its center and
+// threshold, and its call and movement probabilities live in the
+// network's columns (network.pos and the rest), indexed by id − first.
+// Both engines hold one per terminal for the whole run, so the fields
+// are ordered to leave no padding (the 4-byte fields pair up).
 type terminal struct {
-	id     uint32
-	seq    uint32
-	pos    wire.Cell
-	params chain.Params
-	rng    *stats.RNG
-	est    estimator
-	// center is the terminal's own view of its center cell. It matches
-	// the HLR record exactly unless an update message was lost in
-	// transit or deferred by an HLR outage (Config.Faults).
-	center wire.Cell
-	// threshold is the terminal's own view of d; the HLR learns it from
-	// update messages.
-	threshold int
-	moveProb  float64 // q/(1−c), cached
+	id  uint32
+	seq uint32
+	rng *stats.RNG
+	est estimator
 	// retries counts retransmissions spent on the pending update
 	// exchange; it resets when a fresh exchange starts.
 	retries int
@@ -302,14 +295,4 @@ type terminal struct {
 // results are bit-identical to any sharded run of the same configuration.
 func Run(cfg Config, slots int64) (*Metrics, error) {
 	return RunSharded(cfg, slots, 1)
-}
-
-func (t *terminal) makeUpdate() wire.Update {
-	t.seq++
-	return wire.Update{
-		Terminal:  t.id,
-		Cell:      t.pos,
-		Seq:       t.seq,
-		Threshold: uint16(t.threshold),
-	}
 }

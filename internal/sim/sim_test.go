@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/chain"
 	"repro/internal/core"
@@ -264,5 +265,15 @@ func TestEstimatorClampsInvalid(t *testing.T) {
 	p = e.params()
 	if p.Q != 0 || p.C != 0 {
 		t.Errorf("negative estimates not clamped: %+v", p)
+	}
+}
+
+// TestTerminalFootprint pins the per-terminal struct both engines hold
+// for the whole run: 80 bytes, with the cell, center, threshold and
+// call/move draw thresholds held once, in the network's columns. It is
+// the first term of a run's per-terminal memory.
+func TestTerminalFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(terminal{}); got != 80 {
+		t.Errorf("terminal is %d bytes, want 80", got)
 	}
 }
