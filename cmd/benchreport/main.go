@@ -15,8 +15,8 @@
 // tracks the wall-clock side of that contract. The -validate mode
 // decodes a report strictly (unknown fields rejected) and checks its
 // internal invariants, so CI can verify both the writer and a checked-in
-// baseline; legacy bench-engine/v1 documents, which measured the retired
-// slot-batched "fast" engine, are still accepted.
+// baseline. Only v2 documents are read: no bench-engine/v1 report, which
+// measured the retired slot-batched "fast" engine, is kept anywhere.
 package main
 
 import (
@@ -38,14 +38,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Schema identifies the report layout; bump on breaking changes.
-// SchemaV1 documents (the retired fast engine and des only, a single
-// fast hot loop, no setup/hot allocation split) are still accepted by
-// -validate. A v2 document names live engines only.
-const (
-	Schema   = "bench-engine/v2"
-	SchemaV1 = "bench-engine/v1"
-)
+// Schema identifies the report layout; bump on breaking changes. A v2
+// document names live engines only.
+const Schema = "bench-engine/v2"
 
 // Params pins the workload the measurements ran under: the paper's
 // Table 1/2 parameters on the exact 2-D model.
@@ -83,30 +78,25 @@ type Run struct {
 // HotLoop is a batched engine's steady-state cost with a single
 // long-running terminal: slots scale with b.N so setup amortizes to
 // nothing, making AllocsPerOp the slot loop's true allocation rate.
-// Engine is empty in legacy v1 documents (implicitly the fast engine).
 type HotLoop struct {
-	Engine            string  `json:"engine,omitempty"`
+	Engine            string  `json:"engine"`
 	NsPerTerminalSlot float64 `json:"ns_per_terminal_slot"`
 	AllocsPerOp       int64   `json:"allocs_per_op"`
 	BytesPerOp        int64   `json:"bytes_per_op"`
 }
 
-// Speedup is the batched engine's throughput advantage over the
-// reference event-driven engine at one population: ColsOverDES in v2
-// documents, FastOverDES (the retired fast engine) in v1 ones.
+// Speedup is the columnar engine's throughput advantage over the
+// reference event-driven engine at one population.
 type Speedup struct {
 	Terminals   int     `json:"terminals"`
-	FastOverDES float64 `json:"fast_over_des,omitempty"`
 	ColsOverDES float64 `json:"cols_over_des,omitempty"`
 }
 
-// Report is the full document written to -out. Exactly one of HotLoop
-// (v1) and HotLoops (v2) is set, per the schema tag.
+// Report is the full document written to -out.
 type Report struct {
 	Schema   string    `json:"schema"`
 	Params   Params    `json:"params"`
 	Runs     []Run     `json:"runs"`
-	HotLoop  *HotLoop  `json:"hot_loop,omitempty"`
 	HotLoops []HotLoop `json:"hot_loops,omitempty"`
 	Speedups []Speedup `json:"speedups"`
 }
@@ -368,8 +358,8 @@ func buildReport(p Params, runs []Run, hots []HotLoop) *Report {
 }
 
 // readReport decodes a report strictly: unknown fields are schema
-// violations, not extensions. The Report struct is a superset of the v1
-// layout, so legacy documents decode into it unchanged.
+// violations, not extensions (a v1 document's hot_loop or
+// fast_over_des among them).
 func readReport(path string) (*Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -387,20 +377,14 @@ func readReport(path string) (*Report, error) {
 
 // validateReport checks a report's internal invariants: schema tag,
 // positive finite measurements, speedups consistent with the runs they
-// derive from, zero-alloc hot loops, and (v2) a setup/hot allocation
-// split that sums back to the total with nothing charged to a batched
+// derive from, zero-alloc hot loops, and a setup/hot allocation split
+// that sums back to the total with nothing charged to a batched
 // engine's slot loop.
 func validateReport(r *Report) error {
-	switch r.Schema {
-	case Schema, SchemaV1:
-	default:
-		return fmt.Errorf("schema %q, want %q (or legacy %q)", r.Schema, Schema, SchemaV1)
+	if r.Schema != Schema {
+		return fmt.Errorf("schema %q, want %q", r.Schema, Schema)
 	}
-	v1 := r.Schema == SchemaV1
 	engines := sim.EngineNames()
-	if v1 {
-		engines = []string{"fast", sim.EngineDES.String()}
-	}
 	if len(r.Runs) == 0 {
 		return fmt.Errorf("no runs")
 	}
@@ -418,19 +402,17 @@ func validateReport(r *Report) error {
 		if run.AllocsPerOp < 0 || run.BytesPerOp < 0 || run.SetupAllocsPerOp < 0 || run.HotAllocsPerOp < 0 {
 			return fmt.Errorf("run %d: negative allocation counts", i)
 		}
-		if !v1 {
-			hot := run.AllocsPerOp - run.SetupAllocsPerOp
-			if hot < 0 {
-				hot = 0
-			}
-			if run.HotAllocsPerOp != hot {
-				return fmt.Errorf("run %d: hot allocs %d inconsistent with total %d − setup %d",
-					i, run.HotAllocsPerOp, run.AllocsPerOp, run.SetupAllocsPerOp)
-			}
-			if run.Engine != sim.EngineDES.String() && run.HotAllocsPerOp != 0 {
-				return fmt.Errorf("run %d: %s engine charged %d hot-loop allocs/op — the slot loop must not allocate",
-					i, run.Engine, run.HotAllocsPerOp)
-			}
+		hot := run.AllocsPerOp - run.SetupAllocsPerOp
+		if hot < 0 {
+			hot = 0
+		}
+		if run.HotAllocsPerOp != hot {
+			return fmt.Errorf("run %d: hot allocs %d inconsistent with total %d − setup %d",
+				i, run.HotAllocsPerOp, run.AllocsPerOp, run.SetupAllocsPerOp)
+		}
+		if run.Engine != sim.EngineDES.String() && run.HotAllocsPerOp != 0 {
+			return fmt.Errorf("run %d: %s engine charged %d hot-loop allocs/op — the slot loop must not allocate",
+				i, run.Engine, run.HotAllocsPerOp)
 		}
 		key := fmt.Sprintf("%s/%d", run.Engine, run.Terminals)
 		if _, dup := tsps[key]; dup {
@@ -443,57 +425,24 @@ func validateReport(r *Report) error {
 		if !okD {
 			return fmt.Errorf("speedup %d: no des run at %d terminals", i, s.Terminals)
 		}
-		if s.FastOverDES == 0 && s.ColsOverDES == 0 {
+		if s.ColsOverDES == 0 {
 			return fmt.Errorf("speedup %d: empty entry at %d terminals", i, s.Terminals)
 		}
-		check := func(engine string, got float64) error {
-			batched, ok := tsps[fmt.Sprintf("%s/%d", engine, s.Terminals)]
-			if !ok {
-				if got != 0 {
-					return fmt.Errorf("speedup %d: no %s run at %d terminals", i, engine, s.Terminals)
-				}
-				return nil
-			}
-			want := batched / des
-			if !positiveFinite(got) || math.Abs(got-want) > 1e-6*want {
-				return fmt.Errorf("speedup %d: %s ratio %v inconsistent with runs (want %v)", i, engine, got, want)
-			}
-			return nil
+		cols, ok := tsps[fmt.Sprintf("cols/%d", s.Terminals)]
+		if !ok {
+			return fmt.Errorf("speedup %d: no cols run at %d terminals", i, s.Terminals)
 		}
-		if v1 {
-			if s.ColsOverDES != 0 {
-				return fmt.Errorf("speedup %d: cols ratio in a v1 document", i)
-			}
-			if err := check("fast", s.FastOverDES); err != nil {
-				return err
-			}
-			continue
-		}
-		if s.FastOverDES != 0 {
-			return fmt.Errorf("speedup %d: fast ratio in a v2 document", i)
-		}
-		if err := check("cols", s.ColsOverDES); err != nil {
-			return err
+		if want := cols / des; !positiveFinite(s.ColsOverDES) || math.Abs(s.ColsOverDES-want) > 1e-6*want {
+			return fmt.Errorf("speedup %d: cols ratio %v inconsistent with runs (want %v)", i, s.ColsOverDES, want)
 		}
 	}
-	hots := r.HotLoops
-	if v1 {
-		if r.HotLoop == nil || len(r.HotLoops) != 0 {
-			return fmt.Errorf("v1 document must carry exactly the single hot_loop section")
-		}
-		hots = []HotLoop{*r.HotLoop}
-	} else if r.HotLoop != nil || len(r.HotLoops) == 0 {
-		return fmt.Errorf("v2 document must carry the hot_loops section (and not hot_loop)")
+	if len(r.HotLoops) == 0 {
+		return fmt.Errorf("document must carry the hot_loops section")
 	}
-	seen := make(map[string]bool, len(hots))
-	for i, h := range hots {
+	seen := make(map[string]bool, len(r.HotLoops))
+	for i, h := range r.HotLoops {
 		name := h.Engine
-		if v1 {
-			if name != "" {
-				return fmt.Errorf("hot loop: engine tag %q in a v1 document", name)
-			}
-			name = "fast"
-		} else if !slices.Contains(engines, name) || name == sim.EngineDES.String() {
+		if !slices.Contains(engines, name) || name == sim.EngineDES.String() {
 			return fmt.Errorf("hot loop %d: invalid engine %q", i, name)
 		}
 		if seen[name] {

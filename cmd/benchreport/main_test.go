@@ -43,62 +43,8 @@ func fakeReport() *Report {
 	return buildReport(p, fakeRuns(p), fakeHotLoops())
 }
 
-// fakeV1Document is a legacy bench-engine/v1 report exactly as the v1
-// writer produced it: fast and des runs without the allocation split, a
-// single untagged hot_loop object, speedups with only the fast ratio.
-// The compat read path must keep accepting it verbatim.
-const fakeV1Document = `{
-  "schema": "bench-engine/v1",
-  "params": {
-    "model": "2d",
-    "q": 0.2,
-    "c": 0.03,
-    "update_cost": 100,
-    "poll_cost": 1,
-    "max_delay": 3,
-    "threshold": 3,
-    "slots": 256,
-    "shards": 1
-  },
-  "runs": [
-    {
-      "engine": "fast",
-      "terminals": 10000,
-      "shards": 1,
-      "slots": 256,
-      "ns_per_terminal_slot": 13,
-      "terminal_slots_per_sec": 76923076.9,
-      "allocs_per_op": 10000,
-      "bytes_per_op": 800000
-    },
-    {
-      "engine": "des",
-      "terminals": 10000,
-      "shards": 1,
-      "slots": 256,
-      "ns_per_terminal_slot": 39,
-      "terminal_slots_per_sec": 25641025.6,
-      "allocs_per_op": 30000,
-      "bytes_per_op": 2400000
-    }
-  ],
-  "hot_loop": {
-    "ns_per_terminal_slot": 25,
-    "allocs_per_op": 0,
-    "bytes_per_op": 0
-  },
-  "speedups": [
-    {
-      "terminals": 10000,
-      "fast_over_des": 3.0000000003
-    }
-  ]
-}
-`
-
 // TestBuildReportSpeedups checks the derived speedups: one per population
-// with a des run, carrying the columnar engine's throughput ratio and no
-// ratio for the retired fast engine.
+// with a des run, carrying the columnar engine's throughput ratio.
 func TestBuildReportSpeedups(t *testing.T) {
 	rep := fakeReport()
 	if len(rep.Speedups) != 2 {
@@ -116,9 +62,6 @@ func TestBuildReportSpeedups(t *testing.T) {
 		}
 		if !near(s.ColsOverDES, wc) {
 			t.Errorf("cols speedup at %d terminals = %v, want %v", s.Terminals, s.ColsOverDES, wc)
-		}
-		if s.FastOverDES != 0 {
-			t.Errorf("fast speedup %v at %d terminals in a new report", s.FastOverDES, s.Terminals)
 		}
 	}
 	if rep.Schema != Schema {
@@ -138,6 +81,7 @@ func TestValidateReport(t *testing.T) {
 		want   string
 	}{
 		{"wrong schema", func(r *Report) { r.Schema = "bench-engine/v0" }, "schema"},
+		{"retired v1 schema", func(r *Report) { r.Schema = "bench-engine/v1" }, "schema"},
 		{"no runs", func(r *Report) { r.Runs = nil }, "no runs"},
 		{"unknown engine", func(r *Report) { r.Runs[0].Engine = "warp" }, "unknown engine"},
 		{"retired engine run", func(r *Report) { r.Runs[0].Engine = "fast" }, "unknown engine"},
@@ -150,9 +94,7 @@ func TestValidateReport(t *testing.T) {
 		}, "must not allocate"},
 		{"orphan speedup", func(r *Report) { r.Speedups[0].Terminals = 777 }, "no des run"},
 		{"inconsistent speedup", func(r *Report) { r.Speedups[0].ColsOverDES *= 2 }, "inconsistent with runs"},
-		{"retired engine speedup", func(r *Report) { r.Speedups[0].FastOverDES = 3 }, "v2 document"},
 		{"missing hot loops", func(r *Report) { r.HotLoops = nil }, "hot_loops"},
-		{"both hot loop sections", func(r *Report) { r.HotLoop = &HotLoop{NsPerTerminalSlot: 1} }, "not hot_loop"},
 		{"des hot loop", func(r *Report) { r.HotLoops[0].Engine = "des" }, "invalid engine"},
 		{"retired engine hot loop", func(r *Report) { r.HotLoops[0].Engine = "fast" }, "invalid engine"},
 		{"duplicate hot loop", func(r *Report) { r.HotLoops = append(r.HotLoops, r.HotLoops[0]) }, "duplicate engine"},
@@ -172,43 +114,41 @@ func TestValidateReport(t *testing.T) {
 	}
 }
 
-// TestValidateV1Compat decodes and validates a verbatim legacy document
-// through the CLI path, then checks the v1-specific rejections: a v2-only
-// field smuggled into a v1 document must fail.
-func TestValidateV1Compat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_engine.json")
-	if err := os.WriteFile(path, []byte(fakeV1Document), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if err := run([]string{"-validate", path}, &out); err != nil {
-		t.Fatalf("legacy report rejected: %v", err)
-	}
-	if !strings.Contains(out.String(), "valid bench-engine/v1 report") {
-		t.Errorf("confirmation missing from %q", out.String())
-	}
-
+// TestValidateRefusesV1Fields: the fields only a bench-engine/v1
+// document carried, its single hot_loop section and the retired fast
+// engine's speedup, fail strict decoding of an otherwise valid report.
+func TestValidateRefusesV1Fields(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		mutate func(*Report)
-		want   string
+		mutate func(doc map[string]any)
 	}{
-		{"cols speedup", func(r *Report) { r.Speedups[0].ColsOverDES = 2 }, "v1 document"},
-		{"tagged hot loop", func(r *Report) { r.HotLoop.Engine = "fast" }, "v1 document"},
-		{"hot_loops section", func(r *Report) { r.HotLoops = []HotLoop{{Engine: "fast", NsPerTerminalSlot: 1}} }, "hot_loop"},
+		{"hot loop section", func(doc map[string]any) {
+			doc["hot_loop"] = map[string]any{"ns_per_terminal_slot": 1}
+		}},
+		{"retired engine speedup", func(doc map[string]any) {
+			doc["speedups"].([]any)[0].(map[string]any)["fast_over_des"] = 3
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var rep Report
-			if err := json.Unmarshal([]byte(fakeV1Document), &rep); err != nil {
+			data, err := json.Marshal(fakeReport())
+			if err != nil {
 				t.Fatal(err)
 			}
-			tc.mutate(&rep)
-			err := validateReport(&rep)
-			if err == nil {
-				t.Fatal("corrupted v1 report accepted")
+			var doc map[string]any
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
+			tc.mutate(doc)
+			if data, err = json.Marshal(doc); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "BENCH_engine.json")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = run([]string{"-validate", path}, &strings.Builder{})
+			if err == nil || !strings.Contains(err.Error(), "unknown field") {
+				t.Errorf("got %v, want an unknown-field error", err)
 			}
 		})
 	}
