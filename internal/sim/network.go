@@ -186,7 +186,7 @@ func (n *network) transmitUpdate(t *terminal) {
 	// counts as contact: the movement counter and the timer scheme's
 	// reference slot reset in every scheme (the extra writes take no
 	// draws, so distance results are untouched).
-	n.ctr[u.Terminal-n.first] = u.Cell
+	n.ctr[t.id-n.first] = u.Cell
 	t.moves = 0
 	t.lastContact = int64(n.sched.Now() / SlotTicks)
 	n.scratch = u.Encode(n.scratch[:0])
