@@ -97,7 +97,11 @@ func TestManagerRecoversCompletedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := m1.Submit(spec)
+	// The cancelled job must not finish before Cancel lands on the idle
+	// worker, so it runs for a billion slots; cancellation is prompt.
+	long := spec
+	long.Slots = 1_000_000_000
+	cv, err := m1.Submit(long)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,9 @@ package sim
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"repro/internal/des"
@@ -71,7 +69,9 @@ type Checkpoint struct {
 // what DecodeCheckpoint returns, Resume reads and EncodeCheckpoint
 // writes (putShardCheckpoint) for a checkpoint built or edited in
 // memory. A run never builds one: its shards encode the same bytes
-// straight from their live state (putLiveShard).
+// straight from their live state (putLiveShard). The registry and the
+// measurements are in the types the run itself keeps (HLRRecord,
+// Metrics), so both writers share their tables.
 type ShardCheckpoint struct {
 	// Slot echoes Checkpoint.Slot; Lo and Hi are the shard's global
 	// terminal range [Lo, Hi).
@@ -82,16 +82,18 @@ type ShardCheckpoint struct {
 	// Terms and HLR hold the per-terminal mobile-side and registry state,
 	// indexed by terminal position within the shard.
 	Terms []TermCheckpoint
-	HLR   []HLRCheckpoint
-	// Metrics is the shard's accumulated measurement state.
-	Metrics MetricsCheckpoint
+	HLR   []HLRRecord
+	// Metrics is the shard's accumulated measurement state: the counters,
+	// Events, the moments, the histograms, ThresholdSlots and each
+	// PerTerminal record's Updates, Calls and PolledCells. Events is the
+	// columnar engine's cumulative dispatched sub-slot event count; the
+	// reference engine derives its count from the scheduler's Processed
+	// counter and carries 0. The run shape, the ids and the cost
+	// averages are not carried: resume keeps the fresh shard's.
+	Metrics Metrics
 	// Snapshots is the telemetry series captured so far (including a
 	// frame at this boundary when it lies on the telemetry cadence).
 	Snapshots []telemetry.ShardFrame
-	// SubEvents is the columnar engine's cumulative dispatched sub-slot
-	// event count (unused by the reference engine, which derives its
-	// count from the scheduler's Processed counter).
-	SubEvents uint64
 	// Scheds, PreSweep, CurD and RunLen are the columnar engine's
 	// per-terminal scheduler state, reference-tie-break marks and batched
 	// threshold-usage accounting; nil for the reference engine.
@@ -120,68 +122,6 @@ type TermCheckpoint struct {
 	// runs.
 	Moves       int64
 	LastContact int64
-}
-
-// HLRCheckpoint is one terminal's registry record.
-type HLRCheckpoint struct {
-	Center    wire.Cell
-	Seq       uint32
-	Threshold int
-}
-
-// MetricsCheckpoint is the serializable state of a shard's Metrics,
-// mid-run in a checkpoint and final in a partial: the counters, the
-// delay/recovery moments, the latency histograms, the threshold-usage
-// counts and the per-terminal counters. Run-shape fields (Slots,
-// Terminals, ids) and the derived aggregates are rebuilt on restore.
-// The threshold-usage counts are held as the wire carries them, sorted
-// by threshold without repeats, so equal states encode to equal bytes.
-type MetricsCheckpoint struct {
-	Updates, Calls, PolledCells         int64
-	UpdateBytes, PollBytes, ReplyBytes  int64
-	NotFound                            int64
-	LostUpdates, LostPolls, LostReplies int64
-	FallbackCalls, Retransmissions      int64
-	Acks, AckBytes                      int64
-	RePolls, DroppedCalls               int64
-	OutageDeferred                      int64
-	Delay, Recovery                     stats.Moments
-	DelayHist, RecoveryHist             *telemetry.Hist
-	ThresholdSlots                      []ThresholdCount
-	PerTerminal                         []TermStatsCheckpoint
-}
-
-// ThresholdCount is one Metrics.ThresholdSlots entry in a
-// MetricsCheckpoint.
-type ThresholdCount struct {
-	D     int
-	Slots int64
-}
-
-// exportThresholds converts the threshold-usage map to its wire form,
-// sorted by threshold so equal states encode to equal bytes.
-func exportThresholds(m map[int]int64) []ThresholdCount {
-	out := make([]ThresholdCount, 0, len(m))
-	for d, c := range m {
-		out = append(out, ThresholdCount{D: d, Slots: c})
-	}
-	slices.SortFunc(out, func(a, b ThresholdCount) int { return cmp.Compare(a.D, b.D) })
-	return out
-}
-
-// restoreThresholds rebuilds the threshold-usage map from its wire form.
-func restoreThresholds(tcs []ThresholdCount) map[int]int64 {
-	m := make(map[int]int64, len(tcs))
-	for _, tc := range tcs {
-		m[tc.D] = tc.Slots
-	}
-	return m
-}
-
-// TermStatsCheckpoint is one terminal's measurement state (the id is its
-// index within the shard).
-type TermStatsCheckpoint struct {
-	Updates, Calls, PolledCells int64
 }
 
 // SchedCheckpoint is one scheduler's exported state (des.Checkpoint).
@@ -223,16 +163,16 @@ func ackBind(n *network, terms []terminal) func(tag uint64) func() {
 
 // liveShard is a shard's live state at a checkpoint boundary, as
 // putLiveShard walks it into the shard's section. The engine builds it
-// once and updates the per-boundary fields (slot, frames, subEvents,
-// slotStamp) before each encode.
+// once and updates the per-boundary fields (slot, frames, slotStamp)
+// before each encode; the registry and the metrics it reads from the
+// network, n.
 type liveShard struct {
-	slot      int64
-	lo, hi    int
-	n         *network
-	terms     []terminal
-	rngs      []stats.RNG
-	frames    []telemetry.ShardFrame
-	subEvents uint64
+	slot   int64
+	lo, hi int
+	n      *network
+	terms  []terminal
+	rngs   []stats.RNG
+	frames []telemetry.ShardFrame
 	// cols is the columnar engine's state, whose per-terminal schedulers
 	// are scheds; nil for the reference engine, whose one shard scheduler
 	// is scheds[0] and whose running slot event was stamped slotStamp.
@@ -253,44 +193,9 @@ func (s *liveShard) encode() []byte {
 	return encodePayload(&s.enc, putLiveShard, s)
 }
 
-// metricsHead returns m's counters, moments and histograms in
-// serializable form, the histograms shared with m, and no tables.
-func metricsHead(m *Metrics) MetricsCheckpoint {
-	return MetricsCheckpoint{
-		Updates: m.Updates, Calls: m.Calls, PolledCells: m.PolledCells,
-		UpdateBytes: m.UpdateBytes, PollBytes: m.PollBytes, ReplyBytes: m.ReplyBytes,
-		NotFound:    m.NotFound,
-		LostUpdates: m.LostUpdates, LostPolls: m.LostPolls, LostReplies: m.LostReplies,
-		FallbackCalls: m.FallbackCalls, Retransmissions: m.Retransmissions,
-		Acks: m.Acks, AckBytes: m.AckBytes,
-		RePolls: m.RePolls, DroppedCalls: m.DroppedCalls,
-		OutageDeferred: m.OutageDeferred,
-		Delay:          m.Delay,
-		Recovery:       m.Recovery,
-		DelayHist:      m.DelayHist,
-		RecoveryHist:   m.RecoveryHist,
-	}
-}
-
-// exportMetrics converts a shard's final Metrics into the serializable
-// form of a partial (RunPartial), deep-copying every reference type and
-// sorting the threshold-usage counts.
-func exportMetrics(m *Metrics) MetricsCheckpoint {
-	mc := metricsHead(m)
-	mc.DelayHist = m.DelayHist.Clone()
-	mc.RecoveryHist = m.RecoveryHist.Clone()
-	mc.ThresholdSlots = exportThresholds(m.ThresholdSlots)
-	mc.PerTerminal = make([]TermStatsCheckpoint, len(m.PerTerminal))
-	for i := range m.PerTerminal {
-		ts := &m.PerTerminal[i]
-		mc.PerTerminal[i] = TermStatsCheckpoint{Updates: ts.Updates, Calls: ts.Calls, PolledCells: ts.PolledCells}
-	}
-	return mc
-}
-
 // restoreShardCore overlays a shard checkpoint onto freshly-built shard
 // state (newShardNetwork output): terminal structs and columns, RNG
-// positions, registry records, the network's counters and the metrics
+// positions, the registry, the network's call counter and the metrics
 // state. The engine restores its own scheduler state afterwards. The
 // checkpoint passed validateResume, so its vectors are sized to the
 // shard.
@@ -309,39 +214,9 @@ func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardC
 		t.lastContact = tc.LastContact
 		rngs[i].SetState(tc.RNG)
 	}
-	for i := range n.hlr {
-		hc := &sc.HLR[i]
-		n.hlr[i] = hlrRecord{center: hc.Center, seq: hc.Seq, threshold: hc.Threshold}
-	}
+	copy(n.hlr, sc.HLR)
 	n.callSeq = sc.CallSeq
-
-	sc.Metrics.restoreInto(n.metrics)
-}
-
-// restoreInto overlays the measurement state onto m, whose PerTerminal
-// records must already be sized to the shard: the counters, copies of
-// the moments and histograms, the threshold-usage map (never nil, since
-// the engines increment it) and each terminal's counters, bit for bit.
-// The inverse of exportMetrics, shared by checkpoint resume and the
-// partial merge.
-func (mc *MetricsCheckpoint) restoreInto(m *Metrics) {
-	m.Updates, m.Calls, m.PolledCells = mc.Updates, mc.Calls, mc.PolledCells
-	m.UpdateBytes, m.PollBytes, m.ReplyBytes = mc.UpdateBytes, mc.PollBytes, mc.ReplyBytes
-	m.NotFound = mc.NotFound
-	m.LostUpdates, m.LostPolls, m.LostReplies = mc.LostUpdates, mc.LostPolls, mc.LostReplies
-	m.FallbackCalls, m.Retransmissions = mc.FallbackCalls, mc.Retransmissions
-	m.Acks, m.AckBytes = mc.Acks, mc.AckBytes
-	m.RePolls, m.DroppedCalls = mc.RePolls, mc.DroppedCalls
-	m.OutageDeferred = mc.OutageDeferred
-	m.Delay, m.Recovery = mc.Delay, mc.Recovery
-	m.DelayHist = mc.DelayHist.Clone()
-	m.RecoveryHist = mc.RecoveryHist.Clone()
-	m.ThresholdSlots = restoreThresholds(mc.ThresholdSlots)
-	for i := range mc.PerTerminal {
-		tsc := &mc.PerTerminal[i]
-		ts := &m.PerTerminal[i]
-		ts.Updates, ts.Calls, ts.PolledCells = tsc.Updates, tsc.Calls, tsc.PolledCells
-	}
+	n.metrics.restore(&sc.Metrics)
 }
 
 // ckptMagic versions the checkpoint wire format (codec.go). The gob

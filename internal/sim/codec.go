@@ -395,15 +395,34 @@ func appendColumn(b []byte, kind byte, vs []uint64) []byte {
 	return b
 }
 
-// getTable reads a table putTable wrote; empty decodes as nil. Before it
-// allocates the rows it checks their count and every column's byte
-// length against the bytes left: a word column holds exactly 8 bytes a
-// row, a uvarint column 1 to 10.
+// getTable reads a table putTable wrote; empty decodes as nil.
 func getTable[T any](d *decoder, what string, l layout[T]) []T {
 	n := d.count(what, l.minRow())
 	if n == 0 || d.err != nil {
 		return nil
 	}
+	return getRows(d, what, l, n, nil)
+}
+
+// getTableInto reads a table putTable wrote into rows, the records an
+// earlier table of the payload filled: it must hold exactly len(rows)
+// rows, and it sets only its own layout's fields.
+func getTableInto[T any](d *decoder, what string, l layout[T], rows []T) {
+	n := d.count(what, l.minRow())
+	if d.err == nil && n != len(rows) {
+		d.fail("%s table of %d rows for %d records", what, n, len(rows))
+	}
+	if n == 0 || d.err != nil {
+		return
+	}
+	getRows(d, what, l, n, rows)
+}
+
+// getRows reads the columns of a table of n rows into rows, or into new
+// rows when rows is nil. Before it allocates them it checks every
+// column's byte length against the bytes left: a word column holds
+// exactly 8 bytes a row, a uvarint column 1 to 10.
+func getRows[T any](d *decoder, what string, l layout[T], n int, rows []T) []T {
 	ncols := len(l.kinds)
 	var offs, ends [maxCols]int
 	total := 0
@@ -429,7 +448,9 @@ func getTable[T any](d *decoder, what string, l layout[T]) []T {
 	}
 	data := d.buf[:total]
 	d.buf = d.buf[total:]
-	rows := make([]T, n)
+	if rows == nil {
+		rows = make([]T, n)
+	}
 	c := &d.cols
 	c.decoding, c.bad = true, false
 	for lo := 0; lo < n; lo += colBlock {

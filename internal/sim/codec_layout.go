@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/telemetry"
@@ -38,7 +40,7 @@ var termLayout = layout[TermCheckpoint]{"vvvvvvvvvvwwwwwwvv", func(rows []TermCh
 	}
 }}
 
-var hlrLayout = layout[HLRCheckpoint]{"vvvv", func(rows []HLRCheckpoint, c *cols) {
+var hlrLayout = layout[HLRRecord]{"vvvv", func(rows []HLRRecord, c *cols) {
 	for i := range rows {
 		h, j := &rows[i], uint8(i)
 		int32Col(c, 0, j, &h.Center.Q)
@@ -48,7 +50,9 @@ var hlrLayout = layout[HLRCheckpoint]{"vvvv", func(rows []HLRCheckpoint, c *cols
 	}
 }}
 
-var termStatsLayout = layout[TermStatsCheckpoint]{"vvv", func(rows []TermStatsCheckpoint, c *cols) {
+// termStatsLayout carries a terminal's three counters; its id, cost and
+// final threshold are not in the table.
+var termStatsLayout = layout[TerminalStats]{"vvv", func(rows []TerminalStats, c *cols) {
 	for i := range rows {
 		s, j := &rows[i], uint8(i)
 		int64Col(c, 0, j, &s.Updates)
@@ -57,11 +61,27 @@ var termStatsLayout = layout[TermStatsCheckpoint]{"vvv", func(rows []TermStatsCh
 	}
 }}
 
-var thresholdLayout = layout[ThresholdCount]{"vv", func(rows []ThresholdCount, c *cols) {
+// finalThresholdLayout carries a terminal's final threshold, the
+// partial's second per-terminal table.
+var finalThresholdLayout = layout[TerminalStats]{"v", func(rows []TerminalStats, c *cols) {
+	for i := range rows {
+		intCol(c, 0, uint8(i), &rows[i].FinalThreshold)
+	}
+}}
+
+// thresholdCount is one Metrics.ThresholdSlots entry as the wire
+// carries it: the table is sorted by threshold without repeats, so
+// equal maps encode to equal bytes.
+type thresholdCount struct {
+	d     int
+	slots int64
+}
+
+var thresholdLayout = layout[thresholdCount]{"vv", func(rows []thresholdCount, c *cols) {
 	for i := range rows {
 		t, j := &rows[i], uint8(i)
-		intCol(c, 0, j, &t.D)
-		int64Col(c, 1, j, &t.Slots)
+		intCol(c, 0, j, &t.d)
+		int64Col(c, 1, j, &t.slots)
 	}
 }}
 
@@ -91,11 +111,6 @@ var (
 	int32Layout = layout[int32]{"v", func(rows []int32, c *cols) {
 		for i := range rows {
 			int32Col(c, 0, uint8(i), &rows[i])
-		}
-	}}
-	intLayout = layout[int]{"v", func(rows []int, c *cols) {
-		for i := range rows {
-			intCol(c, 0, uint8(i), &rows[i])
 		}
 	}}
 )
@@ -177,56 +192,49 @@ func getHist(d *decoder) *telemetry.Hist {
 	return h
 }
 
-// counters lists a shard's counters in wire order.
-func (mc *MetricsCheckpoint) counters() [17]*int64 {
-	return [...]*int64{
-		&mc.Updates, &mc.Calls, &mc.PolledCells,
-		&mc.UpdateBytes, &mc.PollBytes, &mc.ReplyBytes,
-		&mc.NotFound,
-		&mc.LostUpdates, &mc.LostPolls, &mc.LostReplies,
-		&mc.FallbackCalls, &mc.Retransmissions,
-		&mc.Acks, &mc.AckBytes,
-		&mc.RePolls, &mc.DroppedCalls,
-		&mc.OutageDeferred,
-	}
-}
-
-// putMetrics writes a shard's measurement state.
-func putMetrics(e *encoder, mc *MetricsCheckpoint) {
-	putMetricsHead(e, mc)
-	putTable(e, mc.ThresholdSlots, thresholdLayout)
-	putTable(e, mc.PerTerminal, termStatsLayout)
-}
-
-// putMetricsHead writes what precedes a shard's measurement tables: the
-// counters, the moments and the histograms.
-func putMetricsHead(e *encoder, mc *MetricsCheckpoint) {
-	for _, c := range mc.counters() {
+// putMetrics writes a shard's measurement state: the counters, the
+// moments, the histograms, the threshold-usage counts and each
+// terminal's counters. Events, the run shape, the ids and the costs are
+// not written here.
+func putMetrics(e *encoder, m *Metrics) {
+	for _, c := range m.counters() {
 		e.varint(*c)
 	}
-	e.moments(&mc.Delay)
-	e.moments(&mc.Recovery)
-	putHist(e, mc.DelayHist)
-	putHist(e, mc.RecoveryHist)
+	e.moments(&m.Delay)
+	e.moments(&m.Recovery)
+	putHist(e, m.DelayHist)
+	putHist(e, m.RecoveryHist)
+	counts := make([]thresholdCount, 0, len(m.ThresholdSlots))
+	for d, n := range m.ThresholdSlots {
+		counts = append(counts, thresholdCount{d, n})
+	}
+	slices.SortFunc(counts, func(a, b thresholdCount) int { return cmp.Compare(a.d, b.d) })
+	putTable(e, counts, thresholdLayout)
+	putTable(e, m.PerTerminal, termStatsLayout)
 }
 
-// getMetrics reads what putMetrics wrote into mc. The threshold-usage
-// counts must be sorted by threshold without repeats.
-func getMetrics(d *decoder, mc *MetricsCheckpoint) {
-	for _, c := range mc.counters() {
+// getMetrics reads what putMetrics wrote into m. The threshold-usage
+// counts must be sorted by threshold without repeats; an empty table
+// decodes as a nil map.
+func getMetrics(d *decoder, m *Metrics) {
+	for _, c := range m.counters() {
 		*c = d.varint()
 	}
-	d.moments(&mc.Delay)
-	d.moments(&mc.Recovery)
-	mc.DelayHist = getHist(d)
-	mc.RecoveryHist = getHist(d)
-	mc.ThresholdSlots = getTable(d, "threshold count", thresholdLayout)
-	for i := 1; i < len(mc.ThresholdSlots); i++ {
-		if mc.ThresholdSlots[i].D <= mc.ThresholdSlots[i-1].D {
+	d.moments(&m.Delay)
+	d.moments(&m.Recovery)
+	m.DelayHist = getHist(d)
+	m.RecoveryHist = getHist(d)
+	counts := getTable(d, "threshold count", thresholdLayout)
+	if len(counts) > 0 {
+		m.ThresholdSlots = make(map[int]int64, len(counts))
+	}
+	for i, tc := range counts {
+		if i > 0 && tc.d <= counts[i-1].d {
 			d.fail("threshold counts not sorted by threshold")
 		}
+		m.ThresholdSlots[tc.d] = tc.slots
 	}
-	mc.PerTerminal = getTable(d, "terminal stats", termStatsLayout)
+	m.PerTerminal = getTable(d, "terminal stats", termStatsLayout)
 }
 
 func putFrame(e *encoder, f *telemetry.ShardFrame) {
@@ -312,7 +320,7 @@ func putShardCheckpoint(e *encoder, sc *ShardCheckpoint) {
 	e.varint(int64(sc.Lo))
 	e.varint(int64(sc.Hi))
 	e.uvarint(uint64(sc.CallSeq))
-	e.uvarint(sc.SubEvents)
+	e.uvarint(sc.Metrics.Events)
 	putTable(e, sc.Terms, termLayout)
 	putTable(e, sc.HLR, hlrLayout)
 	putMetrics(e, &sc.Metrics)
@@ -337,7 +345,7 @@ func getShardCheckpoint(d *decoder, sc *ShardCheckpoint) {
 	} else {
 		d.fail("call sequence %d overflows uint32", callSeq)
 	}
-	sc.SubEvents = d.uvarint()
+	sc.Metrics.Events = d.uvarint()
 	sc.Terms = getTable(d, "terminal", termLayout)
 	sc.HLR = getTable(d, "registry", hlrLayout)
 	getMetrics(d, &sc.Metrics)
@@ -360,18 +368,22 @@ var minShardCheckpointSize = sectionSize(putShardCheckpoint, &ShardCheckpoint{})
 
 // putLiveShard writes a shard's section from its live state: the bytes
 // putShardCheckpoint writes for a ShardCheckpoint of the same state,
-// field for field, without building one. Each table's wire function
-// reads the live record straight into the columns, with the column
-// numbers of the layout the table decodes with, and with its column
-// helpers, except that an int32 field goes through int32Col, which
-// writes the bytes intCol writes for the value widened.
+// field for field, without building one. The registry and the metrics
+// are the network's own HLRRecord and Metrics, written by the same
+// writers; only the terminal table, whose fields are split between the
+// terminal structs, the network's columns and the generators, and the
+// schedulers have a live writer. The terminal table's wire function
+// reads the live fields straight into the columns, with termLayout's
+// column numbers and column helpers, except that an int32 field goes
+// through int32Col, which writes the bytes intCol writes for the value
+// widened.
 func putLiveShard(e *encoder, s *liveShard) {
 	n := s.n
 	e.varint(s.slot)
 	e.varint(int64(s.lo))
 	e.varint(int64(s.hi))
 	e.uvarint(uint64(n.callSeq))
-	e.uvarint(s.subEvents)
+	e.uvarint(n.metrics.Events)
 	terms, rngs := s.terms, s.rngs
 	e.table(len(terms), termLayout.kinds, func(lo, hi int, c *cols) {
 		for i := lo; i < hi; i++ {
@@ -397,28 +409,8 @@ func putLiveShard(e *encoder, s *liveShard) {
 			int64Col(c, 17, j, &t.lastContact)
 		}
 	})
-	hlr := n.hlr
-	e.table(len(hlr), hlrLayout.kinds, func(lo, hi int, c *cols) {
-		for i := lo; i < hi; i++ {
-			h, j := &hlr[i], uint8(i-lo)
-			int32Col(c, 0, j, &h.center.Q)
-			int32Col(c, 1, j, &h.center.R)
-			uint32Col(c, 2, j, &h.seq)
-			intCol(c, 3, j, &h.threshold)
-		}
-	})
-	head := metricsHead(n.metrics)
-	putMetricsHead(e, &head)
-	putTable(e, exportThresholds(n.metrics.ThresholdSlots), thresholdLayout)
-	per := n.metrics.PerTerminal
-	e.table(len(per), termStatsLayout.kinds, func(lo, hi int, c *cols) {
-		for i := lo; i < hi; i++ {
-			ts, j := &per[i], uint8(i-lo)
-			int64Col(c, 0, j, &ts.Updates)
-			int64Col(c, 1, j, &ts.Calls)
-			int64Col(c, 2, j, &ts.PolledCells)
-		}
-	})
+	putTable(e, n.hlr, hlrLayout)
+	putMetrics(e, n.metrics)
 	putFrames(e, s.frames)
 	if c := s.cols; c != nil {
 		// The columnar engine: one scheduler per terminal.
@@ -500,9 +492,9 @@ func putShardPartial(e *encoder, sp *ShardPartial) {
 	e.varint(int64(sp.Shard))
 	e.varint(int64(sp.Lo))
 	e.varint(int64(sp.Hi))
-	e.uvarint(sp.SubEvents)
+	e.uvarint(sp.Metrics.Events)
 	putMetrics(e, &sp.Metrics)
-	putTable(e, sp.FinalThreshold, intLayout)
+	putTable(e, sp.Metrics.PerTerminal, finalThresholdLayout)
 	putFrames(e, sp.Snapshots)
 }
 
@@ -510,9 +502,9 @@ func getShardPartial(d *decoder, sp *ShardPartial) {
 	sp.Shard = d.int()
 	sp.Lo = d.int()
 	sp.Hi = d.int()
-	sp.SubEvents = d.uvarint()
+	sp.Metrics.Events = d.uvarint()
 	getMetrics(d, &sp.Metrics)
-	sp.FinalThreshold = getTable(d, "final threshold", intLayout)
+	getTableInto(d, "final threshold", finalThresholdLayout, sp.Metrics.PerTerminal)
 	sp.Snapshots = getFrames(d)
 }
 

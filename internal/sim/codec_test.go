@@ -109,27 +109,34 @@ func (r codecRand) frames() []telemetry.ShardFrame {
 	return out
 }
 
-// thresholds returns counts sorted by threshold without repeats.
-func (r codecRand) thresholds() []ThresholdCount {
-	var out []ThresholdCount
+// thresholds returns threshold-usage counts at distinct thresholds, nil
+// when there are none (as the decoder returns them).
+func (r codecRand) thresholds() map[int]int64 {
+	var out map[int]int64
 	d := int(r.i64() >> 2)
 	for range r.n(6) {
-		out = append(out, ThresholdCount{D: d, Slots: r.i64()})
+		if out == nil {
+			out = make(map[int]int64)
+		}
+		out[d] = r.i64()
 		d += 1 + r.Intn(1000)
 	}
 	return out
 }
 
-func randMetrics(r codecRand, thresholds []ThresholdCount, width int) MetricsCheckpoint {
-	mc := MetricsCheckpoint{Delay: r.moments(), Recovery: r.moments(),
+// randMetrics draws the Metrics fields the wire carries, Events aside:
+// the counters, the moments, the histograms, the threshold-usage counts
+// and width terminals' three counters.
+func randMetrics(r codecRand, thresholds map[int]int64, width int) Metrics {
+	m := Metrics{Delay: r.moments(), Recovery: r.moments(),
 		DelayHist: r.hist(), RecoveryHist: r.hist(), ThresholdSlots: thresholds}
-	for _, c := range mc.counters() {
+	for _, c := range m.counters() {
 		*c = r.i64()
 	}
 	for range width {
-		mc.PerTerminal = append(mc.PerTerminal, TermStatsCheckpoint{r.i64(), r.i64(), r.i64()})
+		m.PerTerminal = append(m.PerTerminal, TerminalStats{Updates: r.i64(), Calls: r.i64(), PolledCells: r.i64()})
 	}
-	return mc
+	return m
 }
 
 func (r codecRand) sched() SchedCheckpoint {
@@ -153,15 +160,18 @@ func randCheckpoint(r codecRand, engine Engine) *Checkpoint {
 	for range 1 + r.Intn(3) {
 		width := r.n(300)
 		thresholds := r.thresholds()
-		sc := ShardCheckpoint{Slot: r.i64(), Lo: int(r.i64()), Hi: int(r.i64()), CallSeq: uint32(r.u64()),
-			SubEvents: r.u64(), Metrics: randMetrics(r, thresholds, r.n(300)), Snapshots: r.frames()}
+		sc := ShardCheckpoint{Slot: r.i64(), Lo: int(r.i64()), Hi: int(r.i64()), CallSeq: uint32(r.u64())}
+		events := r.u64()
+		sc.Metrics = randMetrics(r, thresholds, r.n(300))
+		sc.Metrics.Events = events
+		sc.Snapshots = r.frames()
 		for range width {
 			cell := func() wire.Cell { return wire.Cell{Q: int32(r.i64()), R: int32(r.i64())} }
 			sc.Terms = append(sc.Terms, TermCheckpoint{Pos: cell(), Center: cell(), Threshold: int(r.i64()),
 				Seq: uint32(r.u64()), AckedSeq: uint32(r.u64()), Retries: int(r.i64()), Desynced: r.Intn(2) == 0,
 				DesyncedAt: r.u64(), EstQ: r.float(), EstC: r.float(), RNG: [4]uint64{r.u64(), r.u64(), r.u64(), r.u64()},
 				Moves: r.i64(), LastContact: r.i64()})
-			sc.HLR = append(sc.HLR, HLRCheckpoint{Center: cell(), Seq: uint32(r.u64()), Threshold: int(r.i64())})
+			sc.HLR = append(sc.HLR, HLRRecord{Center: cell(), Seq: uint32(r.u64()), Threshold: int(r.i64())})
 		}
 		if engine == EngineDES {
 			sc.DES = &DESCheckpoint{Sched: r.sched(), SlotEventSeq: r.u64()}
@@ -183,10 +193,13 @@ func randPartial(r codecRand) *Partial {
 	p := &Partial{Slots: r.i64(), Shards: int(r.i64()), Seed: r.u64(), Lo: int(r.i64()), Hi: int(r.i64())}
 	for range 1 + r.Intn(3) {
 		width := r.n(300)
-		sp := ShardPartial{Shard: int(r.i64()), Lo: int(r.i64()), Hi: int(r.i64()), SubEvents: r.u64(),
-			Metrics: randMetrics(r, r.thresholds(), width), Snapshots: r.frames()}
-		for range width {
-			sp.FinalThreshold = append(sp.FinalThreshold, int(r.i64()))
+		sp := ShardPartial{Shard: int(r.i64()), Lo: int(r.i64()), Hi: int(r.i64())}
+		events := r.u64()
+		sp.Metrics = randMetrics(r, r.thresholds(), width)
+		sp.Metrics.Events = events
+		sp.Snapshots = r.frames()
+		for i := range width {
+			sp.Metrics.PerTerminal[i].FinalThreshold = int(r.i64())
 		}
 		p.Shard = append(p.Shard, sp)
 	}
@@ -285,6 +298,32 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(framed(ckptMagic, append(payload[:len(payload):len(payload)], 0))); !errors.Is(err, ErrMalformedPayload) {
 		t.Fatalf("a trailing byte: got %v, want ErrMalformedPayload", err)
+	}
+}
+
+// TestDecodePartialRejectsTableMismatch: a partial's final-threshold
+// table fills the records its terminal-stats table decoded, so a
+// payload whose two tables differ in length, either way, fails with
+// ErrMalformedPayload.
+func TestDecodePartialRejectsTableMismatch(t *testing.T) {
+	for _, tc := range []struct{ counts, finals int }{{3, 2}, {2, 3}, {0, 1}, {1, 0}} {
+		m := Metrics{Recovery: stats.NewMoments(SlotTicks), PerTerminal: make([]TerminalStats, max(tc.counts, tc.finals))}
+		e := &encoder{}
+		putPartial(e, &Partial{Slots: 1, Shards: 1, Hi: 1}) // the head, then one shard:
+		e.buf = e.buf[:len(e.buf)-1]                        // drop the empty shard section
+		e.count(1)
+		e.varint(0) // shard 0
+		e.varint(0) // over terminals [0,
+		e.varint(int64(len(m.PerTerminal)))
+		e.uvarint(0) // sub-slot events
+		all := m.PerTerminal
+		m.PerTerminal = all[:tc.counts]
+		putMetrics(e, &m)
+		putTable(e, all[:tc.finals], finalThresholdLayout)
+		putFrames(e, nil)
+		if _, err := DecodePartial(framed(partMagic, e.bytes(nil, 0))); !errors.Is(err, ErrMalformedPayload) {
+			t.Errorf("%d terminal stats, %d final thresholds: got %v, want ErrMalformedPayload", tc.counts, tc.finals, err)
+		}
 	}
 }
 

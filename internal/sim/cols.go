@@ -257,7 +257,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	c := newColsState(len(terms), r.startD)
 
 	prog := cfg.Telemetry.Progress
-	dyn := cfg.Dynamic
+	dyn, alpha := cfg.Dynamic, cfg.EWMAAlpha
 	kind, param := n.upd.kind, n.upd.param
 	done := ctx.Done()
 	width := int64(r.hi - r.lo)
@@ -269,7 +269,6 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 		restoreShardCore(n, terms, rngs, r.resume)
 		start = r.resume.Slot
 		frames = slices.Clone(r.resume.Snapshots)
-		n.metrics.Events = r.resume.SubEvents
 		bind := ackBind(n, terms)
 		for i := range terms {
 			sc := &r.resume.Scheds[i]
@@ -389,7 +388,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							// event-free slots are replayed one by one —
 							// no closed-form decay.
 							for k := int64(0); k < gap; k++ {
-								t.est.observe(false, false)
+								t.est.observe(alpha, false, false)
 							}
 						}
 						s += gap
@@ -448,7 +447,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							ctr = n.ctr[i]
 							lr = rngs[i]
 							if dyn {
-								t.est.observe(false, true)
+								t.est.observe(alpha, false, true)
 							}
 							s++
 							continue
@@ -488,7 +487,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							touched = true
 						}
 						if dyn {
-							t.est.observe(true, false)
+							t.est.observe(alpha, true, false)
 						}
 						s++
 						if touched {
@@ -537,7 +536,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 		cur = next
 		prog.Set(r.shard, cur, cur*width, uint64(cur)+n.metrics.Events)
 		if r.every > 0 && cur%r.every == 0 && !last {
-			ls.slot, ls.frames, ls.subEvents = cur, frames, n.metrics.Events
+			ls.slot, ls.frames = cur, frames
 			r.emit(cur, ls.encode())
 		}
 	}

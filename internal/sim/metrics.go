@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/core"
@@ -133,23 +134,10 @@ func (m *Metrics) Merge(o *Metrics) {
 		panic(fmt.Sprintf("sim: merging metrics over mismatched slot counts %d and %d", m.Slots, o.Slots))
 	}
 	m.Terminals += o.Terminals
-	m.Updates += o.Updates
-	m.Calls += o.Calls
-	m.PolledCells += o.PolledCells
-	m.UpdateBytes += o.UpdateBytes
-	m.PollBytes += o.PollBytes
-	m.ReplyBytes += o.ReplyBytes
-	m.NotFound += o.NotFound
-	m.LostUpdates += o.LostUpdates
-	m.LostPolls += o.LostPolls
-	m.LostReplies += o.LostReplies
-	m.FallbackCalls += o.FallbackCalls
-	m.Retransmissions += o.Retransmissions
-	m.Acks += o.Acks
-	m.AckBytes += o.AckBytes
-	m.RePolls += o.RePolls
-	m.DroppedCalls += o.DroppedCalls
-	m.OutageDeferred += o.OutageDeferred
+	sum := m.counters()
+	for k, c := range o.counters() {
+		*sum[k] += *c
+	}
 	m.Events += o.Events
 	m.Delay.Merge(&o.Delay)
 	m.Recovery.Merge(&o.Recovery)
@@ -178,6 +166,42 @@ func (m *Metrics) Merge(o *Metrics) {
 		return m.PerTerminal[i].ID < m.PerTerminal[j].ID
 	})
 	m.recompute()
+}
+
+// counters lists the counters in the order checkpoints and partials
+// carry them (putMetrics).
+func (m *Metrics) counters() [17]*int64 {
+	return [...]*int64{
+		&m.Updates, &m.Calls, &m.PolledCells,
+		&m.UpdateBytes, &m.PollBytes, &m.ReplyBytes,
+		&m.NotFound,
+		&m.LostUpdates, &m.LostPolls, &m.LostReplies,
+		&m.FallbackCalls, &m.Retransmissions,
+		&m.Acks, &m.AckBytes,
+		&m.RePolls, &m.DroppedCalls,
+		&m.OutageDeferred,
+	}
+}
+
+// restore overlays the measurement state a checkpoint carries, o, onto
+// m, a fresh shard's metrics whose PerTerminal records are sized like
+// o's: the counters, Events, the moments, the threshold-usage counts,
+// copies of the histograms and each terminal's three counters. m keeps
+// its run shape and ids, and shares nothing with o, so the checkpoint
+// stays as it was and can be resumed again.
+func (m *Metrics) restore(o *Metrics) {
+	dst := m.counters()
+	for k, c := range o.counters() {
+		*dst[k] = *c
+	}
+	m.Events = o.Events
+	m.Delay, m.Recovery = o.Delay, o.Recovery
+	m.DelayHist, m.RecoveryHist = o.DelayHist.Clone(), o.RecoveryHist.Clone()
+	maps.Copy(m.ThresholdSlots, o.ThresholdSlots)
+	for i := range m.PerTerminal {
+		ts, src := &m.PerTerminal[i], &o.PerTerminal[i]
+		ts.Updates, ts.Calls, ts.PolledCells = src.Updates, src.Calls, src.PolledCells
+	}
 }
 
 // recompute rebuilds the per-slot cost averages from the counters.

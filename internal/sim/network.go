@@ -33,7 +33,7 @@ type network struct {
 	// terminal ids are dense within a shard, so the registry is a flat
 	// slice rather than a map. Every slot is provisioned at construction
 	// time (newShardNetwork), so lookups never miss.
-	hlr []hlrRecord
+	hlr []HLRRecord
 	// pos, ctr and thr are each terminal's cell and its own view of its
 	// center and threshold d; callT and moveT are its call and movement
 	// draws' integer Bernoulli thresholds (stats.BernoulliThreshold of c
@@ -70,7 +70,7 @@ func (n *network) term(id uint32) *TerminalStats {
 
 // hlrAt returns the registry record for terminal id. Ids outside the
 // shard are a bug and fail loudly on the slice bounds check.
-func (n *network) hlrAt(id uint32) *hlrRecord {
+func (n *network) hlrAt(id uint32) *HLRRecord {
 	return &n.hlr[id-n.first]
 }
 
@@ -206,12 +206,8 @@ func (n *network) transmitUpdate(t *terminal) {
 		if err != nil {
 			panic(fmt.Sprintf("sim: self-encoded update failed to decode: %v", err))
 		}
-		if rec := n.hlrAt(dec.Terminal); dec.Seq > rec.seq {
-			*rec = hlrRecord{
-				center:    dec.Cell,
-				seq:       dec.Seq,
-				threshold: int(dec.Threshold),
-			}
+		if rec := n.hlrAt(dec.Terminal); dec.Seq > rec.Seq {
+			*rec = HLRRecord{Center: dec.Cell, Seq: dec.Seq, Threshold: int(dec.Threshold)}
 		}
 		applied = true
 		if n.cfg.Faults.UpdateRetries > 0 {
@@ -260,7 +256,7 @@ func (n *network) ackTimeout(t *terminal, seq uint32) {
 // register stores a terminal's initial location without charging it as a
 // mechanism update (it models subscription-time provisioning).
 func (n *network) register(u wire.Update) {
-	*n.hlrAt(u.Terminal) = hlrRecord{center: u.Cell, seq: u.Seq, threshold: int(u.Threshold)}
+	*n.hlrAt(u.Terminal) = HLRRecord{Center: u.Cell, Seq: u.Seq, Threshold: int(u.Threshold)}
 }
 
 // pollHeard reports whether a poll broadcast covering t's current cell
@@ -289,7 +285,7 @@ func (n *network) replyDelivered(t *terminal, call uint32) bool {
 	if err != nil {
 		panic(fmt.Sprintf("sim: self-encoded reply failed to decode: %v", err))
 	}
-	n.hlrAt(t.id).center = dec.Cell
+	n.hlrAt(t.id).Center = dec.Cell
 	return true
 }
 
@@ -344,8 +340,8 @@ func (n *network) page(t *terminal) {
 	rec := *n.hlrAt(t.id)
 	n.callSeq++
 	call := n.callSeq
-	info := n.partitionFor(rec.threshold)
-	ring := n.loc.dist(n.pos[t.id-n.first], rec.center)
+	info := n.partitionFor(rec.Threshold)
+	ring := n.loc.dist(n.pos[t.id-n.first], rec.Center)
 	n.win.Calls++
 	n.term(t.id).Calls++
 
@@ -368,13 +364,13 @@ func (n *network) page(t *terminal) {
 			return
 		}
 		n.win.RePolls++
-		radius := rec.threshold + r
+		radius := rec.Threshold + r
 		cells := n.diskCells(radius)
 		cyc := uint8(255)
 		if c := len(info.part) + r; c <= 255 {
 			cyc = uint8(c)
 		}
-		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
+		poll := wire.Poll{Terminal: t.id, Cell: rec.Center, Call: call, Cycle: cyc}
 		n.scratch = poll.Encode(n.scratch[:0])
 		n.win.PolledCells += int64(cells)
 		n.term(t.id).PolledCells += int64(cells)
@@ -407,7 +403,7 @@ func (n *network) page(t *terminal) {
 		if j+1 > 255 {
 			cyc = 255
 		}
-		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
+		poll := wire.Poll{Terminal: t.id, Cell: rec.Center, Call: call, Cycle: cyc}
 		n.scratch = poll.Encode(n.scratch[:0])
 		n.win.PolledCells += int64(sub.Cells)
 		n.term(t.id).PolledCells += int64(sub.Cells)
@@ -445,8 +441,8 @@ func (n *network) pageInline(t *terminal, base des.Time) uint64 {
 	rec := *n.hlrAt(t.id)
 	n.callSeq++
 	call := n.callSeq
-	info := n.partitionFor(rec.threshold)
-	ring := n.loc.dist(n.pos[t.id-n.first], rec.center)
+	info := n.partitionFor(rec.Threshold)
+	ring := n.loc.dist(n.pos[t.id-n.first], rec.Center)
 	n.win.Calls++
 	n.term(t.id).Calls++
 
@@ -466,7 +462,7 @@ func (n *network) pageInline(t *terminal, base des.Time) uint64 {
 		if j+1 > 255 {
 			cyc = 255
 		}
-		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
+		poll := wire.Poll{Terminal: t.id, Cell: rec.Center, Call: call, Cycle: cyc}
 		n.scratch = poll.Encode(n.scratch[:0])
 		n.win.PolledCells += int64(sub.Cells)
 		n.term(t.id).PolledCells += int64(sub.Cells)
@@ -487,13 +483,13 @@ func (n *network) pageInline(t *terminal, base des.Time) uint64 {
 			return events
 		}
 		n.win.RePolls++
-		radius := rec.threshold + r
+		radius := rec.Threshold + r
 		cells := n.diskCells(radius)
 		cyc := uint8(255)
 		if c := len(info.part) + r; c <= 255 {
 			cyc = uint8(c)
 		}
-		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
+		poll := wire.Poll{Terminal: t.id, Cell: rec.Center, Call: call, Cycle: cyc}
 		n.scratch = poll.Encode(n.scratch[:0])
 		n.win.PolledCells += int64(cells)
 		n.term(t.id).PolledCells += int64(cells)
@@ -562,7 +558,7 @@ func (n *network) sweepSlot(t *terminal, slot int64) {
 		n.sendUpdate(t)
 	}
 	if n.cfg.Dynamic {
-		t.est.observe(moved, called)
+		t.est.observe(n.cfg.EWMAAlpha, moved, called)
 	}
 }
 

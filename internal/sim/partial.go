@@ -43,15 +43,14 @@ type ShardPartial struct {
 	// terminal range [Lo, Hi).
 	Shard  int
 	Lo, Hi int
-	// SubEvents is the shard's sub-slot event count (the slot-sweep chain
-	// is added back once by MergePartials, like RunSharded's merge).
-	SubEvents uint64
-	// Metrics is the shard's final measurement state in checkpoint form.
-	Metrics MetricsCheckpoint
-	// FinalThreshold carries each terminal's threshold at the end of the
-	// run (indexed by terminal position within the shard), the one
-	// per-terminal tail field of finishShard the counts do not determine.
-	FinalThreshold []int
+	// Metrics is the shard's final measurement state, the Metrics the
+	// shard's run returned. The wire carries what a checkpoint carries
+	// (ShardCheckpoint.Metrics), Events being the shard's sub-slot event
+	// count (the slot-sweep chain is added back once by MergePartials,
+	// like RunSharded's merge), plus each PerTerminal record's
+	// FinalThreshold, the one per-terminal tail field of finishShard the
+	// counts do not determine. The merge fills in the rest.
+	Metrics Metrics
 	// Snapshots is the shard's telemetry series; MergePartials
 	// re-assembles the global series with telemetry.MergeFrames exactly
 	// as a single-node run would.
@@ -98,20 +97,12 @@ func RunPartial(ctx context.Context, cfg Config, slots int64, shards, lo, hi int
 	return out, nil
 }
 
-// exportShardPartial converts shard's engine result into its wire form.
+// exportShardPartial hands shard's engine result over as its share of
+// the partial; the partial takes the result's metrics and frames as
+// they are.
 func (p *runPlan) exportShardPartial(shard int, r shardResult) ShardPartial {
-	m := r.metrics
-	sp := ShardPartial{
-		Shard:          shard,
-		SubEvents:      m.Events,
-		Metrics:        exportMetrics(m),
-		FinalThreshold: make([]int, len(m.PerTerminal)),
-		Snapshots:      r.frames,
-	}
+	sp := ShardPartial{Shard: shard, Metrics: *r.metrics, Snapshots: r.frames}
 	sp.Lo, sp.Hi = p.span(shard)
-	for i := range m.PerTerminal {
-		sp.FinalThreshold[i] = m.PerTerminal[i].FinalThreshold
-	}
 	return sp
 }
 
@@ -139,7 +130,7 @@ func (e *PartialMismatchError) Error() string {
 // shard slice tiling, per-shard vector lengths, histogram presence —
 // without reference to any configuration. DecodePartial output should be
 // validated before use; the checks make a hostile document an error, not
-// a panic (FuzzPartialDecode).
+// a panic (FuzzDecodePartial, FuzzMergePartials).
 func (p *Partial) Validate() error {
 	if p.Slots <= 0 {
 		return fmt.Errorf("sim: partial with %d slots", p.Slots)
@@ -162,12 +153,12 @@ func (p *Partial) Validate() error {
 		if sp.Lo < 0 || width <= 0 {
 			return fmt.Errorf("sim: partial shard %d covers [%d,%d)", sp.Shard, sp.Lo, sp.Hi)
 		}
-		mc := &sp.Metrics
-		if len(mc.PerTerminal) != width || len(sp.FinalThreshold) != width {
+		m := &sp.Metrics
+		if len(m.PerTerminal) != width {
 			return fmt.Errorf("sim: partial shard %d holds %d terminal record(s), range [%d,%d) needs %d",
-				sp.Shard, len(mc.PerTerminal), sp.Lo, sp.Hi, width)
+				sp.Shard, len(m.PerTerminal), sp.Lo, sp.Hi, width)
 		}
-		if mc.DelayHist == nil || mc.RecoveryHist == nil {
+		if m.DelayHist == nil || m.RecoveryHist == nil {
 			return fmt.Errorf("sim: partial shard %d missing latency histogram(s)", sp.Shard)
 		}
 	}
@@ -249,14 +240,14 @@ func MergePartials(cfg Config, slots int64, shards int, parts []*Partial) (*Metr
 // but would panic in the histogram or moments merge. MergePartials and
 // validateResume both gate on it; the Field is "hist", "moments" or
 // "frames".
-func (mc *MetricsCheckpoint) checkShape(shard int, frames []telemetry.ShardFrame, through, every int64) *PartialMismatchError {
+func (m *Metrics) checkShape(shard int, frames []telemetry.ShardFrame, through, every int64) *PartialMismatchError {
 	for _, h := range []struct {
 		hist    *telemetry.Hist
 		width   float64
 		buckets int
 	}{
-		{mc.DelayHist, delayHistWidth, delayHistBuckets},
-		{mc.RecoveryHist, recoveryHistWidth, recoveryHistBuckets},
+		{m.DelayHist, delayHistWidth, delayHistBuckets},
+		{m.RecoveryHist, recoveryHistWidth, recoveryHistBuckets},
 	} {
 		if h.hist == nil {
 			return &PartialMismatchError{Field: "hist",
@@ -268,7 +259,7 @@ func (mc *MetricsCheckpoint) checkShape(shard int, frames []telemetry.ShardFrame
 				Want: fmt.Sprintf("%v x %d", h.width, h.buckets)}
 		}
 	}
-	if mis := checkUnits(shard, "metrics", &mc.Delay, &mc.Recovery); mis != nil {
+	if mis := checkUnits(shard, "metrics", &m.Delay, &m.Recovery); mis != nil {
 		return mis
 	}
 	if every <= 0 {
@@ -304,27 +295,19 @@ func checkUnits(shard int, where string, delay, recovery *stats.Moments) *Partia
 	return nil
 }
 
-// restorePartialMetrics rebuilds one shard's Metrics exactly as
-// finishShard left them on the producing machine: the measurement state
-// restored bit-for-bit, global ids re-derived from the shard's terminal
-// range, each cost rate computed from the restored counts by the same
-// costRate, and the shipped FinalThreshold taken verbatim. The shard's
+// restorePartialMetrics completes one shard's decoded Metrics, in place,
+// as finishShard left them on the producing machine: the wire carried
+// the measurement state bit for bit, so only the run shape, the global
+// ids (from the shard's terminal range) and each cost rate (computed
+// from the counts by the same costRate) are filled in. The shard's
 // structural consistency was checked by Partial.Validate.
 func (p *runPlan) restorePartialMetrics(sp *ShardPartial) *Metrics {
-	width := sp.Hi - sp.Lo
-	m := &Metrics{
-		Slots:       p.slots,
-		Terminals:   width,
-		Events:      sp.SubEvents,
-		PerTerminal: make([]TerminalStats, width),
-		costs:       p.cfg.Core.Costs,
-	}
-	sp.Metrics.restoreInto(m)
+	m := &sp.Metrics
+	m.Slots, m.Terminals, m.costs = p.slots, sp.Hi-sp.Lo, p.cfg.Core.Costs
 	for i := range m.PerTerminal {
 		ts := &m.PerTerminal[i]
 		ts.ID = sp.Lo + i
-		ts.TotalCost = costRate(ts, p.cfg.Core.Costs, p.slots)
-		ts.FinalThreshold = sp.FinalThreshold[i]
+		ts.TotalCost = costRate(ts, m.costs, p.slots)
 	}
 	return m
 }

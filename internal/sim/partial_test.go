@@ -225,7 +225,7 @@ func TestPartialValidate(t *testing.T) {
 		{"shard count drift", func(p *Partial) { p.Shard = p.Shard[:1] }},
 		{"shard out of place", func(p *Partial) { p.Shard[0].Shard = 0 }},
 		{"empty terminal range", func(p *Partial) { p.Shard[1].Hi = p.Shard[1].Lo }},
-		{"terminal vector drift", func(p *Partial) { p.Shard[0].FinalThreshold = nil }},
+		{"terminal vector drift", func(p *Partial) { p.Shard[0].Metrics.PerTerminal = nil }},
 		{"missing histogram", func(p *Partial) { p.Shard[0].Metrics.DelayHist = nil }},
 	} {
 		p := fresh()

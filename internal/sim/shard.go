@@ -449,7 +449,7 @@ func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (
 		loc:   loc,
 		upd:   upd,
 		first: uint32(lo),
-		hlr:   make([]hlrRecord, hi-lo),
+		hlr:   make([]HLRRecord, hi-lo),
 		pos:   make([]wire.Cell, hi-lo),
 		ctr:   make([]wire.Cell, hi-lo),
 		thr:   make([]int32, hi-lo),
@@ -486,7 +486,6 @@ func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (
 		t.id = uint32(g)
 		rngs[i].SeedSubStream(cfg.Seed, uint64(g))
 		t.rng = &rngs[i]
-		t.est = estimator{alpha: cfg.EWMAAlpha}
 		n.thr[i] = int32(startD)
 		n.callT[i] = stats.BernoulliThreshold(p.C)
 		if p.Q > 0 {

@@ -215,21 +215,31 @@ func (lineLocator) move(c wire.Cell, rng *stats.RNG) wire.Cell {
 	return wire.Cell{Q: int32(n)}
 }
 
-// hlrRecord is the network's view of one terminal.
-type hlrRecord struct {
-	center    wire.Cell
-	seq       uint32
-	threshold int
+// HLRRecord is the fixed network's registry record for one terminal:
+// the centre of its residing area and its threshold d, as set by the
+// update with sequence number Seq. A shard's registry is one record per
+// terminal (network.hlr), and a checkpoint carries the same records
+// (ShardCheckpoint.HLR).
+type HLRRecord struct {
+	Center    wire.Cell
+	Seq       uint32
+	Threshold int
 }
 
 // estimator tracks EWMA estimates of a terminal's per-slot movement and
-// call probabilities.
+// call probabilities. Its smoothing constant is Config.EWMAAlpha, which
+// the caller passes to observe.
 type estimator struct {
-	alpha float64
-	q, c  float64
+	q, c float64
 }
 
-func (e *estimator) observe(moved, called bool) {
+// observe folds one slot's outcome into the estimates with smoothing
+// constant alpha. Each product sits in an explicit conversion: Go may
+// fuse x*y + z into one multiply-add with a single rounding on some
+// architectures (arm64, ppc64le, s390x), and the conversion forbids
+// that, so every machine rounds as amd64 does and a checkpoint's
+// estimates are the same bits everywhere.
+func (e *estimator) observe(alpha float64, moved, called bool) {
 	mv, cl := 0.0, 0.0
 	if moved {
 		mv = 1
@@ -237,8 +247,8 @@ func (e *estimator) observe(moved, called bool) {
 	if called {
 		cl = 1
 	}
-	e.q += e.alpha * (mv - e.q)
-	e.c += e.alpha * (cl - e.c)
+	e.q += float64(alpha * (mv - e.q))
+	e.c += float64(alpha * (cl - e.c))
 }
 
 // params returns the current estimates clamped to a valid chain.Params.

@@ -240,11 +240,11 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestEstimatorTracksTruth(t *testing.T) {
-	e := estimator{alpha: 0.01}
+	var e estimator
 	rngQ, rngC := 0.23, 0.07
 	r := newTestRNG()
 	for i := 0; i < 200_000; i++ {
-		e.observe(r.Bernoulli(rngQ), r.Bernoulli(rngC))
+		e.observe(0.01, r.Bernoulli(rngQ), r.Bernoulli(rngC))
 	}
 	p := e.params()
 	if math.Abs(p.Q-rngQ) > 0.02 {
@@ -256,12 +256,12 @@ func TestEstimatorTracksTruth(t *testing.T) {
 }
 
 func TestEstimatorClampsInvalid(t *testing.T) {
-	e := estimator{alpha: 0.5, q: 0.8, c: 0.8}
+	e := estimator{q: 0.8, c: 0.8}
 	p := e.params()
 	if err := p.Validate(); err != nil {
 		t.Errorf("clamped params invalid: %v", err)
 	}
-	e = estimator{alpha: 0.5, q: -0.1, c: -0.1}
+	e = estimator{q: -0.1, c: -0.1}
 	p = e.params()
 	if p.Q != 0 || p.C != 0 {
 		t.Errorf("negative estimates not clamped: %+v", p)
@@ -269,11 +269,12 @@ func TestEstimatorClampsInvalid(t *testing.T) {
 }
 
 // TestTerminalFootprint pins the per-terminal struct both engines hold
-// for the whole run: 80 bytes, with the cell, center, threshold and
-// call/move draw thresholds held once, in the network's columns. It is
+// for the whole run: 72 bytes, with the cell, center, threshold and
+// call/move draw thresholds held once, in the network's columns, and
+// the estimator's smoothing constant once, in the configuration. It is
 // the first term of a run's per-terminal memory.
 func TestTerminalFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(terminal{}); got != 80 {
-		t.Errorf("terminal is %d bytes, want 80", got)
+	if got := unsafe.Sizeof(terminal{}); got != 72 {
+		t.Errorf("terminal is %d bytes, want 72", got)
 	}
 }
