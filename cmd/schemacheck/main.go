@@ -13,8 +13,10 @@
 // (jobs.View) as served by GET /api/v1/jobs/{id}. "journal" is a
 // pcnserve durable job journal (checksummed NDJSON), validated
 // strictly: every record must carry a valid checksum, a strictly
-// increasing sequence number, and a well-formed payload — the check the
-// service itself applies leniently (longest valid prefix) at boot.
+// increasing sequence number, and a well-formed payload, and every
+// submitted spec must pass Spec.Validate — stricter than the service's
+// own boot replay, which keeps the longest valid prefix and fails a
+// recovered job whose spec no longer validates.
 // "queryresult" is a pcnserve POST /query response, checked for schema,
 // positional key/value consistency, strictly ascending group order and
 // count-sum consistency. "partial" is a cluster partial-result envelope
@@ -26,6 +28,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -56,6 +59,17 @@ func main() {
 		n, err := jobs.CheckJournal(data)
 		if err != nil {
 			log.Fatalf("journal invalid after %d good records: %v", n, err)
+		}
+		// Replay keeps a submit record whose spec the current rules
+		// refuse (the job fails when recovered); this check is strict.
+		recs, _, _ := jobs.ReplayJournal(bytes.NewReader(data))
+		for i, rec := range recs {
+			if rec.Kind != jobs.KindSubmit {
+				continue
+			}
+			if err := rec.Spec.Validate(); err != nil {
+				log.Fatalf("journal invalid after %d good records: jobs: submit record spec: %v", i, err)
+			}
 		}
 		fmt.Printf("ok: journal schema %d, %d records, %d bytes\n", jobs.JournalSchema, n, len(data))
 		return

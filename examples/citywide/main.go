@@ -91,16 +91,17 @@ func main() {
 	// not know who is who; each terminal estimates its own (q, c) and
 	// re-optimizes periodically using the near-optimal closed form.
 	fmt.Println("\nrunning the PCN simulator with per-terminal dynamic thresholds...")
+	fleet := &locman.Fleet{}
+	for _, p := range profiles {
+		fleet.Groups = append(fleet.Groups, locman.FleetGroup{MoveProb: p.moveProb, CallProb: p.callProb})
+	}
 	cfg := locman.NetworkConfig{
 		Config:    avgCfg,
 		Terminals: len(profiles) * 4,
 		Threshold: avgRes.Best.Threshold,
 		Dynamic:   true,
+		Fleet:     fleet,
 		Seed:      7,
-		PerTerminal: func(i int) (float64, float64) {
-			p := profiles[i%len(profiles)]
-			return p.moveProb, p.callProb
-		},
 	}
 	metrics, err := locman.SimulateNetwork(cfg, 150_000)
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/telemetry"
+	"repro/locman"
 )
 
 // testSpec is a deliberately awkward distributed workload: a population
@@ -33,7 +34,7 @@ func testSpec() jobs.Spec {
 		MaxDelay:        2,
 		Dynamic:         true,
 		ReoptimizeEvery: 100,
-		Faults: &jobs.FaultSpec{
+		Faults: &locman.FaultPlan{
 			UpdateLoss:    0.2,
 			PollLoss:      0.1,
 			ReplyLoss:     0.05,

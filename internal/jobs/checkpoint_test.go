@@ -137,7 +137,7 @@ func TestCheckpointFileMatchesEncoder(t *testing.T) {
 	spec.Slots = 2_600
 	spec.Shards = 3
 	spec.SnapshotEvery = 300
-	spec.Faults = &FaultSpec{UpdateLoss: 0.2, PollLoss: 0.1, UpdateRetries: 2, PageRetries: 1}
+	spec.Faults = &locman.FaultPlan{UpdateLoss: 0.2, PollLoss: 0.1, UpdateRetries: 2, PageRetries: 1}
 	cfg, err := spec.NetworkConfig()
 	if err != nil {
 		t.Fatal(err)

@@ -109,9 +109,9 @@ func SpecFlags(fs *flag.FlagSet) func() (Spec, error) {
 		spec.Dynamic = *dynamic
 		spec.ReoptimizeEvery = *reoptEvery
 		if *hetero {
-			spec.Fleet = HeteroFleet(*q, *c)
+			spec.Fleet = locman.HeteroFleet(*q, *c)
 		}
-		faults := FaultSpec{
+		faults := locman.FaultPlan{
 			UpdateLoss:    *loss,
 			PollLoss:      *pollLoss,
 			ReplyLoss:     *replyLoss,
@@ -136,11 +136,11 @@ func SpecFlags(fs *flag.FlagSet) func() (Spec, error) {
 }
 
 // ParseOutages parses the -outage flag: comma-separated start:end slot
-// windows. Windows must be well-formed up front — non-negative start,
-// end strictly after start — matching the FaultPlan validation so a bad
-// flag fails before any simulation work starts.
-func ParseOutages(s string) ([]OutageSpec, error) {
-	var out []OutageSpec
+// windows. It checks the syntax only; the engine's validation, which
+// Spec.Validate runs, refuses a window that is negative, inverted or
+// empty.
+func ParseOutages(s string) ([]locman.Outage, error) {
+	var out []locman.Outage
 	for _, w := range strings.Split(s, ",") {
 		start, end, ok := strings.Cut(w, ":")
 		if !ok {
@@ -154,13 +154,7 @@ func ParseOutages(s string) ([]OutageSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("outage window %q: %v", w, err)
 		}
-		if a < 0 {
-			return nil, fmt.Errorf("outage window %q starts at a negative slot", w)
-		}
-		if b <= a {
-			return nil, fmt.Errorf("outage window %q is inverted or empty", w)
-		}
-		out = append(out, OutageSpec{Start: a, End: b})
+		out = append(out, locman.Outage{Start: a, End: b})
 	}
 	return out, nil
 }

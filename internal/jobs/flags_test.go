@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/locman"
 )
 
 // parseSpec parses args with a fresh SpecFlags set and builds the Spec.
@@ -18,18 +20,21 @@ func parseSpec(args ...string) (Spec, error) {
 	return specOf()
 }
 
+// TestParseOutages parses -outage values. ParseOutages checks the
+// syntax; a window that parses but is negative, inverted or empty must
+// then be refused by Spec.Validate with the engine's error.
 func TestParseOutages(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		in   string
-		want []OutageSpec
+		want []locman.Outage
 		err  string
 	}{
-		{"single", "100:200", []OutageSpec{{Start: 100, End: 200}}, ""},
+		{"single", "100:200", []locman.Outage{{Start: 100, End: 200}}, ""},
 		{"multiple", "100:200,5000:5500",
-			[]OutageSpec{{Start: 100, End: 200}, {Start: 5000, End: 5500}}, ""},
-		{"spaces", " 1 : 2 ", []OutageSpec{{Start: 1, End: 2}}, ""},
-		{"zero start", "0:10", []OutageSpec{{Start: 0, End: 10}}, ""},
+			[]locman.Outage{{Start: 100, End: 200}, {Start: 5000, End: 5500}}, ""},
+		{"spaces", " 1 : 2 ", []locman.Outage{{Start: 1, End: 2}}, ""},
+		{"zero start", "0:10", []locman.Outage{{Start: 0, End: 10}}, ""},
 		{"no colon", "100", nil, "not start:end"},
 		{"garbage start", "x:200", nil, "invalid syntax"},
 		{"garbage end", "100:y", nil, "invalid syntax"},
@@ -41,6 +46,11 @@ func TestParseOutages(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := ParseOutages(tc.in)
+			if err == nil && tc.err != "" {
+				spec := validSpec()
+				spec.Faults = &locman.FaultPlan{Outages: got}
+				err = spec.Validate()
+			}
 			if tc.err != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.err) {
 					t.Fatalf("err = %v, want containing %q", err, tc.err)
@@ -66,9 +76,9 @@ func TestParseOutages(t *testing.T) {
 // scenario it lands in its Spec field, and alongside -scenario it is
 // rejected by its flag name — the only conflict reported.
 func TestSpecFlagsModelFlags(t *testing.T) {
-	faults := func(s Spec) FaultSpec {
+	faults := func(s Spec) locman.FaultPlan {
 		if s.Faults == nil {
-			return FaultSpec{}
+			return locman.FaultPlan{}
 		}
 		return *s.Faults
 	}
@@ -86,7 +96,7 @@ func TestSpecFlagsModelFlags(t *testing.T) {
 		{"partition", "blanket", func(s Spec) any { return s.Partition }, "blanket"},
 		{"dynamic", "true", func(s Spec) any { return s.Dynamic }, true},
 		{"reoptimize-every", "500", func(s Spec) any { return s.ReoptimizeEvery }, int64(500)},
-		{"hetero", "true", func(s Spec) any { return s.Fleet }, HeteroFleet(0.05, 0.01)},
+		{"hetero", "true", func(s Spec) any { return s.Fleet }, locman.HeteroFleet(0.05, 0.01)},
 		{"scheme", "movement", func(s Spec) any { return s.Scheme }, "movement"},
 		{"scheme-param", "6", func(s Spec) any { return s.SchemeParam }, int64(6)},
 		{"loss", "0.1", func(s Spec) any { return faults(s).UpdateLoss }, 0.1},
@@ -95,7 +105,7 @@ func TestSpecFlagsModelFlags(t *testing.T) {
 		{"update-retries", "2", func(s Spec) any { return faults(s).UpdateRetries }, 2},
 		{"ack-timeout", "7", func(s Spec) any { return faults(s).AckTimeout }, int64(7)},
 		{"page-retries", "4", func(s Spec) any { return faults(s).PageRetries }, 4},
-		{"outage", "10:20", func(s Spec) any { return faults(s).Outages }, []OutageSpec{{Start: 10, End: 20}}},
+		{"outage", "10:20", func(s Spec) any { return faults(s).Outages }, []locman.Outage{{Start: 10, End: 20}}},
 	} {
 		arg := "-" + tc.flag + "=" + tc.value
 		spec, err := parseSpec(arg)

@@ -108,7 +108,12 @@ type envelope struct {
 }
 
 // validateRecord checks one decoded record's internal consistency
-// against the sequence number of its predecessor.
+// against the sequence number of its predecessor. A submit record must
+// carry a spec, but the spec is not validated here: Submit validated it
+// before appending, and replay keeps a spec that today's rules refuse,
+// because stopping there would truncate every later record (done
+// results included). Recover validates the specs of the jobs it
+// re-queues instead.
 func validateRecord(rec *Record, prevSeq int64) error {
 	if rec.Schema != JournalSchema {
 		return fmt.Errorf("jobs: journal record schema %d, want %d", rec.Schema, JournalSchema)
@@ -123,9 +128,6 @@ func validateRecord(rec *Record, prevSeq int64) error {
 	case KindSubmit:
 		if rec.Spec == nil {
 			return errors.New("jobs: submit record without a spec")
-		}
-		if err := rec.Spec.Validate(); err != nil {
-			return fmt.Errorf("jobs: submit record spec: %w", err)
 		}
 	case KindState:
 		if !rec.From.Valid() || !rec.To.Valid() {

@@ -131,6 +131,10 @@ type job struct {
 	// terminal state.
 	doneSlots int64
 
+	// specErr is why a replayed job's spec fails Spec.Validate (Recover);
+	// the job then fails at pickup with it instead of running.
+	specErr error
+
 	// done closes when the job reaches a terminal state, and is then
 	// the shared closedDone (settle).
 	done chan struct{}
@@ -347,6 +351,10 @@ func (m *Manager) Recover() error {
 		m.queue = make(chan *job, len(pend))
 	}
 	for _, j := range pend {
+		// The journal keeps each spec as it was accepted, and rules can
+		// tighten between releases: a spec the current ones refuse
+		// fails at pickup with their error rather than running.
+		j.specErr = j.spec.Validate()
 		m.queue <- j
 	}
 	m.recovering = false
@@ -494,10 +502,15 @@ func (m *Manager) runJob(j *job) {
 	m.busy++
 	spec := j.spec
 	prog := j.progress
+	runErr := j.specErr
 	m.mu.Unlock()
 	defer cancel()
 
-	report, raw, runErr := m.runSpec(ctx, j.id, spec, prog)
+	var report *locman.Report
+	var raw []byte
+	if runErr == nil {
+		report, raw, runErr = m.runSpec(ctx, j.id, spec, prog)
+	}
 
 	m.mu.Lock()
 	m.busy--

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -100,7 +101,7 @@ func TestManagerRunsJob(t *testing.T) {
 func TestManagerDeterminism(t *testing.T) {
 	spec := testSpec()
 	spec.SnapshotEvery = 500
-	spec.Faults = &FaultSpec{UpdateLoss: 0.1}
+	spec.Faults = &locman.FaultPlan{UpdateLoss: 0.1}
 
 	m := New(Options{QueueDepth: 4, Workers: 2})
 	defer m.Shutdown(context.Background())
@@ -352,23 +353,40 @@ func TestManagerDeadline(t *testing.T) {
 	}
 }
 
-// TestManagerFailedJob checks that a spec valid at submit time but
-// rejected by the engine's deeper validation surfaces as a failed job
-// carrying the engine's error, not a wedged worker.
+// TestManagerFailedJob checks that a job the engine refuses surfaces as
+// a failed job carrying the engine's error, not a wedged worker. Submit
+// refuses such a spec up front with that same error, so the job enters
+// the way it still can: from a journal that accepted it under older
+// rules.
 func TestManagerFailedJob(t *testing.T) {
-	m := New(Options{QueueDepth: 4, Workers: 1})
-	defer m.Shutdown(context.Background())
-
 	spec := testSpec()
 	d := 60
 	spec.Threshold = &d // exceeds the engine's MaxThreshold default of 50
-	v, err := m.Submit(spec)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
+	const want = "sim: threshold 60 exceeds MaxThreshold 50"
+
+	live := New(Options{QueueDepth: 4, Workers: 1})
+	defer live.Shutdown(context.Background())
+	if _, err := live.Submit(spec); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Submit: err = %v, want containing %q", err, want)
 	}
-	final := waitTerminal(t, m, v.ID)
-	if final.State != StateFailed || final.Error == "" {
-		t.Fatalf("final state = %s (%q), want failed with an error", final.State, final.Error)
+
+	dir := t.TempDir()
+	jl, _, err := OpenJournal(filepath.Join(dir, "journal.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Append(Record{Kind: KindSubmit, Job: "j000001", Spec: &spec, Time: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+	m := New(Options{QueueDepth: 4, Workers: 1, DataDir: dir})
+	if err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown(context.Background())
+	final := waitTerminal(t, m, "j000001")
+	if final.State != StateFailed || !strings.Contains(final.Error, want) {
+		t.Fatalf("final state = %s (%q), want failed with %q", final.State, final.Error, want)
 	}
 }
 

@@ -396,3 +396,57 @@ func TestManagerRecoveryGrowsQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverKeepsRecordsAfterInvalidSpec: a journaled spec that
+// Spec.Validate refuses — one accepted under older rules — must not cost
+// the journal the records after it. OpenJournal keeps every record, the
+// done job behind it still serves its result, and the refused job fails
+// with the validation error instead of running.
+func TestRecoverKeepsRecordsAfterInvalidSpec(t *testing.T) {
+	dir := t.TempDir()
+	bad := testSpec()
+	bad.Terminals = -1
+	good := testSpec()
+	want := referenceResult(t, good)
+	var data []byte
+	for i, rec := range []Record{
+		{Kind: KindSubmit, Job: "j000001", Spec: &bad},
+		{Kind: KindSubmit, Job: "j000002", Spec: &good},
+		{Kind: KindState, Job: "j000002", From: StateQueued, To: StateRunning},
+		{Kind: KindResult, Job: "j000002", Result: want},
+		{Kind: KindState, Job: "j000002", From: StateRunning, To: StateDone},
+	} {
+		rec.Schema, rec.Seq, rec.Time = JournalSchema, int64(i+1), time.Unix(1_700_000_000, 0).UTC()
+		line, err := encodeRecord(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, line...)
+	}
+	path := filepath.Join(dir, "journal.ndjson")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jl, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+	if len(recs) != 5 || !bytes.Equal(mustRead(t, path), data) {
+		t.Fatalf("OpenJournal kept %d of 5 records and %d of %d bytes", len(recs), len(mustRead(t, path)), len(data))
+	}
+
+	m := New(Options{QueueDepth: 4, Workers: 1, DataDir: dir})
+	if err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown(context.Background())
+	got, err := m.Result("j000002")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("done job's result after recovery: %v (%d bytes, want the journaled %d)", err, len(got), len(want))
+	}
+	const named = "jobs: invalid spec: terminals must be positive, got -1"
+	if v := waitTerminal(t, m, "j000001"); v.State != StateFailed || v.Error != named {
+		t.Fatalf("refused job ended %s (%q), want failed with %q", v.State, v.Error, named)
+	}
+}

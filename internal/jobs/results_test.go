@@ -62,11 +62,12 @@ func TestManagerIngestsDoneJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A job that fails at run time (threshold beyond the engine cap)
-	// must not be flattened.
+	// A job that fails at run time (its deadline passes) must not be
+	// flattened.
 	bad := testSpec()
-	d := 60
-	bad.Threshold = &d
+	bad.Terminals = 1_000
+	bad.Slots = 50_000_000
+	bad.TimeoutSec = 0.05
 	v3, err := m.Submit(bad)
 	if err != nil {
 		t.Fatal(err)

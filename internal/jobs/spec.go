@@ -66,7 +66,7 @@ type Spec struct {
 	// Fleet, when non-nil, declares a heterogeneous population by
 	// behavioural group; see locman.Fleet for the interleaving and
 	// jitter semantics.
-	Fleet *FleetSpec `json:"fleet,omitempty"`
+	Fleet *locman.Fleet `json:"fleet,omitempty"`
 	// Terminals is the population size and Slots the run length.
 	Terminals int   `json:"terminals"`
 	Slots     int64 `json:"slots"`
@@ -82,8 +82,10 @@ type Spec struct {
 	Dynamic         bool  `json:"dynamic,omitempty"`
 	ReoptimizeEvery int64 `json:"reoptimize_every,omitempty"`
 	// Faults optionally injects signalling-plane failures and configures
-	// the recovery machinery; nil is a perfect signalling plane.
-	Faults *FaultSpec `json:"faults,omitempty"`
+	// the recovery machinery; nil is a perfect signalling plane. See
+	// locman.FaultPlan, including the ExplicitZero sentinel for
+	// AckTimeout and PageRetries.
+	Faults *locman.FaultPlan `json:"faults,omitempty"`
 	// SnapshotEvery switches on telemetry snapshot frames every N slots;
 	// 0 disables the series.
 	SnapshotEvery int64 `json:"snapshot_every,omitempty"`
@@ -96,97 +98,6 @@ type Spec struct {
 	// TimeoutSec is the per-job wall-clock deadline in seconds; 0 means
 	// no deadline. A job exceeding it fails with a deadline error.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-}
-
-// FleetSpec is the JSON view of locman.Fleet: a heterogeneous terminal
-// population declared by behavioural group. Terminal i belongs to group
-// i mod len(Groups); see locman.Fleet for the jitter semantics.
-type FleetSpec struct {
-	Groups []FleetGroupSpec `json:"groups"`
-}
-
-// FleetGroupSpec is one behavioural class: base movement and call
-// probabilities plus optional relative jitter in [0, 1] that spreads
-// each member's parameters uniformly over [base·(1−j), base·(1+j)].
-type FleetGroupSpec struct {
-	MoveProb float64 `json:"move_prob"`
-	CallProb float64 `json:"call_prob"`
-	QJitter  float64 `json:"q_jitter,omitempty"`
-	CJitter  float64 `json:"c_jitter,omitempty"`
-}
-
-// fleet maps the JSON fleet section onto the engine's Fleet.
-func (f *FleetSpec) fleet() *locman.Fleet {
-	if f == nil {
-		return nil
-	}
-	fl := &locman.Fleet{Groups: make([]locman.FleetGroup, len(f.Groups))}
-	for i, g := range f.Groups {
-		fl.Groups[i] = locman.FleetGroup{
-			MoveProb: g.MoveProb,
-			CallProb: g.CallProb,
-			QJitter:  g.QJitter,
-			CJitter:  g.CJitter,
-		}
-	}
-	return fl
-}
-
-// HeteroFleet is pcnsim's -hetero population in Spec form: eleven groups
-// ramping the movement probability from 0.5x to 1.5x of the base (see
-// locman.HeteroFleet). A job submitted with this fleet is bit-identical
-// to `pcnsim -hetero` at the same parameters — the CLI↔service parity
-// the Spec previously could not express.
-func HeteroFleet(moveProb, callProb float64) *FleetSpec {
-	src := locman.HeteroFleet(moveProb, callProb)
-	fs := &FleetSpec{Groups: make([]FleetGroupSpec, len(src.Groups))}
-	for i, g := range src.Groups {
-		fs.Groups[i] = FleetGroupSpec{
-			MoveProb: g.MoveProb,
-			CallProb: g.CallProb,
-			QJitter:  g.QJitter,
-			CJitter:  g.CJitter,
-		}
-	}
-	return fs
-}
-
-// FaultSpec is the JSON view of locman.FaultPlan; see that type for the
-// field semantics (including the ExplicitZero sentinel for AckTimeout
-// and PageRetries).
-type FaultSpec struct {
-	UpdateLoss    float64      `json:"update_loss,omitempty"`
-	PollLoss      float64      `json:"poll_loss,omitempty"`
-	ReplyLoss     float64      `json:"reply_loss,omitempty"`
-	UpdateRetries int          `json:"update_retries,omitempty"`
-	AckTimeout    int64        `json:"ack_timeout,omitempty"`
-	PageRetries   int          `json:"page_retries,omitempty"`
-	Outages       []OutageSpec `json:"outages,omitempty"`
-}
-
-// OutageSpec is one scheduled HLR outage window in slots [Start, End).
-type OutageSpec struct {
-	Start int64 `json:"start"`
-	End   int64 `json:"end"`
-}
-
-// plan maps the JSON fault section onto the engine's FaultPlan.
-func (f *FaultSpec) plan() locman.FaultPlan {
-	if f == nil {
-		return locman.FaultPlan{}
-	}
-	p := locman.FaultPlan{
-		UpdateLoss:    f.UpdateLoss,
-		PollLoss:      f.PollLoss,
-		ReplyLoss:     f.ReplyLoss,
-		UpdateRetries: f.UpdateRetries,
-		AckTimeout:    f.AckTimeout,
-		PageRetries:   f.PageRetries,
-	}
-	for _, w := range f.Outages {
-		p.Outages = append(p.Outages, locman.Outage{Start: w.Start, End: w.End})
-	}
-	return p
 }
 
 // model resolves the Spec's model name.
@@ -263,8 +174,10 @@ func (s *Spec) NetworkConfig() (locman.NetworkConfig, error) {
 			Threshold:       -1,
 			Dynamic:         s.Dynamic,
 			ReoptimizeEvery: s.ReoptimizeEvery,
-			Fleet:           s.Fleet.fleet(),
-			Faults:          s.Faults.plan(),
+			Fleet:           s.Fleet,
+		}
+		if s.Faults != nil {
+			cfg.Faults = *s.Faults
 		}
 		if s.Scheme != "" || s.SchemeParam != 0 {
 			sch, err := locman.UpdateSchemeByName(s.Scheme, s.SchemeParam)
@@ -311,10 +224,11 @@ func (s *Spec) ResolvedShards() int {
 	return n
 }
 
-// Validate rejects unusable specs with errors phrased for API clients.
-// It covers both the service-level constraints (positive run shape,
-// sane timeout) and the full engine validation, so a Spec that
-// validates here is guaranteed to start simulating when its turn comes.
+// Validate rejects unusable specs with errors phrased for API clients:
+// the run shape the service needs (positive terminals and slots, sane
+// shards and timeout), then locman.ValidateNetwork, the check the engine
+// makes before it starts a run. A Spec that validates here therefore
+// starts simulating when its turn comes.
 func (s *Spec) Validate() error {
 	var problems []string
 	if s.Terminals <= 0 {
@@ -336,20 +250,8 @@ func (s *Spec) Validate() error {
 	if err != nil {
 		return err
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := locman.ValidateNetwork(cfg, s.Slots); err != nil {
 		return fmt.Errorf("jobs: invalid spec: %w", err)
-	}
-	// The embedded Config.Validate covers the average-view parameters
-	// only; check the population and scheme constraints the engine would
-	// otherwise reject at start-of-run, so a Spec that validates here is
-	// guaranteed to start simulating.
-	if cfg.Fleet != nil {
-		if err := cfg.Fleet.Validate(); err != nil {
-			return fmt.Errorf("jobs: invalid spec: %w", err)
-		}
-	}
-	if cfg.Dynamic && cfg.Scheme != nil && cfg.Scheme.Name() != "distance" {
-		return fmt.Errorf("jobs: invalid spec: the dynamic per-user mechanism requires the distance update scheme (got %s)", cfg.Scheme.Name())
 	}
 	return nil
 }

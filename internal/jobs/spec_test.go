@@ -64,21 +64,21 @@ func TestSpecValidate(t *testing.T) {
 		}, "dynamic per-user mechanism requires the distance update scheme"},
 		{"dynamic distance ok", func(s *Spec) { s.Dynamic = true; s.Scheme = "distance" }, ""},
 		{"fleet valid", func(s *Spec) {
-			s.Fleet = &FleetSpec{Groups: []FleetGroupSpec{
+			s.Fleet = &locman.Fleet{Groups: []locman.FleetGroup{
 				{MoveProb: 0.1, CallProb: 0.02, QJitter: 0.5},
 				{MoveProb: 0.3, CallProb: 0.01},
 			}}
 		}, ""},
-		{"hetero fleet valid", func(s *Spec) { s.Fleet = HeteroFleet(0.1, 0.02) }, ""},
-		{"fleet empty", func(s *Spec) { s.Fleet = &FleetSpec{} },
+		{"hetero fleet valid", func(s *Spec) { s.Fleet = locman.HeteroFleet(0.1, 0.02) }, ""},
+		{"fleet empty", func(s *Spec) { s.Fleet = &locman.Fleet{} },
 			"fleet has no groups"},
 		{"fleet bad jitter", func(s *Spec) {
-			s.Fleet = &FleetSpec{Groups: []FleetGroupSpec{
+			s.Fleet = &locman.Fleet{Groups: []locman.FleetGroup{
 				{MoveProb: 0.1, CallProb: 0.02, QJitter: 2},
 			}}
 		}, "fleet group 0: move-probability jitter 2 outside [0, 1]"},
 		{"fleet extreme escapes", func(s *Spec) {
-			s.Fleet = &FleetSpec{Groups: []FleetGroupSpec{
+			s.Fleet = &locman.Fleet{Groups: []locman.FleetGroup{
 				{MoveProb: 0.1, CallProb: 0.02},
 				{MoveProb: 0.8, CallProb: 0.3, QJitter: 0.5},
 			}}
@@ -101,11 +101,11 @@ func TestSpecValidate(t *testing.T) {
 		}, `scenario "baseline" fixes the model; drop the conflicting field(s): move_prob, call_prob, update_cost, poll_cost, max_delay, scheme, scheme_param`},
 		{"scenario vs fleet", func(s *Spec) {
 			*s = Spec{Scenario: "mixed-fleet", Terminals: 10, Slots: 1_000,
-				Fleet: HeteroFleet(0.1, 0.02)}
+				Fleet: locman.HeteroFleet(0.1, 0.02)}
 		}, "drop the conflicting field(s): fleet"},
 		{"scenario vs faults", func(s *Spec) {
 			*s = Spec{Scenario: "flash-crowd", Terminals: 10, Slots: 1_000,
-				Faults: &FaultSpec{UpdateLoss: 0.1}}
+				Faults: &locman.FaultPlan{UpdateLoss: 0.1}}
 		}, "drop the conflicting field(s): faults"},
 		{"scenario vs dynamic", func(s *Spec) {
 			*s = Spec{Scenario: "baseline", Terminals: 10, Slots: 1_000, Dynamic: true}
@@ -171,13 +171,13 @@ func TestSpecScenarioMapping(t *testing.T) {
 }
 
 // TestSpecHeteroFleetParity holds the Spec's fleet path to the parity
-// contract: a Spec carrying jobs.HeteroFleet must produce the same
-// network configuration semantics as pcnsim -hetero — same groups, same
-// interleaving — by matching locman.HeteroFleet exactly.
+// contract: the fleet pcnsim -hetero puts in a Spec must reach the
+// network configuration unchanged — same groups, same interleaving — by
+// matching locman.HeteroFleet exactly.
 func TestSpecHeteroFleetParity(t *testing.T) {
 	s := validSpec()
 	s.MoveProb, s.CallProb = 0.1, 0.02
-	s.Fleet = HeteroFleet(0.1, 0.02)
+	s.Fleet = locman.HeteroFleet(0.1, 0.02)
 	cfg, err := s.NetworkConfig()
 	if err != nil {
 		t.Fatal(err)

@@ -421,3 +421,43 @@ func TestServerMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRefusesWhatTheEngineRefuses holds the submit gate to the
+// engine's own checks: each spec below is one the engine refuses at
+// pickup (or, for the negative re-optimization period, one the columnar
+// engine would never finish). Spec.Validate must refuse it with the
+// engine's message, and POST /api/v1/jobs must answer 400 with it.
+func TestSubmitRefusesWhatTheEngineRefuses(t *testing.T) {
+	srv, _ := newTestServer(t, jobs.Options{Workers: 1}, Options{})
+	const base = `"move_prob":0.05,"call_prob":0.01,"update_cost":100,"poll_cost":10,` +
+		`"max_delay":3,"terminals":10,"slots":100,"shards":1,"seed":1`
+	for _, tc := range []struct{ extra, want string }{
+		{`"faults":{"update_loss":2}`, "sim: update loss probability 2 outside [0,1)"},
+		{`"faults":{"update_retries":-3}`, "sim: negative update retry budget -3"},
+		{`"faults":{"page_retries":100000}`, "needs more polling ticks than a slot holds (2048)"},
+		{`"faults":{"outages":[{"start":50,"end":10}]}`, "sim: outage window 0 is inverted or empty"},
+		{`"threshold":60`, "sim: threshold 60 exceeds MaxThreshold 50"},
+		{`"snapshot_every":-5`, "sim: negative telemetry snapshot cadence -5"},
+		{`"dynamic":true,"reoptimize_every":-7`, "sim: negative re-optimization period -7"},
+	} {
+		body := "{" + base + "," + tc.extra + "}"
+		var spec jobs.Spec
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			t.Fatalf("%s: %v", tc.extra, err)
+		}
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want containing %q", tc.extra, err, tc.want)
+		}
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), tc.want) {
+			t.Errorf("%s: POST answered %d %s, want 400 containing %q", tc.extra, resp.StatusCode, raw, tc.want)
+		}
+	}
+}

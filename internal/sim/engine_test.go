@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/chain"
 )
@@ -211,5 +213,30 @@ func TestEngineValidation(t *testing.T) {
 	cfg.Engine = Engine(99)
 	if _, err := RunSharded(cfg, 100, 1); err == nil {
 		t.Error("unknown engine value accepted by validation")
+	}
+}
+
+// TestNegativeReoptimizePeriodRejected holds both engines to the
+// validation a negative dynamic re-optimization period must meet: the run
+// is refused before it starts, with the error Validate names. Without
+// the check the columnar engine's stretch bound lies behind the current
+// slot and never advances, so the deadline guards against a hang.
+func TestNegativeReoptimizePeriodRejected(t *testing.T) {
+	cfg := baseConfig(chain.TwoDimExact, 0.2, 0.05, 2, 3)
+	cfg.Terminals = 10
+	cfg.Dynamic = true
+	cfg.ReoptimizeEvery = -7
+	const want = "sim: negative re-optimization period -7"
+	if err := Validate(cfg, 100); err == nil || err.Error() != want {
+		t.Errorf("Validate: err = %v, want %q", err, want)
+	}
+	for _, engine := range []Engine{EngineCols, EngineDES} {
+		cfg.Engine = engine
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, err := RunShardedCtx(ctx, cfg, 100, 1)
+		cancel()
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", engine, err, want)
+		}
 	}
 }

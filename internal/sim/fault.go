@@ -38,28 +38,31 @@ const ExplicitZero = -1
 // Every Bernoulli draw a fault mode takes comes from the affected
 // terminal's own positional RNG stream (stats.SubStream), so injected
 // faults preserve RunSharded's shard-count invariance.
+//
+// The JSON form is the "faults" section of a job Spec; the tags are wire
+// format, and the journal and cluster lease revisions hash their bytes.
 type FaultPlan struct {
 	// UpdateLoss is the probability an uplink location-update message is
 	// lost in transit (per transmission, including retransmissions).
-	UpdateLoss float64
+	UpdateLoss float64 `json:"update_loss,omitempty"`
 	// PollLoss is the probability the downlink poll broadcast into the
 	// terminal's current cell fails to reach it during a paging cycle.
-	PollLoss float64
+	PollLoss float64 `json:"poll_loss,omitempty"`
 	// ReplyLoss is the probability the terminal's uplink paging reply is
 	// lost in transit; the network times the cycle out and keeps searching.
-	ReplyLoss float64
+	ReplyLoss float64 `json:"reply_loss,omitempty"`
 	// UpdateRetries > 0 turns location updates into an acked exchange:
 	// the HLR answers each applied update with a wire.Ack, and the
 	// terminal retransmits after a timeout with exponential backoff, up
 	// to this many retransmissions. An exhausted budget leaves the
 	// terminal desynced until the next page re-centers it. 0 keeps the
 	// paper's unacknowledged datagrams.
-	UpdateRetries int
+	UpdateRetries int `json:"update_retries,omitempty"`
 	// AckTimeout is the first retransmission timeout in scheduler ticks
 	// (0 means DefaultAckTimeout); retry k waits AckTimeout<<k ticks.
 	// ExplicitZero requests a literal zero, which is valid only while
 	// UpdateRetries is 0 (an acked exchange needs a positive timeout).
-	AckTimeout int64
+	AckTimeout int64 `json:"ack_timeout,omitempty"`
 	// PageRetries is the recovery paging round budget (0 means
 	// DefaultPageRetries, ExplicitZero means no recovery rounds: calls
 	// unanswered after the nominal plan are dropped immediately).
@@ -69,18 +72,19 @@ type FaultPlan struct {
 	// ring by ring toward terminals that drifted out after lost updates.
 	// A call still unanswered after the last round is dropped and
 	// counted in Metrics.DroppedCalls.
-	PageRetries int
+	PageRetries int `json:"page_retries,omitempty"`
 	// Outages lists scheduled HLR maintenance windows. While a window is
 	// open, incoming location updates are not applied (and not acked);
 	// they are counted in Metrics.OutageDeferred. Paging still works off
 	// the last applied record.
-	Outages []Outage
+	Outages []Outage `json:"outages,omitempty"`
 }
 
 // Outage is one scheduled HLR outage window: registrations arriving in
 // slots [Start, End) are not applied.
 type Outage struct {
-	Start, End int64
+	Start int64 `json:"start"`
+	End   int64 `json:"end"`
 }
 
 // active reports whether any failure mode or the ack machinery is enabled;

@@ -387,6 +387,13 @@ func (p *runPlan) validateResume(cp *Checkpoint) error {
 	return nil
 }
 
+// Validate reports whether the engines accept cfg for a run of slots
+// slots, with the error a run would fail with; it is the check every run
+// entry point makes before any work starts.
+func Validate(cfg Config, slots int64) error {
+	return validate(cfg.withDefaults(), slots)
+}
+
 // validate rejects unusable configurations; cfg must already carry its
 // defaults.
 func validate(cfg Config, slots int64) error {
@@ -414,6 +421,9 @@ func validate(cfg Config, slots int64) error {
 	}
 	if cfg.Telemetry.SnapshotEvery < 0 {
 		return fmt.Errorf("sim: negative telemetry snapshot cadence %d", cfg.Telemetry.SnapshotEvery)
+	}
+	if cfg.ReoptimizeEvery < 0 {
+		return fmt.Errorf("sim: negative re-optimization period %d", cfg.ReoptimizeEvery)
 	}
 	switch cfg.Engine {
 	case EngineCols, EngineDES:

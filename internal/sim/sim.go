@@ -117,7 +117,7 @@ type Config struct {
 	// EWMAAlpha is the estimator's smoothing constant; 0 means 0.005.
 	EWMAAlpha float64
 	// ReoptimizeEvery is the dynamic re-optimization period in slots;
-	// 0 means 2000.
+	// 0 means 2000, and a negative period is rejected.
 	ReoptimizeEvery int64
 	// MaxThreshold clamps optimized thresholds; 0 means 50 (the paper:
 	// "the optimal distance rarely exceeds 50").

@@ -88,9 +88,7 @@ func TestEngineEquivalence(t *testing.T) {
 		}
 		if dynamic {
 			cfg.ReoptimizeEvery = 500
-			cfg.PerTerminal = func(i int) (float64, float64) {
-				return 0.08 + 0.05*float64(i%4), 0.01 + 0.015*float64(i%3)
-			}
+			cfg.Fleet = rampFleet()
 		}
 		if scheme != nil {
 			cfg.Scheme = scheme

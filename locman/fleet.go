@@ -21,25 +21,25 @@ const fleetSeedSalt = 0x9E3779B97F4A7C15
 // individualizes each member around the base.
 type FleetGroup struct {
 	// MoveProb and CallProb are the group's base q and c.
-	MoveProb float64
-	CallProb float64
+	MoveProb float64 `json:"move_prob"`
+	CallProb float64 `json:"call_prob"`
 	// QJitter and CJitter spread each member's parameters uniformly over
 	// [base·(1−j), base·(1+j)], drawn from the terminal's own parameter
 	// SubStream so the value depends only on (Seed, terminal id) — never
 	// on the shard partition or population ordering. Both must lie in
 	// [0, 1]; zero means every member uses the base exactly.
-	QJitter float64
-	CJitter float64
+	QJitter float64 `json:"q_jitter,omitempty"`
+	CJitter float64 `json:"c_jitter,omitempty"`
 }
 
 // Fleet declares a heterogeneous terminal population: terminal i belongs
 // to Groups[i mod len(Groups)], so the classes interleave evenly at any
-// population size. A Fleet is pure data — unlike the PerTerminal
-// callback it can live in a job Spec, travel over the wire, and be
-// validated up front — and it is the substrate the scenario registry's
-// mixed populations build on.
+// population size. A Fleet is pure data: it is the "fleet" section of a
+// job Spec (the JSON tags are that wire format), it travels to cluster
+// workers, it is validated up front, and it is the substrate the
+// scenario registry's mixed populations build on.
 type Fleet struct {
-	Groups []FleetGroup
+	Groups []FleetGroup `json:"groups"`
 }
 
 // Validate rejects fleets whose parameters could leave [0, 1] or exceed
@@ -69,22 +69,26 @@ func (f *Fleet) Validate() error {
 	return nil
 }
 
-// perTerminal compiles the fleet into the PerTerminal closure the
-// simulator consumes. Groups without jitter take no draws at all, so a
-// jitter-free fleet reproduces its base parameters exactly (HeteroFleet
+// perTerminal compiles the fleet into the sim.Config.PerTerminal hook
+// the simulator consumes. Groups without jitter take no draws at all, so
+// a jitter-free fleet reproduces its base parameters exactly (HeteroFleet
 // relies on this to match the historical -hetero closure bit for bit).
-func (f *Fleet) perTerminal(seed uint64) func(i int) (float64, float64) {
+// Each product sits in an explicit float64 conversion, so no machine may
+// fuse it into a multiply-add (DESIGN §11) and a jittered terminal draws
+// the same parameters on every architecture. That includes r.Float64's
+// own scaling product, which is inlined here.
+func (f *Fleet) perTerminal(seed uint64) func(i int) chain.Params {
 	groups := append([]FleetGroup(nil), f.Groups...)
-	return func(i int) (float64, float64) {
+	return func(i int) chain.Params {
 		g := groups[i%len(groups)]
-		q, c := g.MoveProb, g.CallProb
+		p := chain.Params{Q: g.MoveProb, C: g.CallProb}
 		if g.QJitter != 0 || g.CJitter != 0 {
 			var r stats.RNG
 			r.SeedSubStream(seed^fleetSeedSalt, uint64(i))
-			q *= 1 + g.QJitter*(2*r.Float64()-1)
-			c *= 1 + g.CJitter*(2*r.Float64()-1)
+			p.Q *= 1 + float64(g.QJitter*(float64(2*float64(r.Float64()))-1))
+			p.C *= 1 + float64(g.CJitter*(float64(2*float64(r.Float64()))-1))
 		}
-		return q, c
+		return p
 	}
 }
 

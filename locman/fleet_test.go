@@ -1,56 +1,26 @@
 package locman
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/chain"
 )
 
 // TestHeteroFleetMatchesClosure holds HeteroFleet to its contract: the
-// declarative fleet must reproduce the historical pcnsim -hetero
-// closure bit for bit — full Report bytes, not just headline metrics —
-// so moving the CLI and the job Spec onto the fleet changed nothing.
+// hook the declarative fleet compiles to hands every terminal exactly
+// the parameters of the historical pcnsim -hetero closure, so moving the
+// CLI and the job Spec onto the fleet changed nothing. The report-level
+// half is golden_1d-static-hetero.json, which this fleet reproduces.
 func TestHeteroFleetMatchesClosure(t *testing.T) {
-	base := NetworkConfig{
-		Config: Config{
-			Model:      TwoDimensional,
-			MoveProb:   0.1,
-			CallProb:   0.02,
-			UpdateCost: 100,
-			PollCost:   10,
-			MaxDelay:   3,
-		},
-		Terminals:     26, // not a multiple of 11, so the ramp wraps unevenly
-		Threshold:     -1,
-		SnapshotEvery: 700,
-		Seed:          13,
-	}
-	run := func(cfg NetworkConfig) []byte {
-		t.Helper()
-		m, err := SimulateNetworkSharded(cfg, 5_000, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.MarshalIndent(NewReport(m), "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-
-	closure := base
-	closure.PerTerminal = func(i int) (float64, float64) {
+	const q, c = 0.1, 0.02
+	per := HeteroFleet(q, c).perTerminal(13)
+	for i := 0; i < 26; i++ { // not a multiple of 11, so the ramp wraps unevenly
 		f := 0.5 + float64(i%11)/10.0 // the historical hardcoded ramp
-		return base.MoveProb * f, base.CallProb
-	}
-	fleet := base
-	fleet.Fleet = HeteroFleet(base.MoveProb, base.CallProb)
-
-	want, got := run(closure), run(fleet)
-	if !bytes.Equal(got, want) {
-		t.Errorf("HeteroFleet diverged from the historical closure:\n%s\nclosure:\n%s", got, want)
+		if got, want := per(i), (chain.Params{Q: q * f, C: c}); got != want {
+			t.Errorf("terminal %d: HeteroFleet gives %+v, the closure gave %+v", i, got, want)
+		}
 	}
 }
 
@@ -117,13 +87,13 @@ func TestFleetPerTerminalDeterminism(t *testing.T) {
 	other := f.perTerminal(43)
 	var differs bool
 	for i := 0; i < 64; i++ {
-		q1, c1 := a(i)
+		p1 := a(i)
+		q1, c1 := p1.Q, p1.C
 		// Same seed: identical from an independent closure instance with
 		// a different call history (b already served terminal 63−i).
 		b(63 - i)
-		q2, c2 := b(i)
-		if q1 != q2 || c1 != c2 {
-			t.Fatalf("terminal %d: (%v, %v) vs (%v, %v) for the same seed", i, q1, c1, q2, c2)
+		if p2 := b(i); p1 != p2 {
+			t.Fatalf("terminal %d: %+v vs %+v for the same seed", i, p1, p2)
 		}
 		g := f.Groups[i%2]
 		if g.QJitter == 0 && g.CJitter == 0 {
@@ -138,7 +108,7 @@ func TestFleetPerTerminalDeterminism(t *testing.T) {
 			if c1 < g.CallProb*(1-g.CJitter) || c1 > g.CallProb*(1+g.CJitter) {
 				t.Fatalf("terminal %d c %v outside jitter range", i, c1)
 			}
-			if oq, _ := other(i); oq == q1 {
+			if other(i).Q == q1 {
 				continue // rare but possible for one terminal; tracked below
 			}
 			differs = true
@@ -146,27 +116,6 @@ func TestFleetPerTerminalDeterminism(t *testing.T) {
 	}
 	if !differs {
 		t.Error("seeds 42 and 43 produced identical jittered parameters throughout")
-	}
-}
-
-// TestFleetPerTerminalExclusive checks the configuration guard: a
-// config carrying both the declarative Fleet and the PerTerminal
-// callback is ambiguous and must be rejected.
-func TestFleetPerTerminalExclusive(t *testing.T) {
-	cfg := NetworkConfig{
-		Config: Config{
-			Model: TwoDimensional, MoveProb: 0.1, CallProb: 0.02,
-			UpdateCost: 100, PollCost: 10, MaxDelay: 3,
-		},
-		Terminals:   4,
-		Threshold:   2,
-		Fleet:       &Fleet{Groups: []FleetGroup{{MoveProb: 0.1, CallProb: 0.02}}},
-		PerTerminal: func(i int) (float64, float64) { return 0.1, 0.02 },
-		Seed:        1,
-	}
-	_, err := SimulateNetworkSharded(cfg, 100, 1)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("Fleet+PerTerminal accepted: %v", err)
 	}
 }
 

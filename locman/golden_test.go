@@ -16,12 +16,6 @@ import (
 // per-user scheme and a heterogeneous population (the pcnsim -hetero
 // parameter ramp, which the Fleet descriptor must reproduce exactly).
 func goldenConfigs() map[string]NetworkConfig {
-	heteroRamp := func(base, c float64) func(i int) (float64, float64) {
-		return func(i int) (float64, float64) {
-			f := 0.5 + float64(i%11)/10.0 // 0.5x .. 1.5x
-			return base * f, c
-		}
-	}
 	return map[string]NetworkConfig{
 		"2d-static-lossy": {
 			Config: Config{
@@ -54,10 +48,10 @@ func goldenConfigs() map[string]NetworkConfig {
 				PollCost:   10,
 				MaxDelay:   3,
 			},
-			Terminals:   12,
-			Threshold:   3,
-			PerTerminal: heteroRamp(0.3, 0.02),
-			Seed:        7,
+			Terminals: 12,
+			Threshold: 3,
+			Fleet:     HeteroFleet(0.3, 0.02),
+			Seed:      7,
 		},
 		"2d-dynamic-clean": {
 			Config: Config{

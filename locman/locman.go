@@ -245,27 +245,14 @@ type NetworkConfig struct {
 	// ReoptimizeEvery is the dynamic re-optimization period in slots
 	// (default 2000).
 	ReoptimizeEvery int64
-	// PerTerminal optionally supplies heterogeneous (moveProb, callProb)
-	// per terminal index. Mutually exclusive with Fleet; prefer Fleet,
-	// which is declarative (expressible in a job Spec) and validated up
-	// front.
-	PerTerminal func(i int) (moveProb, callProb float64)
 	// Fleet optionally declares a heterogeneous population as data; see
-	// Fleet. Mutually exclusive with PerTerminal.
+	// Fleet. Nil means every terminal uses Config's MoveProb and CallProb.
 	Fleet *Fleet
 	// Scheme selects the location-update trigger: nil means the paper's
 	// distance scheme. TimerUpdate and MovementUpdate select the
 	// comparative literature's alternatives; Threshold keeps its meaning
 	// as the paging radius in every scheme. See UpdateScheme.
 	Scheme UpdateScheme
-	// UpdateLossProb injects signalling failures: each location-update
-	// message is lost with this probability, forcing occasional
-	// expanding-ring fallback paging (see NetworkMetrics.FallbackCalls).
-	//
-	// Deprecated: set Faults.UpdateLoss instead, which it aliases; a
-	// nonzero UpdateLossProb is folded into Faults when Faults.UpdateLoss
-	// is zero.
-	UpdateLossProb float64
 	// Faults injects the full fault model — update/poll/reply loss, HLR
 	// outage windows — and configures the recovery machinery (acked
 	// updates with retransmission, recovery paging rounds, dropped-call
@@ -376,7 +363,23 @@ type Progress = telemetry.Progress
 // ShardStatus is one shard's progress as reported by Progress.Snapshot.
 type ShardStatus = telemetry.ShardStatus
 
-func (cfg NetworkConfig) simConfig() (sim.Config, error) {
+// ValidateNetwork reports whether cfg describes a run of slots slots that
+// the simulator will start, with the error the run would fail with. It
+// makes exactly the checks every SimulateNetwork* entry point makes
+// before any work starts.
+func ValidateNetwork(cfg NetworkConfig, slots int64) error {
+	_, err := cfg.simConfig(slots)
+	return err
+}
+
+// simConfig builds the simulator configuration for a run of slots slots
+// and checks it: the analytical parameters (Config.Validate), the fleet
+// (Fleet.Validate), then everything the engines check (sim.Validate). It
+// is the one place a run is validated; every entry point calls it.
+func (cfg NetworkConfig) simConfig(slots int64) (sim.Config, error) {
+	if err := cfg.Validate(); err != nil {
+		return sim.Config{}, err
+	}
 	sc := sim.Config{
 		Core:            cfg.internal(),
 		Terminals:       cfg.Terminals,
@@ -393,13 +396,7 @@ func (cfg NetworkConfig) simConfig() (sim.Config, error) {
 		Seed:   cfg.Seed,
 		Engine: cfg.Engine,
 	}
-	if sc.Faults.UpdateLoss == 0 {
-		sc.Faults.UpdateLoss = cfg.UpdateLossProb
-	}
-	switch {
-	case cfg.Fleet != nil && cfg.PerTerminal != nil:
-		return sim.Config{}, fmt.Errorf("locman: Fleet and PerTerminal are mutually exclusive")
-	case cfg.Fleet != nil:
+	if cfg.Fleet != nil {
 		// A fleet is rejected whole before the run starts: every group's
 		// jitter extremes must be valid parameters, so no terminal can be
 		// built invalid (the per-terminal shard-build check then never
@@ -407,26 +404,17 @@ func (cfg NetworkConfig) simConfig() (sim.Config, error) {
 		if err := cfg.Fleet.Validate(); err != nil {
 			return sim.Config{}, err
 		}
-		per := cfg.Fleet.perTerminal(cfg.Seed)
-		sc.PerTerminal = func(i int) chain.Params {
-			q, c := per(i)
-			return chain.Params{Q: q, C: c}
-		}
-	case cfg.PerTerminal != nil:
-		sc.PerTerminal = func(i int) chain.Params {
-			q, c := cfg.PerTerminal(i)
-			return chain.Params{Q: q, C: c}
-		}
+		sc.PerTerminal = cfg.Fleet.perTerminal(cfg.Seed)
+	}
+	if err := sim.Validate(sc, slots); err != nil {
+		return sim.Config{}, err
 	}
 	return sc, nil
 }
 
 // SimulateNetwork runs the PCN system simulator for the given slots.
 func SimulateNetwork(cfg NetworkConfig, slots int64) (*NetworkMetrics, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sc, err := cfg.simConfig()
+	sc, err := cfg.simConfig(slots)
 	if err != nil {
 		return nil, err
 	}
@@ -452,10 +440,7 @@ func SimulateNetworkSharded(cfg NetworkConfig, slots int64, shards int) (*Networ
 // simulation. This is the entry point long-running services (pcnserve)
 // use to honour job cancellation and per-job deadlines.
 func SimulateNetworkShardedCtx(ctx context.Context, cfg NetworkConfig, slots int64, shards int) (*NetworkMetrics, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sc, err := cfg.simConfig()
+	sc, err := cfg.simConfig(slots)
 	if err != nil {
 		return nil, err
 	}

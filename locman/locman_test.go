@@ -156,9 +156,12 @@ func TestSimulateNetworkPerTerminal(t *testing.T) {
 		Config:    valid(),
 		Terminals: 4,
 		Threshold: 1,
-		PerTerminal: func(i int) (float64, float64) {
-			return 0.02 + 0.01*float64(i), 0.01
-		},
+		Fleet: &Fleet{Groups: []FleetGroup{
+			{MoveProb: 0.02, CallProb: 0.01},
+			{MoveProb: 0.03, CallProb: 0.01},
+			{MoveProb: 0.04, CallProb: 0.01},
+			{MoveProb: 0.05, CallProb: 0.01},
+		}},
 		Seed: 2,
 	}, 20_000)
 	if err != nil {

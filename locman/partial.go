@@ -29,10 +29,7 @@ type PartialMismatchError = sim.PartialMismatchError
 // differ across machines). Cancelling ctx stops in-flight shards within
 // a bounded amount of work.
 func SimulateNetworkSlice(ctx context.Context, cfg NetworkConfig, slots int64, shards, lo, hi int) (*Partial, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sc, err := cfg.simConfig()
+	sc, err := cfg.simConfig(slots)
 	if err != nil {
 		return nil, err
 	}
@@ -45,10 +42,7 @@ func SimulateNetworkSlice(ctx context.Context, cfg NetworkConfig, slots int64, s
 // same configuration would produce, bit for bit. Partials from a
 // different run shape are rejected with *PartialMismatchError.
 func MergeNetworkPartials(cfg NetworkConfig, slots int64, shards int, parts []*Partial) (*NetworkMetrics, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sc, err := cfg.simConfig()
+	sc, err := cfg.simConfig(slots)
 	if err != nil {
 		return nil, err
 	}
