@@ -8,37 +8,27 @@ import (
 	"testing"
 )
 
-// goldenConfigs are the pinned distance-scheme configurations: the
-// committed fixtures were generated before the update-scheme extraction,
-// so a passing run proves the refactored engines still produce the
-// pre-refactor reports byte-for-byte. The cases deliberately cover both
-// grids, the fault/recovery machinery, telemetry frames, the dynamic
-// per-user scheme and a heterogeneous population (the pcnsim -hetero
-// parameter ramp, which the Fleet descriptor must reproduce exactly).
+// goldenConfigs are the pinned report configurations. The distance-scheme
+// fixtures were generated before the update-scheme extraction, and the
+// timer and movement fixtures before the paging exchange was written as
+// one set of stages, so a passing run proves the refactored engines still
+// produce the pre-refactor reports byte-for-byte. The cases deliberately
+// cover both grids, all three update schemes, the fault/recovery
+// machinery (recovery rounds, dropped calls, the timer deadline),
+// telemetry frames, the dynamic per-user scheme and a heterogeneous
+// population (the pcnsim -hetero parameter ramp, which the Fleet
+// descriptor must reproduce exactly).
 func goldenConfigs() map[string]NetworkConfig {
+	lossy := goldenLossy()
+	timer := lossy
+	timer.Scheme = TimerUpdate(37)
+	movement := lossy
+	movement.Model = OneDimensional
+	movement.Scheme = MovementUpdate(5)
 	return map[string]NetworkConfig{
-		"2d-static-lossy": {
-			Config: Config{
-				Model:      TwoDimensional,
-				MoveProb:   0.2,
-				CallProb:   0.04,
-				UpdateCost: 50,
-				PollCost:   1,
-				MaxDelay:   3,
-			},
-			Terminals: 9,
-			Threshold: 2,
-			Faults: FaultPlan{
-				UpdateLoss:    0.25,
-				PollLoss:      0.15,
-				ReplyLoss:     0.1,
-				UpdateRetries: 2,
-				PageRetries:   3,
-				Outages:       []Outage{{Start: 300, End: 450}},
-			},
-			SnapshotEvery: 400,
-			Seed:          11,
-		},
+		"2d-static-lossy":   lossy,
+		"2d-timer-lossy":    timer,
+		"1d-movement-lossy": movement,
 		"1d-static-hetero": {
 			Config: Config{
 				Model:      OneDimensional,
@@ -72,14 +62,42 @@ func goldenConfigs() map[string]NetworkConfig {
 	}
 }
 
+// goldenLossy is the 2-D distance-scheme shape with every fault kind and
+// an outage; the timer and movement goldens reuse it with their trigger.
+func goldenLossy() NetworkConfig {
+	return NetworkConfig{
+		Config: Config{
+			Model:      TwoDimensional,
+			MoveProb:   0.2,
+			CallProb:   0.04,
+			UpdateCost: 50,
+			PollCost:   1,
+			MaxDelay:   3,
+		},
+		Terminals: 9,
+		Threshold: 2,
+		Faults: FaultPlan{
+			UpdateLoss:    0.25,
+			PollLoss:      0.15,
+			ReplyLoss:     0.1,
+			UpdateRetries: 2,
+			PageRetries:   3,
+			Outages:       []Outage{{Start: 300, End: 450}},
+		},
+		SnapshotEvery: 400,
+		Seed:          11,
+	}
+}
+
 const goldenSlots = 1_500
 
-// TestGoldenDistanceReport pins the distance-based update scheme to its
-// pre-refactor output: the full Report JSON of each golden configuration
-// must match the committed fixture byte-for-byte, on every engine.
-// Regenerate with `go test ./locman -run TestGoldenDistanceReport -update`
-// — but only when a change is *supposed* to alter distance-scheme
-// results, which almost nothing is.
+// TestGoldenDistanceReport pins the update schemes (distance, timer and
+// movement) to their pre-refactor output: the full Report JSON of each
+// golden configuration must match the committed fixture byte-for-byte, on
+// every engine. Regenerate with
+// `go test ./locman -run TestGoldenDistanceReport -update` — but only when
+// a change is *supposed* to alter simulated results, which almost nothing
+// is.
 func TestGoldenDistanceReport(t *testing.T) {
 	for name, cfg := range goldenConfigs() {
 		t.Run(name, func(t *testing.T) {
