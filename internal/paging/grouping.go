@@ -72,7 +72,7 @@ func (g Grouping) ExpectedCells(ringSizes []int, pi []float64) float64 {
 		for _, r := range group {
 			mass += pi[r]
 		}
-		e += mass * float64(cum)
+		e += float64(mass * float64(cum))
 	}
 	return e
 }
@@ -85,7 +85,7 @@ func (g Grouping) ExpectedDelay(pi []float64) float64 {
 		for _, r := range group {
 			mass += pi[r]
 		}
-		e += mass * float64(j+1)
+		e += float64(mass * float64(j+1))
 	}
 	return e
 }
@@ -165,7 +165,7 @@ func ProbOrderDP(ringSizes []int, pi []float64, m int) Grouping {
 				if cost[j-1][k] >= inf {
 					continue
 				}
-				c := cost[j-1][k] + (mass[i]-mass[k])*float64(cells[i])
+				c := cost[j-1][k] + float64((mass[i]-mass[k])*float64(cells[i]))
 				if c < cost[j][i] {
 					cost[j][i] = c
 					prev[j][i] = k

@@ -83,7 +83,7 @@ func (p Partition) ExpectedCells(pi []float64) float64 {
 	probs := p.SubareaProbs(pi)
 	e := 0.0
 	for j := range p {
-		e += probs[j] * float64(w[j])
+		e += float64(probs[j] * float64(w[j]))
 	}
 	return e
 }
@@ -94,7 +94,7 @@ func (p Partition) ExpectedDelay(pi []float64) float64 {
 	probs := p.SubareaProbs(pi)
 	e := 0.0
 	for j := range p {
-		e += probs[j] * float64(j+1)
+		e += float64(probs[j] * float64(j+1))
 	}
 	return e
 }

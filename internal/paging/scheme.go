@@ -164,7 +164,7 @@ func (OptimalDP) Partition(ringSizes []int, pi []float64, m int) Partition {
 				if cost[j-1][k] == inf {
 					continue
 				}
-				c := cost[j-1][k] + (mass[i]-mass[k])*float64(cells[i])
+				c := cost[j-1][k] + float64((mass[i]-mass[k])*float64(cells[i]))
 				if c < cost[j][i] {
 					cost[j][i] = c
 					prev[j][i] = k

@@ -240,3 +240,21 @@ func TestNegativeReoptimizePeriodRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativePopulationRejected: only a zero population defaults to one
+// terminal; a negative count is refused by name, by Validate and by both
+// engines, instead of running one terminal.
+func TestNegativePopulationRejected(t *testing.T) {
+	cfg := baseConfig(chain.TwoDimExact, 0.2, 0.05, 2, 3)
+	cfg.Terminals = -5
+	const want = "sim: negative population -5"
+	if err := Validate(cfg, 100); err == nil || err.Error() != want {
+		t.Errorf("Validate: err = %v, want %q", err, want)
+	}
+	for _, engine := range []Engine{EngineCols, EngineDES} {
+		cfg.Engine = engine
+		if _, err := RunSharded(cfg, 100, 1); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", engine, err, want)
+		}
+	}
+}

@@ -103,7 +103,8 @@ type Config struct {
 	// Core carries the mobility model, default per-terminal parameters,
 	// unit costs, the paging delay bound and the partitioning scheme.
 	Core core.Config
-	// Terminals is the population size; 0 means 1.
+	// Terminals is the population size; 0 means 1 and a negative count is
+	// refused.
 	Terminals int
 	// Threshold is the static update threshold every terminal starts
 	// with. Negative means "network-optimized": the optimal threshold for
@@ -155,7 +156,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Terminals <= 0 {
+	if c.Terminals == 0 {
 		c.Terminals = 1
 	}
 	if c.EWMAAlpha == 0 {

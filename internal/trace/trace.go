@@ -178,12 +178,7 @@ func Replay(tr *Trace, d, m int, costs core.Costs, scheme paging.Scheme) (Result
 	}
 	part := scheme.Partition(rings, pi, m)
 	w := part.CumulativeCells()
-	ringSub := make([]int, d+1)
-	for j, s := range part {
-		for i := s.FirstRing; i <= s.LastRing; i++ {
-			ringSub[i] = j
-		}
-	}
+	ringSub := paging.FromPartition(part).RingGroup(part.Rings())
 
 	res := Result{Slots: tr.Slots}
 	center := grid.Hex{}

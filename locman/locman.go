@@ -234,7 +234,7 @@ func NearOptimal(cfg Config, correct bool) (Result, error) {
 type NetworkConfig struct {
 	// Config embeds the analytical problem description.
 	Config
-	// Terminals is the population size (default 1).
+	// Terminals is the population size (0 means 1; negative is refused).
 	Terminals int
 	// Threshold is the static threshold; negative means network-optimized
 	// once from Config's parameters.

@@ -274,3 +274,20 @@ func TestUnboundedDelayConstant(t *testing.T) {
 		t.Errorf("unbounded: %+v", res.Best)
 	}
 }
+
+// TestNegativePopulationRejected: a negative population is refused by
+// ValidateNetwork and by SimulateNetworkSharded, not run as one terminal.
+func TestNegativePopulationRejected(t *testing.T) {
+	cfg := NetworkConfig{
+		Config:    Config{Model: TwoDimensional, MoveProb: 0.2, CallProb: 0.05, UpdateCost: 50, PollCost: 1, MaxDelay: 3},
+		Terminals: -5,
+		Threshold: 2,
+	}
+	const want = "sim: negative population -5"
+	if err := ValidateNetwork(cfg, 100); err == nil || err.Error() != want {
+		t.Errorf("ValidateNetwork: err = %v, want %q", err, want)
+	}
+	if m, err := SimulateNetworkSharded(cfg, 100, 2); err == nil || err.Error() != want {
+		t.Errorf("SimulateNetworkSharded: err = %v, want %q (ran %d terminals)", err, want, len(m.PerTerminal))
+	}
+}
