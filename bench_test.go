@@ -23,7 +23,6 @@ import (
 	"repro/internal/paperdata"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 var tableParams = chain.Params{Q: paperdata.TableMoveProb, C: paperdata.TableCallProb}
@@ -409,18 +408,4 @@ func BenchmarkTraceReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(100_000, "slots/op")
-}
-
-// --- Wire codec ---------------------------------------------------------------
-
-// BenchmarkWireEncodeDecode measures the signalling codec.
-func BenchmarkWireEncodeDecode(b *testing.B) {
-	buf := make([]byte, 0, wire.UpdateSize)
-	for i := 0; i < b.N; i++ {
-		u := wire.Update{Terminal: uint32(i), Cell: wire.Cell{Q: int32(i), R: -int32(i)}, Seq: uint32(i), Threshold: 5}
-		buf = u.Encode(buf[:0])
-		if _, err := wire.DecodeUpdate(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -173,7 +173,9 @@ func Stationary(m Model, p Params, d int) ([]float64, error) {
 	resetFromD := pi[d] * m.Up(p, d)
 	for i := d - 1; i >= 0; i-- {
 		up := m.Up(p, i)
-		pi[i] = (pi[i+1]*m.Down(p, i+1) + p.C*tail + resetFromD) / up
+		// The explicit conversions keep every architecture from fusing
+		// the products into multiply-adds (DESIGN §11).
+		pi[i] = (float64(pi[i+1]*m.Down(p, i+1)) + float64(p.C*tail) + resetFromD) / up
 		tail += pi[i]
 		if pi[i] > 1e250 {
 			// The unnormalized probabilities grow geometrically toward

@@ -29,7 +29,7 @@ func Alpha(m Model, p Params) (float64, error) {
 // They satisfy e1·e2 = 1 and e1 + e2 = α; for α = 2 (no call arrivals) the
 // roots coincide at 1.
 func Roots(alpha float64) (e1, e2 float64) {
-	disc := alpha*alpha - 4
+	disc := float64(alpha*alpha) - 4
 	if disc < 0 {
 		disc = 0
 	}
@@ -48,7 +48,7 @@ func chebS(alpha float64, n int) []float64 {
 		s[1] = alpha
 	}
 	for i := 2; i <= n; i++ {
-		s[i] = alpha*s[i-1] - s[i-2]
+		s[i] = float64(alpha*s[i-1]) - s[i-2]
 	}
 	return s
 }
@@ -61,7 +61,7 @@ func chebSPow(alpha float64, i int) float64 {
 	if e1 == e2 {
 		return float64(i + 1)
 	}
-	return (math.Pow(e1, float64(i+1)) - math.Pow(e2, float64(i+1))) / (e1 - e2)
+	return (math.Pow(e1, float64(i+1)) - math.Pow(e2, float64(i+1))) / (float64(e1) - float64(e2))
 }
 
 // StationaryClosedForm returns the steady-state probabilities p_{i,d} using
@@ -137,9 +137,9 @@ func boundary1D(p Params, d int) []float64 {
 			q / (2*q + c),
 		}
 	case 2:
-		den := 9*q*q + 12*q*c + 4*c*c
+		den := float64(9*q*q) + float64(12*q*c) + float64(4*c*c)
 		return []float64{
-			(2*c + q) / (2*c + 3*q),
+			(2*c + q) / (2*c + float64(3*q)),
 			4 * q * (c + q) / den,
 			2 * q * q / den,
 		}
@@ -156,14 +156,14 @@ func boundary2DApprox(p Params, d int) []float64 {
 		return []float64{1}
 	case 1:
 		return []float64{
-			(2*q + 3*c) / (5*q + 3*c),
-			3 * q / (5*q + 3*c),
+			(2*q + float64(3*c)) / (float64(5*q) + float64(3*c)),
+			3 * q / (float64(5*q) + float64(3*c)),
 		}
 	case 2:
-		den := 4*q*q + 7*q*c + 3*c*c
+		den := float64(4*q*q) + float64(7*q*c) + float64(3*c*c)
 		return []float64{
-			(3*c + q) / (3*c + 4*q),
-			q * (3*c + 2*q) / den,
+			(float64(3*c) + q) / (float64(3*c) + float64(4*q)),
+			q * (float64(3*c) + 2*q) / den,
 			q * q / den,
 		}
 	}

@@ -142,7 +142,7 @@ func (c Config) evaluateWith(pi []float64, d int) Breakdown {
 		Threshold:     d,
 		Update:        cu,
 		Paging:        cv,
-		Total:         cu + cv,
+		Total:         float64(cu) + float64(cv), // unfused on every architecture (DESIGN §11)
 		ExpectedDelay: part.ExpectedDelay(pi),
 		MaxCycles:     len(part),
 	}

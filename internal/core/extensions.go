@@ -29,7 +29,7 @@ func (c Config) EvaluateGrouped(d int) (Breakdown, error) {
 		Threshold:     d,
 		Update:        cu,
 		Paging:        cv,
-		Total:         cu + cv,
+		Total:         float64(cu) + float64(cv),
 		ExpectedDelay: g.ExpectedDelay(pi),
 		MaxCycles:     len(g),
 	}, nil

@@ -77,8 +77,6 @@ type ShardCheckpoint struct {
 	// terminal range [Lo, Hi).
 	Slot   int64
 	Lo, Hi int
-	// CallSeq is the shard network's call sequence counter.
-	CallSeq uint32
 	// Terms and HLR hold the per-terminal mobile-side and registry state,
 	// indexed by terminal position within the shard.
 	Terms []TermCheckpoint
@@ -195,10 +193,9 @@ func (s *liveShard) encode() []byte {
 
 // restoreShardCore overlays a shard checkpoint onto freshly-built shard
 // state (newShardNetwork output): terminal structs and columns, RNG
-// positions, the registry, the network's call counter and the metrics
-// state. The engine restores its own scheduler state afterwards. The
-// checkpoint passed validateResume, so its vectors are sized to the
-// shard.
+// positions, the registry and the metrics state. The engine restores its
+// own scheduler state afterwards. The checkpoint passed validateResume,
+// so its vectors are sized to the shard.
 func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardCheckpoint) {
 	for i := range terms {
 		t := &terms[i]
@@ -215,7 +212,6 @@ func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardC
 		rngs[i].SetState(tc.RNG)
 	}
 	copy(n.hlr, sc.HLR)
-	n.callSeq = sc.CallSeq
 	n.metrics.restore(&sc.Metrics)
 }
 

@@ -315,11 +315,15 @@ func getCheckpoint(d *decoder, cp *Checkpoint) {
 	}
 }
 
+// putShardCheckpoint writes a shard's section from its field form. The
+// call slot after the terminal range holds callSlot of the metrics; it
+// keeps the place of a call counter the format once carried, which
+// always equalled it, so no checkpoint byte moved when the counter went.
 func putShardCheckpoint(e *encoder, sc *ShardCheckpoint) {
 	e.varint(sc.Slot)
 	e.varint(int64(sc.Lo))
 	e.varint(int64(sc.Hi))
-	e.uvarint(uint64(sc.CallSeq))
+	e.uvarint(callSlot(&sc.Metrics))
 	e.uvarint(sc.Metrics.Events)
 	putTable(e, sc.Terms, termLayout)
 	putTable(e, sc.HLR, hlrLayout)
@@ -340,15 +344,16 @@ func getShardCheckpoint(d *decoder, sc *ShardCheckpoint) {
 	sc.Slot = d.varint()
 	sc.Lo = d.int()
 	sc.Hi = d.int()
-	if callSeq := d.uvarint(); callSeq <= math.MaxUint32 {
-		sc.CallSeq = uint32(callSeq)
-	} else {
-		d.fail("call sequence %d overflows uint32", callSeq)
-	}
+	calls := d.uvarint()
 	sc.Metrics.Events = d.uvarint()
 	sc.Terms = getTable(d, "terminal", termLayout)
 	sc.HLR = getTable(d, "registry", hlrLayout)
 	getMetrics(d, &sc.Metrics)
+	if want := callSlot(&sc.Metrics); calls != want {
+		// The slot is derived, so a section whose slot disagrees with its
+		// metrics would not encode back to its own bytes.
+		d.fail("call slot %d disagrees with %d calls (want %d)", calls, sc.Metrics.Calls, want)
+	}
 	sc.Snapshots = getFrames(d)
 	sc.Scheds = getScheds(d)
 	sc.PreSweep = getTable(d, "pre-sweep mark", uint64Layout)
@@ -366,6 +371,12 @@ func getShardCheckpoint(d *decoder, sc *ShardCheckpoint) {
 
 var minShardCheckpointSize = sectionSize(putShardCheckpoint, &ShardCheckpoint{})
 
+// callSlot is the value of a shard section's call slot: the shard's
+// calls modulo 2^32.
+func callSlot(m *Metrics) uint64 {
+	return uint64(uint32(m.Calls))
+}
+
 // putLiveShard writes a shard's section from its live state: the bytes
 // putShardCheckpoint writes for a ShardCheckpoint of the same state,
 // field for field, without building one. The registry and the metrics
@@ -382,7 +393,7 @@ func putLiveShard(e *encoder, s *liveShard) {
 	e.varint(s.slot)
 	e.varint(int64(s.lo))
 	e.varint(int64(s.hi))
-	e.uvarint(uint64(n.callSeq))
+	e.uvarint(callSlot(n.metrics))
 	e.uvarint(n.metrics.Events)
 	terms, rngs := s.terms, s.rngs
 	e.table(len(terms), termLayout.kinds, func(lo, hi int, c *cols) {

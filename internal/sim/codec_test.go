@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -160,7 +161,7 @@ func randCheckpoint(r codecRand, engine Engine) *Checkpoint {
 	for range 1 + r.Intn(3) {
 		width := r.n(300)
 		thresholds := r.thresholds()
-		sc := ShardCheckpoint{Slot: r.i64(), Lo: int(r.i64()), Hi: int(r.i64()), CallSeq: uint32(r.u64())}
+		sc := ShardCheckpoint{Slot: r.i64(), Lo: int(r.i64()), Hi: int(r.i64())}
 		events := r.u64()
 		sc.Metrics = randMetrics(r, thresholds, r.n(300))
 		sc.Metrics.Events = events
@@ -260,7 +261,7 @@ func TestDecodeBoundsHostileLength(t *testing.T) {
 			e.varint(1)       // at slot 1,
 			e.varint(0)       // over terminals [0,
 			e.varint(1 << 40) // 2^40),
-			e.uvarint(0)      // call sequence,
+			e.uvarint(0)      // call slot,
 			e.uvarint(0)      // sub-slot events,
 			e.count(1 << 40)  // and 2^40 terminal records
 		}},
@@ -323,6 +324,43 @@ func TestDecodePartialRejectsTableMismatch(t *testing.T) {
 		putFrames(e, nil)
 		if _, err := DecodePartial(framed(partMagic, e.bytes(nil, 0))); !errors.Is(err, ErrMalformedPayload) {
 			t.Errorf("%d terminal stats, %d final thresholds: got %v, want ErrMalformedPayload", tc.counts, tc.finals, err)
+		}
+	}
+}
+
+// TestDecodeRejectsCallSlotMismatch: a shard section's call slot holds
+// its call count modulo 2^32 (callSlot), so decoding refuses, with
+// ErrMalformedPayload, a section whose slot disagrees with its decoded
+// Metrics.Calls; decode∘encode then stays exact.
+func TestDecodeRejectsCallSlotMismatch(t *testing.T) {
+	r := codecRand{rand.New(rand.NewSource(3))}
+	cp := randCheckpoint(r, EngineDES)
+	cp.Shard = cp.Shard[:1]
+	sc := &cp.Shard[0]
+	sc.Metrics.Calls = 1<<32 + 7
+	head := encodePayload(nil, putCheckpointHead, cp)
+	section := encodePayload(nil, putShardCheckpoint, sc)
+	// The slot follows the section's boundary and terminal range.
+	e := &encoder{}
+	e.varint(sc.Slot)
+	e.varint(int64(sc.Lo))
+	e.varint(int64(sc.Hi))
+	at := len(e.buf)
+	slot, n := binary.Uvarint(section[at:])
+	if slot != 7 {
+		t.Fatalf("call slot %d for %d calls, want 7", slot, sc.Metrics.Calls)
+	}
+	withSlot := func(v uint64) []byte {
+		payload := append(slices.Clone(head), section[:at]...)
+		payload = binary.AppendUvarint(payload, v)
+		return framed(ckptMagic, append(payload, section[at+n:]...))
+	}
+	if got, err := DecodeCheckpoint(withSlot(7)); err != nil || got.Shard[0].Metrics.Calls != sc.Metrics.Calls {
+		t.Fatalf("the encoded slot: got %v", err)
+	}
+	for _, v := range []uint64{0, 6, 8, 1<<32 + 7} {
+		if _, err := DecodeCheckpoint(withSlot(v)); !errors.Is(err, ErrMalformedPayload) {
+			t.Errorf("call slot %d for %d calls: got %v, want ErrMalformedPayload", v, sc.Metrics.Calls, err)
 		}
 	}
 }

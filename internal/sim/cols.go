@@ -37,10 +37,7 @@ import (
 //  2. Cross-terminal state is commutative. Terminals meet only in
 //     integer counters, fixed-bucket histograms, per-terminal HLR
 //     records and the threshold-keyed paging-plan cache, so reordering
-//     the sweeps across terminals cannot change any result. (callSeq
-//     values are assigned in a different order, but calls are compared
-//     only for equality within one terminal's paging chain and wire
-//     encodings are fixed-length, so nothing observable shifts.)
+//     the sweeps across terminals cannot change any result.
 //
 //  3. Per-terminal event timing replays the reference tie-break. Within
 //     one terminal, the reference engine orders a queued event against a

@@ -52,11 +52,11 @@ type FaultPlan struct {
 	// lost in transit; the network times the cycle out and keeps searching.
 	ReplyLoss float64 `json:"reply_loss,omitempty"`
 	// UpdateRetries > 0 turns location updates into an acked exchange:
-	// the HLR answers each applied update with a wire.Ack, and the
-	// terminal retransmits after a timeout with exponential backoff, up
-	// to this many retransmissions. An exhausted budget leaves the
-	// terminal desynced until the next page re-centers it. 0 keeps the
-	// paper's unacknowledged datagrams.
+	// the HLR answers each applied update with an ack of wire.AckSize
+	// bytes, and the terminal retransmits after a timeout with
+	// exponential backoff, up to this many retransmissions. An exhausted
+	// budget leaves the terminal desynced until the next page re-centers
+	// it. 0 keeps the paper's unacknowledged datagrams.
 	UpdateRetries int `json:"update_retries,omitempty"`
 	// AckTimeout is the first retransmission timeout in scheduler ticks
 	// (0 means DefaultAckTimeout); retry k waits AckTimeout<<k ticks.

@@ -53,8 +53,6 @@ type network struct {
 	lastD    int
 	lastPart *partInfo
 	first    uint32 // global id of the shard's first terminal
-	callSeq  uint32
-	scratch  []byte // reused encode buffer for byte accounting
 	// win receives the frame fields (frameCounts) in place of metrics;
 	// the engines fold it into metrics before anything reads them. It
 	// points at acc unless the columnar engine counts telemetry
@@ -72,14 +70,6 @@ func (n *network) term(id uint32) *TerminalStats {
 // shard are a bug and fail loudly on the slice bounds check.
 func (n *network) hlrAt(id uint32) *HLRRecord {
 	return &n.hlr[id-n.first]
-}
-
-// makeUpdate builds t's next location update: its current cell and
-// threshold under a fresh sequence number.
-func (n *network) makeUpdate(t *terminal) wire.Update {
-	i := t.id - n.first
-	t.seq++
-	return wire.Update{Terminal: t.id, Cell: n.pos[i], Seq: t.seq, Threshold: uint16(n.thr[i])}
 }
 
 // partitionFor returns (building and caching on demand) the paging plan for
@@ -162,25 +152,37 @@ func (n *network) sendUpdate(t *terminal) {
 	n.transmitUpdate(t)
 }
 
+// register applies t's latest location update to its registry record:
+// its current cell and threshold under sequence number t.seq. A stale
+// sequence number is dropped. The threshold fits the update's 2-byte
+// field (wire.UpdateSize), because validate bounds MaxThreshold far
+// below it.
+func (n *network) register(t *terminal) {
+	i := t.id - n.first
+	if rec := &n.hlr[i]; t.seq > rec.Seq {
+		*rec = HLRRecord{Center: n.pos[i], Seq: t.seq, Threshold: int(n.thr[i])}
+	}
+}
+
 // transmitUpdate performs one uplink transmission of t's current location:
-// the terminal pays for the transmission (cost and bytes) unconditionally;
-// the message reaches the HLR unless the injected signalling loss drops
-// it, and is applied unless a scheduled outage window is open. Stale
-// sequence numbers are discarded on delivery.
+// the terminal pays for the transmission (cost and wire.UpdateSize bytes)
+// unconditionally; the message reaches the HLR unless the injected
+// signalling loss drops it, and is applied unless a scheduled outage
+// window is open. Stale sequence numbers are discarded on delivery.
 func (n *network) transmitUpdate(t *terminal) {
-	u := n.makeUpdate(t)
+	i := t.id - n.first
+	t.seq++
 	// Sending an update (re)centers the terminal's own view on the
 	// reported cell, whatever becomes of the message in transit — and
 	// counts as contact: the movement counter and the timer scheme's
 	// reference slot reset in every scheme (the extra writes take no
 	// draws, so distance results are untouched).
-	n.ctr[t.id-n.first] = u.Cell
+	n.ctr[i] = n.pos[i]
 	t.moves = 0
 	t.lastContact = int64(n.sched.Now() / SlotTicks)
-	n.scratch = u.Encode(n.scratch[:0])
 	n.win.Updates++
-	n.term(u.Terminal).Updates++
-	n.metrics.UpdateBytes += int64(len(n.scratch))
+	n.term(t.id).Updates++
+	n.metrics.UpdateBytes += wire.UpdateSize
 
 	applied := false
 	if n.cfg.Faults.UpdateLoss > 0 && t.rng.Bernoulli(n.cfg.Faults.UpdateLoss) {
@@ -190,22 +192,14 @@ func (n *network) transmitUpdate(t *terminal) {
 		// registration is not applied and no ack is produced.
 		n.metrics.OutageDeferred++
 	} else {
-		dec, err := wire.DecodeUpdate(n.scratch)
-		if err != nil {
-			panic(fmt.Sprintf("sim: self-encoded update failed to decode: %v", err))
-		}
-		if rec := n.hlrAt(dec.Terminal); dec.Seq > rec.Seq {
-			*rec = HLRRecord{Center: dec.Cell, Seq: dec.Seq, Threshold: int(dec.Threshold)}
-		}
+		n.register(t)
 		applied = true
 		if n.cfg.Faults.UpdateRetries > 0 {
 			// The HLR acknowledges the registration; the downlink ack
 			// rides the paging channel and is modeled as reliable.
-			ack := wire.Ack{Terminal: dec.Terminal, Seq: dec.Seq}
-			n.scratch = ack.Encode(n.scratch[:0])
 			n.metrics.Acks++
-			n.metrics.AckBytes += int64(len(n.scratch))
-			t.ackedSeq = dec.Seq
+			n.metrics.AckBytes += wire.AckSize
+			t.ackedSeq = t.seq
 		}
 	}
 	if applied {
@@ -213,14 +207,14 @@ func (n *network) transmitUpdate(t *terminal) {
 	} else {
 		n.markDesynced(t)
 	}
-	if n.cfg.Faults.UpdateRetries > 0 && t.ackedSeq < u.Seq {
+	if n.cfg.Faults.UpdateRetries > 0 && t.ackedSeq < t.seq {
 		// The retransmission timer is the only event species that can be
 		// pending when a checkpoint is taken at a slot boundary (paging
 		// chains complete within the arrival slot — validate enforces it),
 		// so it carries a tag from which Resume rebuilds the closure:
 		// shard-local terminal index and the update's sequence number.
-		seq := u.Seq
-		n.sched.AfterTag(n.cfg.Faults.ackBackoff(t.retries), ackTag(t.id-n.first, seq),
+		seq := t.seq
+		n.sched.AfterTag(n.cfg.Faults.ackBackoff(t.retries), ackTag(i, seq),
 			func() { n.ackTimeout(t, seq) })
 	}
 }
@@ -241,12 +235,6 @@ func (n *network) ackTimeout(t *terminal, seq uint32) {
 	n.transmitUpdate(t)
 }
 
-// register stores a terminal's initial location without charging it as a
-// mechanism update (it models subscription-time provisioning).
-func (n *network) register(u wire.Update) {
-	*n.hlrAt(u.Terminal) = HLRRecord{Center: u.Cell, Seq: u.Seq, Threshold: int(u.Threshold)}
-}
-
 // pollHeard reports whether a poll broadcast covering t's current cell
 // actually reaches it, drawing the injected downlink loss from the
 // terminal's own stream.
@@ -258,37 +246,31 @@ func (n *network) pollHeard(t *terminal) bool {
 	return true
 }
 
-// replyDelivered transmits t's paging reply (the terminal pays the bytes
-// unconditionally) and, unless the injected uplink loss drops it, delivers
-// it to the HLR, which re-centers the record on the replied cell.
-func (n *network) replyDelivered(t *terminal, call uint32) bool {
-	reply := wire.Reply{Terminal: t.id, Cell: n.pos[t.id-n.first], Call: call}
-	n.scratch = reply.Encode(n.scratch[:0])
-	n.metrics.ReplyBytes += int64(len(n.scratch))
+// replyDelivered transmits t's paging reply (the terminal pays
+// wire.ReplySize bytes unconditionally) and, unless the injected uplink
+// loss drops it, delivers it to the HLR, which re-centers the record on
+// the replied cell.
+func (n *network) replyDelivered(t *terminal) bool {
+	n.metrics.ReplyBytes += wire.ReplySize
 	if n.cfg.Faults.ReplyLoss > 0 && t.rng.Bernoulli(n.cfg.Faults.ReplyLoss) {
 		n.metrics.LostReplies++
 		return false
 	}
-	dec, err := wire.DecodeReply(n.scratch)
-	if err != nil {
-		panic(fmt.Sprintf("sim: self-encoded reply failed to decode: %v", err))
-	}
-	n.hlrAt(t.id).Center = dec.Cell
+	i := t.id - n.first
+	n.hlr[i].Center = n.pos[i]
 	return true
 }
 
 // exchange is one paging exchange's fixed state, read by every stage:
-// the registered center and threshold the network pages from (copied at
-// the start, as the exchange's view of the record), the call number, the
-// plan for that threshold, the terminal's true distance from the center
-// (ring) and the plan subarea holding it (target), or −1 when the record
-// cannot contain the terminal (drift after lost or outage-deferred
-// updates): the plan then polls empty and the recovery stages take over.
+// the registered threshold the network pages from (copied at the start,
+// as the exchange's view of the record), the plan for that threshold,
+// the terminal's true distance from the registered center (ring) and the
+// plan subarea holding it (target), or −1 when the record cannot contain
+// the terminal (drift after lost or outage-deferred updates): the plan
+// then polls empty and the recovery stages take over.
 type exchange struct {
 	t         *terminal
-	center    wire.Cell
 	threshold int
-	call      uint32
 	part      paging.Partition
 	ring      int
 	target    int
@@ -299,9 +281,8 @@ type exchange struct {
 // on its stack), and returning it by value would copy it on every call.
 func (n *network) openExchange(x *exchange, t *terminal) {
 	rec := n.hlrAt(t.id)
-	n.callSeq++
 	info := n.partitionFor(rec.Threshold)
-	x.t, x.center, x.threshold, x.call, x.part = t, rec.Center, rec.Threshold, n.callSeq, info.part
+	x.t, x.threshold, x.part = t, rec.Threshold, info.part
 	x.ring = n.loc.dist(n.pos[t.id-n.first], rec.Center)
 	x.target = -1
 	n.win.Calls++
@@ -316,12 +297,11 @@ func (n *network) openExchange(x *exchange, t *terminal) {
 // poll broadcasts stage k of x: the plan's subarea k for k < len(part),
 // else recovery round r = k − len(part) + 1, which blanket-polls every
 // cell within radius threshold+r of the registered center and counts a
-// re-poll. The polls differ only in their target cell, so one
-// representative message is encoded and the bytes are charged for the
-// whole broadcast. heard reports that the poll reached the terminal (the
-// loss draw is taken only when the stage covers its cell); dropped that
-// k is past the FaultPlan.PageRetries budget, so nothing was polled and
-// the call is dropped.
+// re-poll. Each polled cell costs wire.PollSize bytes. heard reports
+// that the poll reached the terminal (the loss draw is taken only when
+// the stage covers its cell); dropped that k is past the
+// FaultPlan.PageRetries budget, so nothing was polled and the call is
+// dropped.
 func (n *network) poll(x *exchange, k int) (heard, dropped bool) {
 	cells, reach := 0, false
 	if k < len(x.part) {
@@ -336,15 +316,9 @@ func (n *network) poll(x *exchange, k int) (heard, dropped bool) {
 		radius := x.threshold + r
 		cells, reach = n.cfg.Core.Model.Grid().DiskSize(radius), x.ring <= radius
 	}
-	cyc := uint8(255)
-	if k < 255 {
-		cyc = uint8(k + 1)
-	}
-	poll := wire.Poll{Terminal: x.t.id, Cell: x.center, Call: x.call, Cycle: cyc}
-	n.scratch = poll.Encode(n.scratch[:0])
 	n.win.PolledCells += int64(cells)
 	n.term(x.t.id).PolledCells += int64(cells)
-	n.metrics.PollBytes += int64(cells * len(n.scratch))
+	n.metrics.PollBytes += int64(cells * wire.PollSize)
 	return reach && n.pollHeard(x.t), false
 }
 
@@ -356,7 +330,7 @@ func (n *network) poll(x *exchange, k int) (heard, dropped bool) {
 // merge in any order.
 func (n *network) resolve(x *exchange, k int, now des.Time) bool {
 	t := x.t
-	if !n.replyDelivered(t, x.call) {
+	if !n.replyDelivered(t) {
 		return false
 	}
 	i := t.id - n.first

@@ -506,8 +506,10 @@ func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (
 		}
 		n.metrics.PerTerminal[i].ID = g
 		// Initial registration (subscription-time provisioning, not a
-		// mechanism update, so it is implicitly acknowledged).
-		n.register(n.makeUpdate(t))
+		// mechanism update, so it is uncharged and implicitly
+		// acknowledged).
+		t.seq++
+		n.register(t)
 		t.ackedSeq = t.seq
 	}
 	return n, terms, rngs, nil

@@ -48,6 +48,9 @@ func TestRunWithOptimalDPScheme(t *testing.T) {
 	if rel := math.Abs(got.TotalCost-want.Total) / want.Total; rel > 0.03 {
 		t.Errorf("DP scheme: simulated %v vs analytical %v", got.TotalCost, want.Total)
 	}
+	if got.Delay.Max() > 3 {
+		t.Errorf("DP scheme: worst delay %v exceeds the bound", got.Delay.Max())
+	}
 }
 
 func TestRunMaxThresholdAtSlotCapacityBoundary(t *testing.T) {

@@ -107,23 +107,63 @@ func TestRunNetworkOptimizedThreshold(t *testing.T) {
 	}
 }
 
+// TestRunByteAccounting: every message is charged its fixed wire size,
+// so each byte counter is its message count times that size, on both
+// engines, with a perfect signalling plane and under every fault at once
+// (update, poll and reply loss, acked retries, paging retries and an HLR
+// outage). A reply is sent for every delivered page and every lost one.
 func TestRunByteAccounting(t *testing.T) {
-	cfg := baseConfig(chain.OneDim, 0.2, 0.05, 2, 2)
-	got, err := Run(cfg, 200_000)
-	if err != nil {
-		t.Fatal(err)
+	lossless := baseConfig(chain.OneDim, 0.2, 0.05, 2, 2)
+	lossy := baseConfig(chain.OneDim, 0.2, 0.05, 2, 2)
+	lossy.Terminals = 9
+	lossy.Faults = FaultPlan{
+		UpdateLoss:    0.2,
+		PollLoss:      0.1,
+		ReplyLoss:     0.1,
+		UpdateRetries: 2,
+		PageRetries:   2,
+		Outages:       []Outage{{Start: 300, End: 500}},
 	}
-	if got.Updates == 0 || got.Calls == 0 {
-		t.Fatal("no traffic simulated")
-	}
-	if got.UpdateBytes != got.Updates*wire.UpdateSize {
-		t.Errorf("update bytes %d, want %d", got.UpdateBytes, got.Updates*wire.UpdateSize)
-	}
-	if got.PollBytes != got.PolledCells*wire.PollSize {
-		t.Errorf("poll bytes %d, want %d", got.PollBytes, got.PolledCells*wire.PollSize)
-	}
-	if got.ReplyBytes != got.Calls*wire.ReplySize {
-		t.Errorf("reply bytes %d, want %d (calls=%d)", got.ReplyBytes, got.Calls*wire.ReplySize, got.Calls)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		slots int64
+	}{
+		{"lossless", lossless, 200_000},
+		{"lossy", lossy, 1_500},
+	} {
+		for _, engine := range []Engine{EngineCols, EngineDES} {
+			cfg := tc.cfg
+			cfg.Engine = engine
+			got, err := Run(cfg, tc.slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := tc.name + "/" + engine.String()
+			if got.Updates == 0 || got.Calls == 0 {
+				t.Fatalf("%s: no traffic simulated", name)
+			}
+			if tc.name == "lossy" && (got.LostUpdates == 0 || got.LostPolls == 0 || got.LostReplies == 0 ||
+				got.Acks == 0 || got.Retransmissions == 0 || got.RePolls == 0 || got.OutageDeferred == 0) {
+				t.Fatalf("%s: a fault went unexercised: %+v", name, got)
+			}
+			if got.UpdateBytes != got.Updates*wire.UpdateSize {
+				t.Errorf("%s: update bytes %d, want %d", name, got.UpdateBytes, got.Updates*wire.UpdateSize)
+			}
+			if got.PollBytes != got.PolledCells*wire.PollSize {
+				t.Errorf("%s: poll bytes %d, want %d", name, got.PollBytes, got.PolledCells*wire.PollSize)
+			}
+			if got.AckBytes != got.Acks*wire.AckSize {
+				t.Errorf("%s: ack bytes %d, want %d", name, got.AckBytes, got.Acks*wire.AckSize)
+			}
+			if replies := got.Delay.N() + got.LostReplies; got.ReplyBytes != replies*wire.ReplySize {
+				t.Errorf("%s: reply bytes %d, want %d (%d answered calls, %d lost replies)",
+					name, got.ReplyBytes, replies*wire.ReplySize, got.Delay.N(), got.LostReplies)
+			}
+			if tc.name == "lossless" && got.Delay.N() != got.Calls {
+				t.Errorf("%s: %d of %d calls answered", name, got.Delay.N(), got.Calls)
+			}
+		}
 	}
 }
 
@@ -223,7 +263,7 @@ func TestRunErrors(t *testing.T) {
 		t.Error("invalid params accepted")
 	}
 	tooBig := good
-	tooBig.Threshold = 100 // above default MaxThreshold 50
+	tooBig.Threshold = 51 // one past the default MaxThreshold 50
 	if _, err := Run(tooBig, 100); err == nil {
 		t.Error("threshold above MaxThreshold accepted")
 	}

@@ -1,236 +1,32 @@
-// Package wire defines the binary signalling messages exchanged between
-// mobile terminals and the fixed network in the PCN system simulator:
-// location updates (uplink), paging polls (downlink, one per polled cell)
-// and paging replies (uplink). The encodings are compact fixed-layout
-// big-endian structures framed by a one-byte type tag, so the simulator can
-// account for signalling bandwidth in bytes as well as in the paper's
-// abstract U/V cost units.
+// Package wire defines the cell identifier and the fixed sizes of the
+// signalling messages exchanged between mobile terminals and the fixed
+// network in the PCN system simulator: location updates (uplink), paging
+// polls (downlink, one per polled cell), paging replies (uplink) and
+// update acks (downlink). Each message has a fixed big-endian layout
+// framed by a one-byte type tag, so its size is a constant: the simulator
+// charges these sizes per message to account for signalling bandwidth in
+// bytes as well as in the paper's abstract U/V cost units.
 package wire
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
-
-// MsgType tags a message on the wire.
-type MsgType uint8
-
-const (
-	// TypeUpdate is a terminal→network location update: "my current cell
-	// is now my center cell".
-	TypeUpdate MsgType = 0x01
-	// TypePoll is a network→cell paging poll: "is terminal T in this
-	// cell?" broadcast on the cell's paging channel.
-	TypePoll MsgType = 0x02
-	// TypeReply is a terminal→network paging reply: "terminal T is here".
-	TypeReply MsgType = 0x03
-	// TypeAck is a network→terminal acknowledgement of a location update,
-	// turning updates into an acked exchange so the terminal can
-	// retransmit when the uplink loses its message or the HLR is down.
-	TypeAck MsgType = 0x04
-)
-
-// String names the message type.
-func (t MsgType) String() string {
-	switch t {
-	case TypeUpdate:
-		return "update"
-	case TypePoll:
-		return "poll"
-	case TypeReply:
-		return "reply"
-	case TypeAck:
-		return "ack"
-	default:
-		return fmt.Sprintf("MsgType(0x%02x)", uint8(t))
-	}
-}
-
-// Cell is a wire-encoded cell identifier: axial coordinates for the
-// hexagonal grid, (index, 0) for the line.
+// Cell is a cell identifier: axial coordinates for the hexagonal grid,
+// (index, 0) for the line.
 type Cell struct {
 	Q, R int32
 }
 
-// Sizes of the fixed-layout encodings, including the type tag.
+// Sizes of the messages in bytes, including the type tag. A terminal id
+// and a sequence or call number take 4 bytes each, a cell 8 (two int32
+// coordinates).
 const (
-	UpdateSize = 1 + 4 + 8 + 4 + 2 // tag, terminal, cell, seq, threshold
-	PollSize   = 1 + 4 + 8 + 4 + 1
-	ReplySize  = 1 + 4 + 8 + 4
-	AckSize    = 1 + 4 + 4 // tag, terminal, seq
+	// UpdateSize is a location update (paper Section 2.2): tag, terminal,
+	// cell, sequence number and a 2-byte update threshold.
+	UpdateSize = 1 + 4 + 8 + 4 + 2
+	// PollSize is one cell's paging poll: tag, terminal, cell, call and a
+	// 1-byte polling cycle.
+	PollSize = 1 + 4 + 8 + 4 + 1
+	// ReplySize is a paging reply: tag, terminal, cell and call.
+	ReplySize = 1 + 4 + 8 + 4
+	// AckSize is an update ack: tag, terminal and the acked sequence
+	// number.
+	AckSize = 1 + 4 + 4
 )
-
-// Update is the location-update message (paper Section 2.2: the terminal
-// reports its location when its distance from the center cell exceeds the
-// threshold).
-type Update struct {
-	Terminal uint32
-	Cell     Cell
-	// Seq numbers the terminal's updates, letting the HLR discard
-	// reordered duplicates.
-	Seq uint32
-	// Threshold is the update threshold distance the terminal is now
-	// operating with, so the network can bound its paging area. Static
-	// schemes send a constant; the dynamic per-user scheme (paper
-	// Section 8, "determined continuously on a per-user basis") sends the
-	// latest re-optimized value.
-	Threshold uint16
-}
-
-// Poll is one polling-cycle probe for one cell (paper Section 2.2's polling
-// cycle, step 1: "sends a polling signal to the target cell").
-type Poll struct {
-	Terminal uint32
-	Cell     Cell
-	// Call identifies the incoming call being routed.
-	Call uint32
-	// Cycle is the polling-cycle index (1-based), bounded by the maximum
-	// paging delay m.
-	Cycle uint8
-}
-
-// Reply is the terminal's answer to a poll received in its current cell.
-type Reply struct {
-	Terminal uint32
-	Cell     Cell
-	Call     uint32
-}
-
-var (
-	// ErrShort reports a truncated buffer.
-	ErrShort = errors.New("wire: short buffer")
-	// ErrType reports a type-tag mismatch.
-	ErrType = errors.New("wire: unexpected message type")
-)
-
-func putCell(b []byte, c Cell) {
-	binary.BigEndian.PutUint32(b, uint32(c.Q))
-	binary.BigEndian.PutUint32(b[4:], uint32(c.R))
-}
-
-func getCell(b []byte) Cell {
-	return Cell{
-		Q: int32(binary.BigEndian.Uint32(b)),
-		R: int32(binary.BigEndian.Uint32(b[4:])),
-	}
-}
-
-// Encode appends the update's wire form to dst and returns the result.
-func (u Update) Encode(dst []byte) []byte {
-	var b [UpdateSize]byte
-	b[0] = byte(TypeUpdate)
-	binary.BigEndian.PutUint32(b[1:], u.Terminal)
-	putCell(b[5:], u.Cell)
-	binary.BigEndian.PutUint32(b[13:], u.Seq)
-	binary.BigEndian.PutUint16(b[17:], u.Threshold)
-	return append(dst, b[:]...)
-}
-
-// DecodeUpdate parses an update message.
-func DecodeUpdate(b []byte) (Update, error) {
-	if len(b) < UpdateSize {
-		return Update{}, ErrShort
-	}
-	if MsgType(b[0]) != TypeUpdate {
-		return Update{}, fmt.Errorf("%w: got %v, want %v", ErrType, MsgType(b[0]), TypeUpdate)
-	}
-	return Update{
-		Terminal:  binary.BigEndian.Uint32(b[1:]),
-		Cell:      getCell(b[5:]),
-		Seq:       binary.BigEndian.Uint32(b[13:]),
-		Threshold: binary.BigEndian.Uint16(b[17:]),
-	}, nil
-}
-
-// Encode appends the poll's wire form to dst and returns the result.
-func (p Poll) Encode(dst []byte) []byte {
-	var b [PollSize]byte
-	b[0] = byte(TypePoll)
-	binary.BigEndian.PutUint32(b[1:], p.Terminal)
-	putCell(b[5:], p.Cell)
-	binary.BigEndian.PutUint32(b[13:], p.Call)
-	b[17] = p.Cycle
-	return append(dst, b[:]...)
-}
-
-// DecodePoll parses a poll message.
-func DecodePoll(b []byte) (Poll, error) {
-	if len(b) < PollSize {
-		return Poll{}, ErrShort
-	}
-	if MsgType(b[0]) != TypePoll {
-		return Poll{}, fmt.Errorf("%w: got %v, want %v", ErrType, MsgType(b[0]), TypePoll)
-	}
-	return Poll{
-		Terminal: binary.BigEndian.Uint32(b[1:]),
-		Cell:     getCell(b[5:]),
-		Call:     binary.BigEndian.Uint32(b[13:]),
-		Cycle:    b[17],
-	}, nil
-}
-
-// Encode appends the reply's wire form to dst and returns the result.
-func (r Reply) Encode(dst []byte) []byte {
-	var b [ReplySize]byte
-	b[0] = byte(TypeReply)
-	binary.BigEndian.PutUint32(b[1:], r.Terminal)
-	putCell(b[5:], r.Cell)
-	binary.BigEndian.PutUint32(b[13:], r.Call)
-	return append(dst, b[:]...)
-}
-
-// DecodeReply parses a reply message.
-func DecodeReply(b []byte) (Reply, error) {
-	if len(b) < ReplySize {
-		return Reply{}, ErrShort
-	}
-	if MsgType(b[0]) != TypeReply {
-		return Reply{}, fmt.Errorf("%w: got %v, want %v", ErrType, MsgType(b[0]), TypeReply)
-	}
-	return Reply{
-		Terminal: binary.BigEndian.Uint32(b[1:]),
-		Cell:     getCell(b[5:]),
-		Call:     binary.BigEndian.Uint32(b[13:]),
-	}, nil
-}
-
-// Ack is the network's acknowledgement of a location update: it echoes the
-// update's sequence number so the terminal can match it against its pending
-// exchange and stop retransmitting.
-type Ack struct {
-	Terminal uint32
-	// Seq echoes the acknowledged update's sequence number.
-	Seq uint32
-}
-
-// Encode appends the ack's wire form to dst and returns the result.
-func (a Ack) Encode(dst []byte) []byte {
-	var b [AckSize]byte
-	b[0] = byte(TypeAck)
-	binary.BigEndian.PutUint32(b[1:], a.Terminal)
-	binary.BigEndian.PutUint32(b[5:], a.Seq)
-	return append(dst, b[:]...)
-}
-
-// DecodeAck parses an ack message.
-func DecodeAck(b []byte) (Ack, error) {
-	if len(b) < AckSize {
-		return Ack{}, ErrShort
-	}
-	if MsgType(b[0]) != TypeAck {
-		return Ack{}, fmt.Errorf("%w: got %v, want %v", ErrType, MsgType(b[0]), TypeAck)
-	}
-	return Ack{
-		Terminal: binary.BigEndian.Uint32(b[1:]),
-		Seq:      binary.BigEndian.Uint32(b[5:]),
-	}, nil
-}
-
-// Peek returns the type tag of an encoded message without decoding it.
-func Peek(b []byte) (MsgType, error) {
-	if len(b) == 0 {
-		return 0, ErrShort
-	}
-	return MsgType(b[0]), nil
-}
