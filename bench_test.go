@@ -22,7 +22,6 @@ import (
 	"repro/internal/paging"
 	"repro/internal/paperdata"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 var tableParams = chain.Params{Q: paperdata.TableMoveProb, C: paperdata.TableCallProb}
@@ -358,7 +357,7 @@ func BenchmarkRunSharded(b *testing.B) {
 // per terminal-slot with one long-running terminal, so the one-time setup
 // amortizes to nothing: slots scale with b.N, making allocs/op the hot
 // loop's true allocation rate — which must be zero. Movement is heavy
-// (q=0.5, threshold crossings send real updates through the wire codec)
+// (q=0.5, threshold crossings send real location updates to the HLR)
 // but calls are off, isolating the slot loop from the paging machinery.
 func BenchmarkHotLoop(b *testing.B) {
 	cfg := sim.Config{
@@ -392,20 +391,4 @@ func BenchmarkBaselineSimulator(b *testing.B) {
 	if _, err := baseline.Simulate(cfg, int64(b.N)+1, 1); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// BenchmarkTraceReplay measures trace replay throughput.
-func BenchmarkTraceReplay(b *testing.B) {
-	tr, err := trace.Generate(grid.TwoDimHex, tableParams, 100_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	costs := core.Costs{Update: 100, Poll: 10}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.Replay(tr, 3, 2, costs, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100_000, "slots/op")
 }

@@ -299,7 +299,7 @@ func measureEngine(p Params, engine sim.Engine, terminals, reps int) Run {
 // measureHotLoop benchmarks a batched engine's steady-state slot loop:
 // one terminal, slots scaling with b.N, calls off so the loop is isolated
 // from the paging machinery (movement stays heavy: q = 0.5 crosses the
-// threshold and sends real updates through the wire codec).
+// threshold and sends real location updates to the HLR).
 func measureHotLoop(engine sim.Engine) HotLoop {
 	cfg := sim.Config{
 		Core: core.Config{

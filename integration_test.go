@@ -1,9 +1,9 @@
 // Integration tests: one operating point evaluated through every
 // independent path in the repository — exact analysis, closed forms, the
 // dense generic Markov solver, power iteration, the discrete-event PCN
-// system and the trace replay — all of which must agree on the paper's
-// C_T. (The baseline package's time-, movement- and distance-based schemes
-// run on the same PCN simulator, so they are not a separate path.)
+// system and the walk solved cell by cell — all of which must agree on the
+// paper's C_T. (The baseline package's time-, movement- and distance-based
+// schemes run on the same PCN simulator, so they are not a separate path.)
 package repro_test
 
 import (
@@ -16,11 +16,13 @@ import (
 	"repro/internal/markov"
 	"repro/internal/paging"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // TestAllPathsAgree evaluates 2-D, q=0.05, c=0.01, U=100, V=10, d=3, m=2
-// through five code paths.
+// through five code paths: the paper's distance chain solved three ways,
+// the PCN simulator, and the cell-level chain, which shares no code with
+// the simulator and, unlike the distance chain, is exact for the hexagonal
+// walk. The simulator is held to both chains.
 func TestAllPathsAgree(t *testing.T) {
 	const (
 		d     = 3
@@ -77,28 +79,33 @@ func TestAllPathsAgree(t *testing.T) {
 		t.Errorf("PCN path: %v vs %v (rel %.3f)", metrics.TotalCost, exact.Total, rel)
 	}
 
-	// Path 5: generated trace replayed through the mechanism.
-	tr, err := trace.Generate(grid.TwoDimHex, params, slots, 77)
+	// Path 5: the walk solved cell by cell on the residing disk, which
+	// does not assume the ring process is lumpable, priced by hand.
+	occ, update, err := markov.CellWalk(grid.TwoDimHex, params, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := trace.Replay(tr, d, m, costs, nil)
-	if err != nil {
-		t.Fatal(err)
+	cell := update*costs.Update + params.C*costs.Poll*part.ExpectedCells(occ)
+	cellDelay := part.ExpectedDelay(occ)
+	if rel := math.Abs(cell-exact.Total) / exact.Total; rel > 0.03 {
+		t.Errorf("cell walk path: %v vs %v (rel %.3f)", cell, exact.Total, rel)
 	}
-	if rel := math.Abs(rep.TotalCost-exact.Total) / exact.Total; rel > 0.03 {
-		t.Errorf("trace path: %v vs %v (rel %.3f)", rep.TotalCost, exact.Total, rel)
+	if rel := math.Abs(metrics.TotalCost-cell) / cell; rel > 0.03 {
+		t.Errorf("PCN path vs cell walk: %v vs %v (rel %.3f)", metrics.TotalCost, cell, rel)
 	}
 
-	// The delay metric agrees across analysis, the PCN system and the
-	// trace replay.
+	// The delay metric agrees across analysis, the cell walk and the PCN
+	// system.
 	for name, got := range map[string]float64{
-		"sim": metrics.Delay.Mean(),
-		"rep": rep.Delay.Mean(),
+		"sim":  metrics.Delay.Mean(),
+		"cell": cellDelay,
 	} {
 		if math.Abs(got-exact.ExpectedDelay) > 0.03 {
 			t.Errorf("%s delay: %v vs analytical %v", name, got, exact.ExpectedDelay)
 		}
+	}
+	if math.Abs(metrics.Delay.Mean()-cellDelay) > 0.03 {
+		t.Errorf("sim delay %v vs cell walk %v", metrics.Delay.Mean(), cellDelay)
 	}
 }
 

@@ -4,10 +4,11 @@
 // partial pivoting) and via power iteration.
 //
 // The location-management model of the paper is a small structured chain
-// with its own O(d) solver in package chain; this package exists as an
-// independent general-purpose solver used to cross-validate that solver and
-// the paper's closed forms, and as a substrate for the baseline schemes
-// whose chains do not share the distance chain's structure.
+// with its own O(d) solver in package chain. This package holds the dense
+// cross-check of that solver and of the paper's closed forms
+// (DistanceChain), and the cell-level chain of the walk (CellWalk), which
+// is exact on the hexagonal grid where the paper's ring-averaged distance
+// chain is not.
 package markov
 
 import (

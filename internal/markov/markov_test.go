@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/chain"
+	"repro/internal/grid"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -173,5 +174,65 @@ func TestDistanceChainErrors(t *testing.T) {
 	}
 	if _, err := DistanceChain(chain.OneDim, chain.Params{Q: 0.1, C: 0}, -1); err == nil {
 		t.Error("negative d accepted")
+	}
+}
+
+// TestCellWalkMatchesDistanceChain holds the cell-level walk to the
+// distance chain where the ring process is lumpable: on the line, where
+// both cells of a ring are mirror images, and on the hexagonal plane for
+// d ≤ 1, where all six cells of ring 1 are corners.
+func TestCellWalkMatchesDistanceChain(t *testing.T) {
+	params := []chain.Params{
+		{Q: 0.05, C: 0.01},
+		{Q: 0.5, C: 0.1},
+		{Q: 0.01, C: 0.3},
+		{Q: 0.9, C: 0},
+	}
+	for _, tc := range []struct {
+		model chain.Model
+		maxD  int
+	}{
+		{chain.OneDim, 8},
+		{chain.TwoDimExact, 1},
+	} {
+		for _, p := range params {
+			for d := 0; d <= tc.maxD; d++ {
+				rings, update, err := CellWalk(tc.model.Grid(), p, d)
+				if err != nil {
+					t.Fatalf("%v %+v d=%d: %v", tc.model, p, d, err)
+				}
+				mc, err := DistanceChain(tc.model, p, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pi, err := mc.Stationary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range pi {
+					if math.Abs(rings[i]-pi[i]) > 1e-12 {
+						t.Errorf("%v %+v d=%d ring %d: cell walk %v vs distance chain %v",
+							tc.model, p, d, i, rings[i], pi[i])
+					}
+				}
+				if want := chain.UpdateProb(tc.model, p, pi); math.Abs(update-want) > 1e-12 {
+					t.Errorf("%v %+v d=%d: update probability %v vs %v", tc.model, p, d, update, want)
+				}
+			}
+		}
+	}
+}
+
+func TestCellWalkErrors(t *testing.T) {
+	for _, k := range []grid.Kind{grid.OneDim, grid.TwoDimHex} {
+		if _, _, err := CellWalk(k, chain.Params{Q: 2, C: 0}, 3); err == nil {
+			t.Errorf("%v: invalid params accepted", k)
+		}
+		if _, _, err := CellWalk(k, chain.Params{Q: 0.6, C: 0.6}, 3); err == nil {
+			t.Errorf("%v: q+c > 1 accepted", k)
+		}
+		if _, _, err := CellWalk(k, chain.Params{Q: 0.1, C: 0}, -1); err == nil {
+			t.Errorf("%v: negative d accepted", k)
+		}
 	}
 }

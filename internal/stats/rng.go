@@ -1,3 +1,9 @@
+// Package stats provides the small measurement substrate used by the
+// simulators: exact integer moments (Moments), geometric event-gap
+// sampling (RNG.EventGap) and a fast deterministic random number generator
+// (splitmix64 seeding an xoshiro256**-style core, with positional
+// per-terminal sub-streams) so simulation results are reproducible across
+// runs and platforms.
 package stats
 
 import "math"

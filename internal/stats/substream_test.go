@@ -50,18 +50,23 @@ func TestSubStreamDistinctStreams(t *testing.T) {
 func TestSubStreamUniformity(t *testing.T) {
 	// Pool draws across many streams of one seed: the ensemble should be
 	// uniform, catching gross inter-stream correlation.
-	var acc Accumulator
+	const n = 200 * 500
+	var sum, sumSq float64
 	for id := uint64(0); id < 200; id++ {
 		r := SubStream(3, id)
 		for i := 0; i < 500; i++ {
-			acc.Add(r.Float64())
+			x := r.Float64()
+			sum += x
+			sumSq += x * x
 		}
 	}
-	if math.Abs(acc.Mean()-0.5) > 0.01 {
-		t.Errorf("ensemble mean %v, want ≈ 0.5", acc.Mean())
+	mean := sum / n
+	variance := (sumSq - sum*mean) / (n - 1)
+	if math.Abs(mean-0.5) > 0.01 {
+		t.Errorf("ensemble mean %v, want ≈ 0.5", mean)
 	}
-	if math.Abs(acc.Variance()-1.0/12) > 0.01 {
-		t.Errorf("ensemble variance %v, want ≈ 1/12", acc.Variance())
+	if math.Abs(variance-1.0/12) > 0.01 {
+		t.Errorf("ensemble variance %v, want ≈ 1/12", variance)
 	}
 }
 
