@@ -219,9 +219,9 @@ func optimizerConfig() core.Config {
 // --- Partition ablation ------------------------------------------------------
 
 // BenchmarkPartitionAblation compares the expected polled cells of the
-// paper's SDF partitioner against per-ring, equal-cells and the DP-optimal
-// partitioner across delay bounds (reported as expected cells per call at
-// d=10, the quality side of the speed/quality trade).
+// paper's SDF partitioner against per-ring, equal-cells, the DP-optimal
+// and the probability-ordered partitioners at m = 3 (reported as expected
+// cells per call at d=10, the quality side of the speed/quality trade).
 func BenchmarkPartitionAblation(b *testing.B) {
 	const d = 10
 	pi, err := chain.Stationary(chain.TwoDimExact, tableParams, d)
@@ -229,7 +229,7 @@ func BenchmarkPartitionAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	rings := grid.TwoDimHex.RingSizes(d)
-	schemes := []paging.Scheme{paging.SDF{}, paging.PerRing{}, paging.EqualCells{}, paging.OptimalDP{}}
+	schemes := []paging.Scheme{paging.SDF{}, paging.PerRing{}, paging.EqualCells{}, paging.OptimalDP{}, paging.ProbOrder{}}
 	for _, s := range schemes {
 		b.Run(s.Name(), func(b *testing.B) {
 			var last float64
@@ -240,14 +240,6 @@ func BenchmarkPartitionAblation(b *testing.B) {
 			b.ReportMetric(last, "cells/call")
 		})
 	}
-	b.Run("prob-order-dp", func(b *testing.B) {
-		var last float64
-		for i := 0; i < b.N; i++ {
-			g := paging.ProbOrderDP(rings, pi, 3)
-			last = g.ExpectedCells(rings, pi)
-		}
-		b.ReportMetric(last, "cells/call")
-	})
 }
 
 // BenchmarkOptimizeMeanDelay measures the soft-QoS (expected-delay-bound)

@@ -67,6 +67,11 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-scheme: %w", err)
 	}
+	if *method == "grouped" {
+		// The grouped method prices the probability-ordered plan, which
+		// no -scheme name selects.
+		scheme = locman.ProbOrder()
+	}
 	cfg := locman.Config{
 		Model:        mdl,
 		MoveProb:     *q,
@@ -80,14 +85,12 @@ func run(args []string, stdout io.Writer) error {
 
 	var res locman.Result
 	switch *method {
-	case "scan":
+	case "scan", "grouped":
 		res, err = locman.Optimize(cfg)
 	case "anneal":
 		res, err = locman.OptimizeAnneal(cfg, locman.AnnealOptions{Seed: *seed})
 	case "near":
 		res, err = locman.NearOptimal(cfg, true)
-	case "grouped":
-		res, err = locman.OptimizeGrouped(cfg)
 	case "mean-delay":
 		res, err = locman.OptimizeMeanDelay(cfg, *meanDelay)
 	default:

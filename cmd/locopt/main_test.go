@@ -100,3 +100,46 @@ func TestRunWritesMap(t *testing.T) {
 		t.Error("map confirmation line missing")
 	}
 }
+
+// TestRunGroupedReportsAndMapsPricedPlan checks that -method grouped
+// names the probability-ordered plan it prices and that -map draws that
+// plan, not the -scheme partition: at this point d* = 6 and the priced
+// plan polls rings 0–3 in cycle 1 and rings 4–6 in cycle 2 (SDF would
+// split after ring 2).
+func TestRunGroupedReportsAndMapsPricedPlan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.svg")
+	var b strings.Builder
+	err := run([]string{"-method", "grouped", "-model", "2d", "-q", "0.3", "-c", "0.001",
+		"-m", "2", "-map", path}, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"partition       prob-order\n", "optimal d*      6\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ring→cycle [0 0 0 0 1 1 1]: 1+6+12+18 = 37 cells in the first
+	// cycle's colour, 24+30+36 = 90 in the second's.
+	cycleCells := map[string]int{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "<polygon") {
+			fill := line[strings.Index(line, `fill="`)+6:]
+			cycleCells[fill[:strings.Index(fill, `"`)]]++
+		}
+	}
+	if got, want := cycleCells["#c6dbef"], 37; got != want {
+		t.Errorf("map paints %d cells in cycle 1, want %d (%v)", got, want, cycleCells)
+	}
+	if got, want := cycleCells["#9ecae1"], 90; got != want {
+		t.Errorf("map paints %d cells in cycle 2, want %d (%v)", got, want, cycleCells)
+	}
+	if !strings.Contains(string(data), "(prob-order)") {
+		t.Error("map title does not name the priced plan")
+	}
+}

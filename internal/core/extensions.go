@@ -5,60 +5,7 @@ import (
 	"math"
 
 	"repro/internal/chain"
-	"repro/internal/paging"
 )
-
-// EvaluateGrouped computes the cost breakdown at threshold d using the
-// probability-ordered optimal grouping (paging.ProbOrderDP) instead of a
-// contiguous partition — the strongest form of the paper's future-work
-// item on optimal residing-area partitioning. The delay bound cfg.MaxDelay
-// still caps the number of polling cycles.
-func (c Config) EvaluateGrouped(d int) (Breakdown, error) {
-	if err := c.Validate(); err != nil {
-		return Breakdown{}, err
-	}
-	pi, err := chain.Stationary(c.Model, c.Params, d)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	rings := c.Model.Grid().RingSizes(d)
-	g := paging.ProbOrderDP(rings, pi, c.MaxDelay)
-	cu := c.updateProb(pi, d) * c.Costs.Update
-	cv := c.Params.C * c.Costs.Poll * g.ExpectedCells(rings, pi)
-	return Breakdown{
-		Threshold:     d,
-		Update:        cu,
-		Paging:        cv,
-		Total:         float64(cu) + float64(cv),
-		ExpectedDelay: g.ExpectedDelay(pi),
-		MaxCycles:     len(g),
-	}, nil
-}
-
-// ScanGrouped is Scan with the probability-ordered optimal grouping.
-func ScanGrouped(cfg Config, maxD int) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if maxD <= 0 {
-		maxD = DefaultMaxThreshold
-	}
-	res := Result{Curve: make([]float64, maxD+1)}
-	best := Breakdown{Total: math.Inf(1)}
-	for d := 0; d <= maxD; d++ {
-		b, err := cfg.EvaluateGrouped(d)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Curve[d] = b.Total
-		res.Evaluations++
-		if b.Total < best.Total {
-			best = b
-		}
-	}
-	res.Best = best
-	return res, nil
-}
 
 // DelayDistribution returns the probability that a call is resolved in
 // exactly cycle j+1 (index j) when operating at threshold d under the
@@ -103,15 +50,13 @@ func OptimizeMeanDelay(cfg Config, meanDelay float64, maxD int) (Result, error) 
 		if err != nil {
 			return Result{}, err
 		}
-		rings := cfg.Model.Grid().RingSizes(d)
 		for m := 1; m <= d+1; m++ {
-			part := cfg.scheme().Partition(rings, pi, m)
-			if part.ExpectedDelay(pi) > meanDelay {
-				continue
-			}
 			mcfg := cfg
 			mcfg.MaxDelay = m
 			b := mcfg.evaluateWith(pi, d)
+			if b.ExpectedDelay > meanDelay {
+				continue
+			}
 			res.Evaluations++
 			if b.Total < best.Total {
 				best = b

@@ -16,7 +16,9 @@ func TestEvaluateGroupedNeverWorseThanSDF(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			grouped, err := cfg.EvaluateGrouped(d)
+			gcfg := cfg
+			gcfg.Scheme = paging.ProbOrder{}
+			grouped, err := gcfg.Evaluate(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +41,8 @@ func TestScanGroupedImprovesOptimalCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, err := ScanGrouped(cfg, 40)
+	cfg.Scheme = paging.ProbOrder{}
+	grouped, err := Scan(cfg, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,17 +158,8 @@ func TestOptimizeMeanDelayErrors(t *testing.T) {
 	if _, err := OptimizeMeanDelay(bad, 2, 10); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := cfg.EvaluateGrouped(-1); err == nil {
-		t.Error("negative d accepted by EvaluateGrouped")
-	}
-	if _, err := bad.EvaluateGrouped(1); err == nil {
-		t.Error("invalid config accepted by EvaluateGrouped")
-	}
 	if _, err := bad.DelayDistribution(1); err == nil {
 		t.Error("invalid config accepted by DelayDistribution")
-	}
-	if _, err := ScanGrouped(bad, 5); err == nil {
-		t.Error("invalid config accepted by ScanGrouped")
 	}
 }
 

@@ -17,6 +17,13 @@ func uniformProbs(n int) []float64 {
 	return pi
 }
 
+// span returns a subarea's first and last ring and whether its rings run
+// consecutively between them.
+func span(s Subarea) (first, last int, contiguous bool) {
+	first, last = s.Rings[0], s.Rings[len(s.Rings)-1]
+	return first, last, last-first+1 == len(s.Rings)
+}
+
 func TestSDFPaperExample(t *testing.T) {
 	// d=1, m=2 in 1-D: A_1 = {r_0}, A_2 = {r_1}; w = (1, 3).
 	rings := grid.OneDim.RingSizes(1)
@@ -28,7 +35,7 @@ func TestSDFPaperExample(t *testing.T) {
 	if w[0] != 1 || w[1] != 3 {
 		t.Errorf("w = %v, want [1 3]", w)
 	}
-	if err := part.Validate(rings); err != nil {
+	if err := part.Validate(rings, 2); err != nil {
 		t.Error(err)
 	}
 }
@@ -53,7 +60,7 @@ func TestSDFSubareaCountEquation2(t *testing.T) {
 			t.Errorf("d=%d unbounded: ℓ=%d, want %d", d, len(part), d+1)
 		}
 		for j, s := range part {
-			if s.FirstRing != j || s.LastRing != j {
+			if len(s.Rings) != 1 || s.Rings[0] != j {
 				t.Errorf("d=%d unbounded: subarea %d = %+v", d, j, s)
 			}
 		}
@@ -70,36 +77,47 @@ func TestSDFRingAssignment(t *testing.T) {
 			l := len(part)
 			gamma := (d + 1) / l
 			for j := 0; j < l-1; j++ {
-				if part[j].FirstRing != j*gamma || part[j].LastRing != (j+1)*gamma-1 {
-					t.Errorf("d=%d m=%d subarea %d: got rings %d..%d, want %d..%d",
-						d, m, j, part[j].FirstRing, part[j].LastRing, j*gamma, (j+1)*gamma-1)
+				if first, last, ok := span(part[j]); !ok || first != j*gamma || last != (j+1)*gamma-1 {
+					t.Errorf("d=%d m=%d subarea %d: got rings %v, want %d..%d",
+						d, m, j, part[j].Rings, j*gamma, (j+1)*gamma-1)
 				}
 			}
-			if part[l-1].LastRing != d {
-				t.Errorf("d=%d m=%d: last subarea ends at %d", d, m, part[l-1].LastRing)
+			if _, last, _ := span(part[l-1]); last != d {
+				t.Errorf("d=%d m=%d: last subarea ends at %d", d, m, last)
 			}
-			if err := part.Validate(rings); err != nil {
+			if err := part.Validate(rings, m); err != nil {
 				t.Errorf("d=%d m=%d: %v", d, m, err)
 			}
 		}
 	}
 }
 
+// TestAllSchemesProduceValidPartitions: every registered scheme returns
+// a valid partition within the delay bound whose subareas are contiguous
+// and polled in distance order (Validate accepts any grouping, so the
+// order is asserted here).
 func TestAllSchemesProduceValidPartitions(t *testing.T) {
-	schemes := []Scheme{SDF{}, Blanket{}, PerRing{}, EqualCells{}, OptimalDP{}}
 	for _, k := range []grid.Kind{grid.OneDim, grid.TwoDimHex} {
 		for d := 0; d <= 12; d++ {
 			rings := k.RingSizes(d)
 			pi := uniformProbs(d + 1)
 			for m := 0; m <= 15; m++ {
-				for _, s := range schemes {
-					part := s.Partition(rings, pi, m)
-					if err := part.Validate(rings); err != nil {
-						t.Errorf("%s %v d=%d m=%d: %v", s.Name(), k, d, m, err)
+				for _, name := range Names() {
+					s, err := ByName(name)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if m >= 1 && len(part) > m {
-						t.Errorf("%s %v d=%d m=%d: %d subareas exceed delay bound",
-							s.Name(), k, d, m, len(part))
+					part := s.Partition(rings, pi, m)
+					if err := part.Validate(rings, m); err != nil {
+						t.Errorf("%s %v d=%d m=%d: %v", name, k, d, m, err)
+					}
+					rg := part.RingGroup()
+					for r := 1; r < len(rg); r++ {
+						if rg[r] != rg[r-1] && rg[r] != rg[r-1]+1 {
+							t.Errorf("%s %v d=%d m=%d: ring→subarea %v not contiguous in distance order",
+								name, k, d, m, rg)
+							break
+						}
 					}
 					if got, want := part.Cells(), k.DiskSize(d); got != want {
 						t.Errorf("%s %v d=%d m=%d: covers %d cells, want %d",
@@ -228,7 +246,7 @@ func TestOptimalDPPropertyNeverWorseThanSDF(t *testing.T) {
 		}
 		rings := grid.TwoDimHex.RingSizes(d)
 		opt := OptimalDP{}.Partition(rings, pi, m)
-		if opt.Validate(rings) != nil || (m >= 1 && len(opt) > m) {
+		if opt.Validate(rings, m) != nil {
 			return false
 		}
 		return opt.ExpectedCells(pi) <= SDF{}.Partition(rings, nil, m).ExpectedCells(pi)+1e-9
@@ -250,15 +268,15 @@ func TestOptimalDPPanicsWithoutProbs(t *testing.T) {
 func TestValidateCatchesBadPartitions(t *testing.T) {
 	rings := grid.OneDim.RingSizes(2) // [1 2 2]
 	bad := []Partition{
-		{},                                      // empty
-		{{FirstRing: 1, LastRing: 2, Cells: 4}}, // gap at 0
-		{{FirstRing: 0, LastRing: 1, Cells: 3}}, // missing ring 2
-		{{FirstRing: 0, LastRing: 2, Cells: 4}}, // wrong cell count
-		{{FirstRing: 0, LastRing: 0, Cells: 1}, {FirstRing: 0, LastRing: 2, Cells: 5}}, // overlap
-		{{FirstRing: 0, LastRing: 3, Cells: 5}},                                        // beyond range
+		{},                                  // empty
+		{{Rings: []int{1, 2}, Cells: 4}},    // gap at 0
+		{{Rings: []int{0, 1}, Cells: 3}},    // missing ring 2
+		{{Rings: []int{0, 1, 2}, Cells: 4}}, // wrong cell count
+		{{Rings: []int{0}, Cells: 1}, {Rings: []int{0, 1, 2}, Cells: 5}}, // overlap
+		{{Rings: []int{0, 1, 2, 3}, Cells: 5}},                           // beyond range
 	}
 	for i, p := range bad {
-		if err := p.Validate(rings); err == nil {
+		if err := p.Validate(rings, Unbounded); err == nil {
 			t.Errorf("case %d: invalid partition accepted: %v", i, p)
 		}
 	}
@@ -275,8 +293,10 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q).Name() = %q", name, s.Name())
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown name accepted")
+	for _, name := range []string{"nope", ProbOrder{}.Name()} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("unregistered name %q accepted", name)
+		}
 	}
 }
 

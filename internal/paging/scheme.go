@@ -3,15 +3,16 @@ package paging
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 )
 
 // A Scheme partitions the rings 0..d of a residing area into at most m
-// subareas. ringSizes[i] is N(r_i); pi, when non-nil, gives the stationary
-// ring probabilities p_0..p_d for probability-aware schemes (schemes that
-// ignore probabilities accept pi == nil). m follows the paper's convention:
-// the terminal must be found within m polling cycles; Unbounded means no
-// constraint.
+// subareas. ringSizes[i] is N(r_i); pi gives the stationary ring
+// probabilities p_0..p_d, which OptimalDP and ProbOrder read (the other
+// schemes ignore it and accept pi == nil). m follows the paper's
+// convention: the terminal must be found within m polling cycles;
+// Unbounded means no constraint.
 type Scheme interface {
 	// Name identifies the scheme in reports and benchmarks.
 	Name() string
@@ -126,32 +127,76 @@ func (OptimalDP) Name() string { return "optimal-dp" }
 
 // Partition implements Scheme.
 func (OptimalDP) Partition(ringSizes []int, pi []float64, m int) Partition {
+	checkProbs("OptimalDP", ringSizes, pi)
+	return optimalCuts(ringSizes, pi, identity(len(ringSizes)), m)
+}
+
+// ProbOrder computes the minimum-expected-cells partition over all
+// ring-whole groupings, contiguous or not, under a delay bound of m
+// cycles: rings are sorted by decreasing per-cell probability p_i/N(r_i) —
+// the optimal polling order of Rose & Yates when each cell of ring i is
+// equally likely — and the sorted sequence is cut into at most m
+// consecutive subareas by OptimalDP's dynamic program. An exchange
+// argument shows an optimal ring-whole grouping is always consecutive in
+// this order. It needs the stationary ring probabilities; with pi == nil
+// it panics.
+//
+// Its subareas need not be contiguous in distance, so it is not
+// registered: ByName, Names and every name-keyed caller see only the
+// contiguous schemes.
+type ProbOrder struct{}
+
+// Name implements Scheme.
+func (ProbOrder) Name() string { return "prob-order" }
+
+// Partition implements Scheme.
+func (ProbOrder) Partition(ringSizes []int, pi []float64, m int) Partition {
+	checkProbs("ProbOrder", ringSizes, pi)
+	order := identity(len(ringSizes))
+	sort.SliceStable(order, func(a, b int) bool {
+		pa := pi[order[a]] / float64(ringSizes[order[a]])
+		pb := pi[order[b]] / float64(ringSizes[order[b]])
+		return pa > pb
+	})
+	return optimalCuts(ringSizes, pi, order, m)
+}
+
+// checkProbs panics unless pi holds one probability per ring.
+func checkProbs(scheme string, ringSizes []int, pi []float64) {
 	if pi == nil {
-		panic("paging: OptimalDP requires ring probabilities")
+		panic("paging: " + scheme + " requires ring probabilities")
 	}
-	d := len(ringSizes) - 1
-	if len(pi) != d+1 {
-		panic(fmt.Sprintf("paging: %d probabilities for %d rings", len(pi), d+1))
+	if len(pi) != len(ringSizes) {
+		panic(fmt.Sprintf("paging: %d probabilities for %d rings", len(pi), len(ringSizes)))
 	}
-	l := subareaCount(d, m)
+}
 
-	// Prefix sums: cells[i] = Σ_{k<i} N(r_k), mass[i] = Σ_{k<i} p_k.
-	cells := make([]int, d+2)
-	mass := make([]float64, d+2)
-	for i := 0; i <= d; i++ {
-		cells[i+1] = cells[i] + ringSizes[i]
-		mass[i+1] = mass[i] + pi[i]
+// optimalCuts cuts the rings, taken in the given order, into at most
+// min(d+1, m) consecutive subareas minimizing the expected number of
+// polled cells Σ_j π(A_j)·w_j, by dynamic programming over cut points.
+func optimalCuts(ringSizes []int, pi []float64, order []int, m int) Partition {
+	n := len(order)
+	l := subareaCount(n-1, m)
+
+	// Prefix sums over the order: cells[i] = Σ_{k<i} N(r_order[k]),
+	// mass[i] = Σ_{k<i} p_order[k].
+	cells := make([]int, n+1)
+	mass := make([]float64, n+1)
+	for i, r := range order {
+		cells[i+1] = cells[i] + ringSizes[r]
+		mass[i+1] = mass[i] + pi[r]
 	}
 
-	// cost[j][i]: minimum expected polled cells covering rings 0..i−1 with
-	// exactly j subareas, where each subarea ending at ring b−1 contributes
-	// π(A_j)·w_j = (mass over the subarea)·(total cells through ring b−1).
+	// cost[j][i]: minimum expected polled cells covering the first i rings
+	// of the order with exactly j subareas, where each subarea ending
+	// before position i contributes π(A_j)·w_j = (mass over the
+	// subarea)·(total cells through position i−1).
 	const inf = math.MaxFloat64
 	cost := make([][]float64, l+1)
 	prev := make([][]int, l+1)
 	for j := range cost {
-		cost[j] = make([]float64, d+2)
-		prev[j] = make([]int, d+2)
+		cost[j] = make([]float64, n+1)
+		prev[j] = make([]int, n+1)
 		for i := range cost[j] {
 			cost[j][i] = inf
 			prev[j][i] = -1
@@ -159,7 +204,7 @@ func (OptimalDP) Partition(ringSizes []int, pi []float64, m int) Partition {
 	}
 	cost[0][0] = 0
 	for j := 1; j <= l; j++ {
-		for i := j; i <= d+1; i++ {
+		for i := j; i <= n; i++ {
 			for k := j - 1; k < i; k++ {
 				if cost[j-1][k] == inf {
 					continue
@@ -172,29 +217,22 @@ func (OptimalDP) Partition(ringSizes []int, pi []float64, m int) Partition {
 			}
 		}
 	}
-	// The optimum may use fewer than l subareas only if some subarea would
-	// be empty; with all subareas non-empty, using all l is never worse
-	// (splitting a subarea cannot increase cost). Take exactly the best
-	// j ≤ l covering d+1 rings.
-	bestJ, bestCost := 1, cost[1][d+1]
+	// Splitting a subarea never raises the cost, but ties are possible:
+	// take the fewest subareas reaching the minimum.
+	bestJ := 1
 	for j := 2; j <= l; j++ {
-		if cost[j][d+1] < bestCost {
-			bestJ, bestCost = j, cost[j][d+1]
+		if cost[j][n] < cost[bestJ][n] {
+			bestJ = j
 		}
 	}
-	_ = bestCost
-	// Reconstruct boundaries.
-	var bounds []int
-	i := d + 1
-	for j := bestJ; j > 1; j-- {
+	// Reconstruct the cut points, collected from the back.
+	ends := make([]int, bestJ)
+	i := n
+	for j := bestJ; j >= 1; j-- {
+		ends[j-1] = i
 		i = prev[j][i]
-		bounds = append(bounds, i)
 	}
-	// bounds collected in reverse order.
-	for a, b := 0, len(bounds)-1; a < b; a, b = a+1, b-1 {
-		bounds[a], bounds[b] = bounds[b], bounds[a]
-	}
-	return build(ringSizes, bounds)
+	return group(ringSizes, order, ends)
 }
 
 // schemes lists every registered scheme in resolution order; ByName and

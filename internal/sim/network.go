@@ -73,10 +73,11 @@ func (n *network) hlrAt(id uint32) *HLRRecord {
 }
 
 // partitionFor returns (building and caching on demand) the paging plan for
-// threshold d. Probability-aware schemes receive the stationary
-// distribution of the network's configured average parameters — the best
-// information the fixed network has. Every paging exchange asks for its
-// plan, so the cache hands out a pointer rather than a copy of the plan.
+// threshold d. The scheme receives the stationary distribution of the
+// network's configured average parameters — the best information the
+// fixed network has; schemes that do not read it ignore it. Every paging
+// exchange asks for its plan, so the cache hands out a pointer rather
+// than a copy of the plan.
 func (n *network) partitionFor(d int) *partInfo {
 	if d == n.lastD {
 		return n.lastPart
@@ -85,18 +86,14 @@ func (n *network) partitionFor(d int) *partInfo {
 		n.lastD, n.lastPart = d, pi
 		return pi
 	}
-	rings := n.cfg.Core.Model.Grid().RingSizes(d)
-	var probs []float64
-	if _, needs := n.scheme().(paging.OptimalDP); needs {
-		var err error
-		probs, err = chain.Stationary(n.cfg.Core.Model, n.cfg.Core.Params, d)
-		if err != nil {
-			// Validated config cannot fail here; treat as a bug.
-			panic(fmt.Sprintf("sim: stationary distribution: %v", err))
-		}
+	probs, err := chain.Stationary(n.cfg.Core.Model, n.cfg.Core.Params, d)
+	if err != nil {
+		// Validated config cannot fail here; treat as a bug.
+		panic(fmt.Sprintf("sim: stationary distribution: %v", err))
 	}
+	rings := n.cfg.Core.Model.Grid().RingSizes(d)
 	part := n.scheme().Partition(rings, probs, n.cfg.Core.MaxDelay)
-	pi := &partInfo{part: part, ringSubarea: paging.FromPartition(part).RingGroup(part.Rings())}
+	pi := &partInfo{part: part, ringSubarea: part.RingGroup()}
 	n.parts[d] = pi
 	n.lastD, n.lastPart = d, pi
 	return pi

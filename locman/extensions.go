@@ -7,27 +7,6 @@ import (
 	"repro/internal/grid"
 )
 
-// EvaluateGrouped computes the cost of operating at threshold d with the
-// probability-ordered optimal paging grouping (the strongest form of the
-// paper's future-work item): rings are polled in decreasing per-cell
-// probability and grouped optimally under the delay bound, so the paging
-// cost is never above — and often below — the SDF partition's.
-func EvaluateGrouped(cfg Config, d int) (Breakdown, error) {
-	if err := cfg.Validate(); err != nil {
-		return Breakdown{}, err
-	}
-	return cfg.internal().EvaluateGrouped(d)
-}
-
-// OptimizeGrouped finds the optimal threshold under the probability-
-// ordered optimal grouping.
-func OptimizeGrouped(cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	return core.ScanGrouped(cfg.internal(), cfg.MaxThreshold)
-}
-
 // DelayDistribution returns the probability that a call is resolved in
 // exactly cycle j+1 (index j) when operating at threshold d.
 func DelayDistribution(cfg Config, d int) ([]float64, error) {
@@ -91,14 +70,7 @@ func RingCycles(cfg Config, d int) ([]int, error) {
 	if scheme == nil {
 		scheme = SDF()
 	}
-	part := scheme.Partition(rings, pi, cfg.MaxDelay)
-	out := make([]int, d+1)
-	for j, s := range part {
-		for i := s.FirstRing; i <= s.LastRing; i++ {
-			out[i] = j
-		}
-	}
-	return out, nil
+	return scheme.Partition(rings, pi, cfg.MaxDelay).RingGroup(), nil
 }
 
 func baselineConfig(cfg Config, scheme BaselineScheme, param int) baseline.Config {

@@ -12,7 +12,9 @@ func TestEvaluateGroupedNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grouped, err := EvaluateGrouped(cfg, d)
+		gcfg := cfg
+		gcfg.Partition = ProbOrder()
+		grouped, err := Evaluate(gcfg, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +30,8 @@ func TestOptimizeGrouped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, err := OptimizeGrouped(cfg)
+	cfg.Partition = ProbOrder()
+	grouped, err := Optimize(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +120,6 @@ func TestRingCycles(t *testing.T) {
 
 func TestExtensionValidation(t *testing.T) {
 	bad := Config{Model: OneDimensional, MoveProb: -1, UpdateCost: 1, PollCost: 1}
-	if _, err := EvaluateGrouped(bad, 1); err == nil {
-		t.Error("EvaluateGrouped accepted invalid config")
-	}
-	if _, err := OptimizeGrouped(bad); err == nil {
-		t.Error("OptimizeGrouped accepted invalid config")
-	}
 	if _, err := DelayDistribution(bad, 1); err == nil {
 		t.Error("DelayDistribution accepted invalid config")
 	}

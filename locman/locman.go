@@ -86,7 +86,8 @@ func (m Model) chain() chain.Model {
 const Unbounded = paging.Unbounded
 
 // Partition is a residing-area partitioning scheme. Obtain instances from
-// SDF, Blanket, PerRing, EqualCells, OptimalDP or PartitionByName.
+// SDF, Blanket, PerRing, EqualCells, OptimalDP, ProbOrder or
+// PartitionByName.
 type Partition = paging.Scheme
 
 // SDF returns the paper's shortest-distance-first partitioner (the
@@ -105,6 +106,13 @@ func EqualCells() Partition { return paging.EqualCells{} }
 // OptimalDP returns the dynamic-programming optimal partitioner (minimum
 // expected polled cells under the delay bound).
 func OptimalDP() Partition { return paging.OptimalDP{} }
+
+// ProbOrder returns the probability-ordered optimal partitioner: rings
+// are polled in decreasing per-cell probability and grouped optimally
+// under the delay bound, so its groups need not be contiguous and its
+// paging cost is never above OptimalDP's. PartitionByName does not
+// resolve it.
+func ProbOrder() Partition { return paging.ProbOrder{} }
 
 // PartitionByName resolves "sdf", "blanket", "per-ring", "equal-cells" or
 // "optimal-dp"; the error for an unknown name enumerates the valid ones.
