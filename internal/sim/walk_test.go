@@ -45,23 +45,36 @@ func TestRunMatchesAnalysis1D(t *testing.T) {
 }
 
 func TestRunMatchesAnalysis2DExact(t *testing.T) {
-	// The hex walk exercises the true per-cell geometry; its long-run cost
-	// must match the exact 2-D chain, validating the ring-averaged
-	// transition probabilities (paper eqs. 39-42).
+	// The hex walk exercises the true per-cell geometry, so its reference
+	// is the walk solved cell by cell, priced with the SDF plan: the
+	// paper's ring-averaged chain (eqs. 39-42) is not exact on the
+	// hexagonal grid, and at this point it reads the update cost 6.5%
+	// high and C_T 0.66% high, past the update-cost bound below.
 	cfg := walkConfig(chain.TwoDimExact, 0.05, 0.01, 3, 4, 2)
-	want, err := cfg.Core.Evaluate(cfg.Threshold)
+	occ, update, err := markov.CellWalk(cfg.Core.Model.Grid(), cfg.Core.Params, cfg.Threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rings := cfg.Core.Model.Grid().RingSizes(cfg.Threshold)
+	part := paging.SDF{}.Partition(rings, occ, cfg.Core.MaxDelay)
+	wantUpdate := update * cfg.Core.Costs.Update
+	wantPaging := cfg.Core.Params.C * cfg.Core.Costs.Poll * part.ExpectedCells(occ)
+	wantTotal := wantUpdate + wantPaging
 	got, err := Run(cfg, 4_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := math.Abs(got.TotalCost-want.Total) / want.Total; rel > 0.02 {
-		t.Errorf("total cost: simulated %v vs analytical %v (rel %v)", got.TotalCost, want.Total, rel)
+	if rel := math.Abs(got.TotalCost-wantTotal) / wantTotal; rel > 0.02 {
+		t.Errorf("total cost: simulated %v vs cell walk %v (rel %v)", got.TotalCost, wantTotal, rel)
 	}
-	if math.Abs(got.Delay.Mean()-want.ExpectedDelay) > 0.03 {
-		t.Errorf("delay: simulated %v vs analytical %v", got.Delay.Mean(), want.ExpectedDelay)
+	if rel := math.Abs(got.UpdateCost-wantUpdate) / wantUpdate; rel > 0.05 {
+		t.Errorf("update cost: simulated %v vs cell walk %v (rel %v)", got.UpdateCost, wantUpdate, rel)
+	}
+	if rel := math.Abs(got.PagingCost-wantPaging) / wantPaging; rel > 0.05 {
+		t.Errorf("paging cost: simulated %v vs cell walk %v (rel %v)", got.PagingCost, wantPaging, rel)
+	}
+	if want := part.ExpectedDelay(occ); math.Abs(got.Delay.Mean()-want) > 0.03 {
+		t.Errorf("delay: simulated %v vs cell walk %v", got.Delay.Mean(), want)
 	}
 }
 
