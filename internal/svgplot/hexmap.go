@@ -20,7 +20,7 @@ var groupPalette = []string{
 // HexMap renders a residing area of threshold distance d on the hexagonal
 // grid as an SVG map, coloring each cell by the polling cycle that pages
 // it. ringGroup[i] is the 0-based cycle index of ring i (as produced by
-// paging.Partition or paging.Grouping); the center cell is outlined.
+// paging.Partition.RingGroup); the center cell is outlined.
 func HexMap(w io.Writer, title string, d int, ringGroup []int) error {
 	if d < 0 {
 		return fmt.Errorf("svgplot: negative distance %d", d)
